@@ -392,7 +392,9 @@ def sp_parse(text: str) -> SqrtPiPoly:
     first = True
     while i < len(toks):
         kind, val, _ = toks[i]
-        if not first:
+        # a sign token leads every later term, and may lead the first one
+        # ('-pi^1'; a signed integer such as '-3' is a single token)
+        if not first or (kind == "op" and val in "+-"):
             if kind != "op" or val not in "+-":
                 fail("expected '+' or '-'")
             sign = 1 if val == "+" else -1

@@ -15,8 +15,10 @@ closed form, vectorized over replication batches:
   3-dim subspace iff some pairwise nullspace candidate satisfies the
   remaining restricted constraints;
 * polar membership is a dot-product test against the cell's extreme rays;
-* nearest-point projection solves the dual NNLS with a local Lawson-Hanson
-  active-set loop (tight enough for the 1e-8 Moreau assertion).
+* the nearest point of a cone to g is the feasible point nearest to g among
+  the apex and the projections of g onto the spans of the candidate faces
+  (every active set of fewer than dim constraints), each a small Gram solve
+  vectorized over the batch.
 
 Every kernel is equivalence-tested against the LP route in the test suite,
 and the per-sample structural assertions (cell count = C(m,k), Euler
@@ -70,39 +72,46 @@ def batch_rng(seed: int, stream: int, batch_index: int) -> np.random.Generator:
 
 @dataclass
 class BatchSums:
-    """Order-independent partial sums; reduced in batch order afterwards."""
+    """Count, mean and sum of squared deviations (M2) of one batch's values.
 
-    total: float = 0.0
-    total_sq: float = 0.0
+    Partial results are merged pairwise (Chan, Golub & LeVeque 1983), which
+    keeps the variance accurate when the mean is large against the spread,
+    where ``sum(x^2) - n*mean^2`` cancels.
+    """
+
     count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
     degenerate: int = 0
 
     def add_values(self, values: np.ndarray, degenerate: int = 0) -> None:
-        self.total += float(np.sum(values))
-        self.total_sq += float(np.sum(values * values))
-        self.count += values.size
-        self.degenerate += degenerate
+        mean = float(np.mean(values)) if values.size else 0.0
+        m2 = float(np.sum((values - mean) ** 2))
+        self.merge(BatchSums(values.size, mean, m2, degenerate))
+
+    def merge(self, other: "BatchSums") -> None:
+        n = self.count + other.count
+        if n:
+            delta = other.mean - self.mean
+            self.mean += delta * other.count / n
+            self.m2 += other.m2 + delta * delta * self.count * other.count / n
+        self.count = n
+        self.degenerate += other.degenerate
 
 
 def finalize(sums: Sequence[BatchSums], seed: int):
     from .simulate import MCEstimate
 
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    deg = 0
+    total = BatchSums()
     for s in sums:  # fixed batch order: bit-stable reduction
-        total += s.total
-        total_sq += s.total_sq
-        count += s.count
-        deg += s.degenerate
-    mean = total / count
-    var = max(total_sq - count * mean * mean, 0.0) / max(count - 1, 1)
+        total.merge(s)
+    count = total.count
+    var = total.m2 / max(count - 1, 1)
     return MCEstimate(
-        mean=mean,
+        mean=total.mean,
         stderr=math.sqrt(var / count),
         reps=count,
-        degenerate_redraws=deg,
+        degenerate_redraws=total.degenerate,
         seed=seed,
     )
 
@@ -118,7 +127,7 @@ def _combos(m: int, r: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _nullspace_rays(rows: np.ndarray) -> np.ndarray:
-    """Nullspace direction of dim-1 row vectors in R^dim, batched.
+    """Nullspace direction of dim-1 row vectors in R^dim, batched, any dim >= 2.
 
     rows: (..., dim-1, dim) -> (..., dim), unnormalized.
     """
@@ -129,13 +138,25 @@ def _nullspace_rays(rows: np.ndarray) -> np.ndarray:
     if dim == 3:
         return np.cross(rows[..., 0, :], rows[..., 1, :])
     if dim == 4:
-        out = np.empty(rows.shape[:-2] + (4,))
-        cols = np.arange(4)
-        for i in range(4):
-            minor = rows[..., :, cols != i]
-            out[..., i] = ((-1) ** i) * np.linalg.det(minor)
-        return out
-    raise ValueError(f"unsupported dimension {dim}")
+        # generalized cross product: 2x2 minors of rows 0 and 1, then the
+        # signed 3x3 cofactors by expansion along row 2 (components moved to
+        # the front so that every product runs over contiguous memory)
+        a, b, c = np.ascontiguousarray(np.moveaxis(rows, (-2, -1), (0, 1)))
+        p = {(i, j): a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(4), 2)}
+        return np.stack(
+            [
+                c[1] * p[2, 3] - c[2] * p[1, 3] + c[3] * p[1, 2],
+                -c[0] * p[2, 3] + c[2] * p[0, 3] - c[3] * p[0, 2],
+                c[0] * p[1, 3] - c[1] * p[0, 3] + c[3] * p[0, 1],
+                -c[0] * p[1, 2] + c[1] * p[0, 2] - c[2] * p[0, 1],
+            ],
+            axis=-1,
+        )
+    out = np.empty(rows.shape[:-2] + (dim,))
+    cols = np.arange(dim)
+    for i in range(dim):
+        out[..., i] = ((-1) ** i) * np.linalg.det(rows[..., :, cols != i])
+    return out
 
 
 def _rays_for(normals: np.ndarray, combos) -> Tuple[np.ndarray, np.ndarray]:
@@ -463,69 +484,91 @@ def _hit_fraction_3d(restricted: np.ndarray) -> np.ndarray:
     return hit.mean(axis=1)
 
 
-def _nnls_small(M: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Lawson-Hanson active-set NNLS: argmin_{x >= 0} ||M x - b||.
+def _solve_gram(G, h):
+    """Solve batched s x s Gram systems G mu = h, one array per entry.
 
-    Written out here because the problems are tiny (a handful of columns)
-    and the solution must be tight enough for the 1e-8 Moreau assertion.
+    ``G[a][b]`` and ``h[a]`` are equally shaped arrays holding entry (a, b)
+    of every system, so each step is one vectorized operation.  Gaussian
+    elimination without pivoting is stable for the symmetric positive
+    semidefinite Gram matrices here.  Returns (mu, ok): ``mu[a]`` entry a of
+    the solutions, ``ok`` False where a pivot vanishes (linearly dependent
+    rows; mu is meaningless there).  A singular system never raises, so one
+    degenerate replication cannot fail the batch.
     """
-    m = M.shape[1]
-    x = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
-    w = M.T @ b
-    scale = max(float(np.abs(w).max()), 1.0)
-    for _ in range(4 * m + 8):
-        w = M.T @ (b - M @ x)
-        w_masked = np.where(passive, -np.inf, w)
-        j = int(np.argmax(w_masked))
-        if w_masked[j] <= tol * scale:
-            return x
-        passive[j] = True
-        for _ in range(4 * m + 8):
-            cols = np.flatnonzero(passive)
-            s_p, *_ = np.linalg.lstsq(M[:, cols], b, rcond=None)
-            if np.all(s_p > 0):
-                x = np.zeros(m)
-                x[cols] = s_p
-                break
-            full_s = np.zeros(m)
-            full_s[cols] = s_p
-            shrink = passive & (full_s <= 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(shrink, x / (x - full_s), np.inf)
-            alpha = float(np.min(ratios))
-            x = x + alpha * (full_s - x)
-            passive &= x > tol
-            x[~passive] = 0.0
-        else:
-            raise SampleAssertionError("NNLS inner loop failed to settle")
-    raise SampleAssertionError("NNLS outer loop failed to converge")
+    s = len(h)
+    G = [list(row) for row in G]
+    h = list(h)
+    tol = 1e-12 * np.max([G[a][a] for a in range(s)], axis=0)
+    ok = np.ones(h[0].shape, dtype=bool)
+    for i in range(s):
+        good = G[i][i] > tol
+        ok &= good
+        G[i][i] = np.where(good, G[i][i], 1.0)
+        for r in range(i + 1, s):
+            f = G[r][i] / G[i][i]
+            for c in range(i + 1, s):
+                G[r][c] = G[r][c] - f * G[i][c]
+            h[r] = h[r] - f * h[i]
+    mu = [None] * s
+    for i in reversed(range(s)):
+        acc = h[i]
+        for c in range(i + 1, s):
+            acc = acc - G[i][c] * mu[c]
+        mu[i] = acc / G[i][i]
+    return mu, ok
 
 
 def project_batch(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Nearest points in the cones {x: A_b x >= 0} via the dual NNLS.
+    """Nearest points in the cones {x: A_b x >= 0}, by batched face enumeration.
+
+    The projection of g is its projection onto the span of the face whose
+    relative interior contains it.  So it is the feasible point nearest to g
+    among the apex 0 and the candidates x = g + A_S^T mu with
+    A_S A_S^T mu = -A_S g, one for every active set 1 <= |S| < dim.  A
+    candidate with a negative multiplier fails the KKT conditions and is not
+    tested; a set whose rows are dependent in some replication is dropped
+    there only.  Points already in the cone pass unchanged.
 
     Enforces the per-sample Moreau-orthogonality and feasibility assertions.
     """
-    B, m, dim = normals.shape
-    out = np.empty((B, dim))
-    margins = np.einsum("bmd,bd->bm", normals, points)
-    inside = (margins >= 0).all(axis=1)
-    for b in range(B):
-        gb = points[b]
-        if inside[b]:
-            out[b] = gb
-            continue
-        A = normals[b]
-        mu = _nnls_small(-A.T, gb)
-        proj = gb + A.T @ mu
-        resid = gb - proj
-        scale = 1.0 + float(gb @ gb)
-        if abs(float(proj @ resid)) > 1e-8 * scale:
-            raise SampleAssertionError("Moreau orthogonality > 1e-8")
-        if float((A @ proj).min()) < -1e-9 * scale:
-            raise SampleAssertionError("projection infeasible beyond tolerance")
-        out[b] = proj
+    _, m, dim = normals.shape
+    out = np.array(points, dtype=float)
+    outside = np.flatnonzero((np.einsum("bmd,bd->bm", normals, out) < 0).any(axis=1))
+    if outside.size == 0:
+        return out
+    A = normals[outside]
+    g = out[outside]
+    scale = 1.0 + np.einsum("bd,bd->b", g, g)
+    gram = np.einsum("bmd,bnd->bmn", A, A)
+    marg = np.einsum("bmd,bd->bm", A, g)
+    best = np.zeros_like(g)  # the apex
+    best_d = np.einsum("bd,bd->b", g, g)
+    rows = np.arange(g.shape[0])
+    for s in range(1, min(dim, m + 1)):
+        idx = np.array(_combos(m, s)).T  # (s, nS)
+        mu, ok = _solve_gram(
+            [[gram[:, idx[a], idx[b]] for b in range(s)] for a in range(s)],
+            [-marg[:, idx[a]] for a in range(s)],
+        )
+        keep = ok & np.logical_and.reduce([mu_a >= 0 for mu_a in mu])
+        bi, ci = np.nonzero(keep)
+        cand_marg = marg[bi] + sum(mu[a][bi, ci, None] * gram[bi, idx[a, ci]] for a in range(s))
+        feas = (cand_marg >= -1e-12 * scale[bi, None]).all(axis=1)
+        # |x - g|^2 = mu . A_S A_S^T mu = -mu . A_S g
+        d = -sum(mu[a][bi, ci] * marg[bi, idx[a, ci]] for a in range(s))
+        dist = np.full(keep.shape, np.inf)
+        dist[bi[feas], ci[feas]] = d[feas]
+        j = np.argmin(dist, axis=1)
+        better = dist[rows, j] < best_d
+        win, jw = rows[better], j[better]
+        best[better] = g[better] + sum(mu[a][win, jw, None] * A[win, idx[a, jw]] for a in range(s))
+        best_d = np.where(better, dist[rows, j], best_d)
+    resid = g - best
+    if np.any(np.abs(np.einsum("bd,bd->b", best, resid)) > 1e-8 * scale):
+        raise SampleAssertionError("Moreau orthogonality > 1e-8")
+    if np.any(np.einsum("bmd,bd->bm", A, best).min(axis=1) < -1e-9 * scale):
+        raise SampleAssertionError("projection infeasible beyond tolerance")
+    out[outside] = best
     return out
 
 
@@ -595,7 +638,7 @@ def _run_batches(reps, seed, stream, worker, threads: int = 1):
         rng = batch_rng(seed, stream, j)
         return worker(rng, sizes[j])
 
-    if threads > 1:
+    if threads > 1 and len(sizes) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as ex:

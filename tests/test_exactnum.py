@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphtess.exactnum import (
@@ -64,6 +64,8 @@ def test_eval_is_ring_homomorphism(a, b):
 
 @settings(max_examples=300, deadline=None)
 @given(polys)
+@example(SqrtPiPoly({1: -1}))  # leading '-sqrtpi^1': a sign token, no integer
+@example(SqrtPiPoly({2: -1, 0: 3}))
 def test_parse_format_round_trip(a):
     assert sp_parse(sp_format(a)) == a
 

@@ -18,7 +18,7 @@ from sphtess.mckernels import (
     SampleAssertionError,
     _combos,
     _enumerate_and_pick,
-    _nnls_small,
+    _nullspace_rays,
     _vertex_selectors,
     batch_rng,
     cones_intersect_batch,
@@ -192,28 +192,55 @@ def test_polar_fraction_matches_lp():
 
 
 def test_project_batch_matches_geom():
-    for dim in (2, 3, 4):
-        cells = _cell_batch(40, 6, dim)
+    for m, dim in ((6, 2), (6, 3), (6, 4), (9, 4), (12, 4)):
+        cells = _cell_batch(40, m, dim)
         pts = rng.standard_normal((cells.B, dim)) * 2
         fast = project_batch(cells.normals, pts)
         for b in range(cells.B):
             cell = SphericalCell(normals=cells.normals[b], witness=np.zeros(dim))
             slow = geom.project_onto_cone(cell, pts[b])
-            assert np.allclose(fast[b], slow, atol=1e-8), (dim, b)
+            assert np.allclose(fast[b], slow, atol=1e-8), (m, dim, b)
 
 
-def test_nnls_small_optimality():
-    for _ in range(500):
-        m = int(rng.integers(1, 9))
-        dim = int(rng.integers(2, 5))
-        M = rng.standard_normal((dim, m))
-        b = rng.standard_normal(dim)
-        x = _nnls_small(M, b)
-        assert np.all(x >= 0)
-        grad = M.T @ (b - M @ x)
-        # KKT: gradient nonpositive where x = 0, zero where x > 0
-        assert np.all(grad <= 1e-8)
-        assert np.all(np.abs(grad[x > 1e-12]) <= 1e-8)
+def test_project_batch_kkt():
+    # Moreau: x = Pi_C g iff x in C, x . (g - x) = 0 and g - x in the polar
+    # cone, i.e. (g - x) . r <= 0 for every vertex ray r of the cell
+    shapes = ((5, 2), (6, 3), (8, 4), (12, 4))
+    for sampler, (m, dim) in itertools.product((sample_typical_cells, sample_weighted_cells), shapes):
+        cells = sampler(batch_rng(11, m, dim), 256, m, dim)
+        g = rng.standard_normal((cells.B, dim)) * 2
+        x = project_batch(cells.normals, g)
+        tol = 1e-9 * (1.0 + np.einsum("bd,bd->b", g, g))
+        assert np.all(np.einsum("bmd,bd->bm", cells.normals, x).min(axis=1) >= -tol)
+        assert np.all(np.abs(np.einsum("bd,bd->b", x, g - x)) <= tol)
+        verts, valid = cells.vertices_masked()
+        polar = np.einsum("bcd,bd->bc", verts, g - x)
+        assert np.all(np.where(valid, polar, -np.inf).max(axis=1) <= tol), (m, dim)
+
+
+def test_project_batch_duplicated_normal_drops_only_its_replication():
+    cells = _cell_batch(64, 8, 4)
+    pts = rng.standard_normal((cells.B, 4)) * 2
+    base = project_batch(cells.normals, pts)
+    dup = cells.normals.copy()
+    dup[5, 1] = dup[5, 0]
+    pts[5] = -dup[5, 0]  # outside, so the singular Gram systems are solved
+    with np.errstate(all="raise"):  # no division by a vanished pivot either
+        out = project_batch(dup, pts)
+    others = np.arange(cells.B) != 5
+    assert np.array_equal(out[others], base[others])
+    reduced = project_batch(np.delete(dup[5:6], 1, axis=1), pts[5:6])
+    assert np.allclose(out[5], reduced[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_nullspace_rays_match_svd(dim):
+    rows = rng.standard_normal((200, dim - 1, dim))
+    ray = _nullspace_rays(rows)
+    ray /= np.linalg.norm(ray, axis=1, keepdims=True)
+    null = np.linalg.svd(rows)[2][:, -1, :]  # unit, sign arbitrary
+    assert np.allclose(np.abs(np.einsum("bd,bd->b", ray, null)), 1.0, atol=1e-10)
+    assert np.abs(np.einsum("bkd,bd->bk", rows, ray)).max() < 1e-12
 
 
 def test_statdim_values_moreau_assert():

@@ -1,10 +1,13 @@
 """Samplers, estimator plumbing, determinism, and cross-validation."""
 
+import concurrent.futures
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sphtess import mckernels
 from sphtess.exactnum import sp_eval
 from sphtess.geom import KappaFamily, solid_angle_mc
 from sphtess.moments import (
@@ -117,7 +120,7 @@ def test_sampler_preconditions():
         sample_weighted_face_full_skeleton(4, 2, 0, rng)
 
 
-def test_estimate_determinism_and_thread_independence():
+def test_estimate_determinism_and_thread_independence(monkeypatch):
     q = ExpectationQuery("v", "weighted", 4, 2, 2, 1)
     cfg1 = ExperimentConfig(reps=3000, seed=99, subspace_reps=8, threads=1)
     cfg2 = ExperimentConfig(reps=3000, seed=99, subspace_reps=8, threads=3)
@@ -127,6 +130,34 @@ def test_estimate_determinism_and_thread_independence():
     assert e1 == e2 == e3
     e4 = estimate(q, ExperimentConfig(reps=3000, seed=100, subspace_reps=8))
     assert e4.mean != e1.mean
+    # a single batch runs inline: no thread pool is started for it
+    one = ExperimentConfig(reps=mckernels.BATCH, seed=99, subspace_reps=8, threads=1)
+    single = estimate(q, one)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+    assert estimate(q, replace(one, threads=3)) == single
+
+
+def test_finalize_variance_is_stable_at_large_mean():
+    local = np.random.default_rng(5)
+    batches = [1e8 + local.standard_normal(1000) for _ in range(4)]
+    sums = []
+    for values in batches:
+        s = mckernels.BatchSums()
+        s.add_values(values)
+        sums.append(s)
+    est = mckernels.finalize(sums, seed=0)
+    values = np.concatenate(batches)
+    assert est.reps == values.size
+    assert math.isclose(est.mean, values.mean(), rel_tol=1e-15)
+    expected = values.std(ddof=1) / math.sqrt(values.size)
+    assert math.isclose(est.stderr, expected, rel_tol=1e-6)
+
+
+def test_compare_isect_d4():
+    # cells in R^5: the nullspace rays of 4 x 5 subsets use the cofactor route
+    rep = compare(ExpectationQuery("isect", "weighted", 5, 4, 4, m=5), ExperimentConfig(reps=4096, seed=3))
+    assert abs(rep.z_score) <= 4
+    assert rep.estimate.degenerate_redraws <= 4096 * 1e-3
 
 
 def test_estimate_unbiased_spot_checks():
