@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .exactnum import sp_eval, sp_format
-from .geom import KappaFamily
+from .geom import DegenerateInput, KappaFamily
 from .moments import (
     GAMMA_STAR,
     EuclidQuery,
@@ -97,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, DegenerateInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,6 @@ __all__ = [
     "sp_parse",
     "sp_format",
     "sp_eval",
-    "sp_arith",
     "pi_decimal",
     "ParseError",
 ]
@@ -198,9 +197,6 @@ class SqrtPiPoly:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def eval_decimal(self, digits: int) -> Decimal:
-        return sp_eval(self, digits)
-
     def __float__(self) -> float:
         return float(sp_eval(self, 25))
 
@@ -295,10 +291,6 @@ def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
         # below 10^(1-digits) even for large-magnitude values
         ctx.prec = digits + max_mag + 5
         return +total
-
-
-# attach as module-level op name used throughout
-SqrtPiPoly.eval = sp_eval  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +487,3 @@ def sphere_surface(k: int) -> SqrtPiPoly:
         raise ValueError(f"sphere dimension must be >= 0, got {k}")
     numer = SqrtPiPoly.sqrtpi_power(k + 1, 2)
     return numer / gamma_half(k + 1)
-
-
-def sp_arith(a: SqrtPiPoly, b, op: str) -> SqrtPiPoly:
-    """Dispatch helper kept for symmetry with the CLI surface."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown op {op!r}")

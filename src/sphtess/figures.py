@@ -6,7 +6,6 @@ deterministic byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .exactnum import sp_format
@@ -24,17 +23,6 @@ from .moments import (
 from .tables import format_float15
 
 FIGURES = ("fvec_fig3", "quermass_fig4", "intvol_fig5", "statdim_fig6", "isect_fig8")
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    which: str
-    d: Optional[int] = None
-    k: Optional[int] = None
-    ns: Optional[List[int]] = None
-
-    def render(self) -> str:
-        return figure_csv(self.which, d=self.d, k=self.k, ns=self.ns)
 
 
 def figure_csv(

@@ -235,28 +235,33 @@ def sample_normal(rng: np.random.Generator, dim: int, kappa: KappaFamily = Kappa
 
 
 def sample_vmf_mixture(rng: np.random.Generator, dim: int, beta: float, size: int) -> np.ndarray:
-    """size draws from (vMF(e, beta) + vMF(-e, beta))/2 on S^dim (Wood's method)."""
+    """size draws from (vMF(e, beta) + vMF(-e, beta))/2 on S^dim (Wood's method).
+
+    Wood's acceptance test runs in s = 1 - x0 and t = 1 - w, which stay
+    accurate at large beta, where x0 and w round to 1 and 1 - x0^2 cancels.
+    """
     p = dim + 1
     kap = float(beta)
-    b = (-2 * kap + math.sqrt(4 * kap * kap + (p - 1) ** 2)) / (p - 1)
-    x0 = (1 - b) / (1 + b)
-    c = kap * x0 + (p - 1) * math.log(1 - x0 * x0)
-    w = np.empty(size)
+    b = (p - 1) / (2 * kap + math.hypot(2 * kap, p - 1))
+    s = 2 * b / (1 + b)
+    log_c = math.log(s * (2 - s))  # log(1 - x0^2)
+    t = np.empty(size)
     need = np.ones(size, dtype=bool)
     while need.any():
         nn = int(need.sum())
         z = rng.beta((p - 1) / 2.0, (p - 1) / 2.0, size=nn)
-        wc = (1 - (1 + b) * z) / (1 - (1 - b) * z)
+        tc = 2 * b * z / (1 - (1 - b) * z)
         u = rng.random(nn)
-        ok = kap * wc + (p - 1) * np.log1p(-x0 * wc) - c >= np.log(u)
+        # kap (w - x0) + (p-1) log((1 - x0 w) / (1 - x0^2)) >= log u
+        ok = kap * (s - tc) + (p - 1) * (np.log(s + tc - s * tc) - log_c) >= np.log(u)
         idx = np.flatnonzero(need)[ok]
-        w[idx] = wc[ok]
+        t[idx] = tc[ok]
         need[idx] = False
     tang = rng.standard_normal((size, p - 1))
     tang /= np.linalg.norm(tang, axis=1, keepdims=True)
     out = np.empty((size, p))
-    out[:, :-1] = tang * np.sqrt(np.maximum(0.0, 1 - w * w))[:, None]
-    out[:, -1] = w
+    out[:, :-1] = tang * np.sqrt(t * (2 - t))[:, None]
+    out[:, -1] = 1 - t
     flip = rng.random(size) < 0.5
     out[flip] *= -1.0
     return out

@@ -10,10 +10,16 @@ closed form, vectorized over replication batches:
   pointed cone whose extreme rays are the +-nullspace directions of the
   k-subsets, and each of the 2^k local sign resolutions around a ray belongs
   to exactly one cell;
-* a cone meets a 1-dim subspace iff a sign test passes, a 2-dim subspace iff
-  the projected half-circle constraints leave a circular gap > pi, and a
-  3-dim subspace iff some pairwise nullspace candidate satisfies the
-  remaining restricted constraints;
+* every cone question goes through one primitive: each (j-1)-subset of
+  the rows of {y in R^j : R y >= 0} spans a candidate ray, which is an
+  extreme ray iff every other margin lies beyond the tolerance band on one
+  side, and a pointed cone with generic rows is nontrivial iff it has an
+  extreme ray (Cover & Efron 1967).  Cell vertices and the enumeration
+  masks use the cell's normals; a cone meets a uniform j-dim subspace iff
+  the normals restricted to it leave an extreme ray; two cones intersect
+  iff their stacked normals do.  A ray whose class hinges on margins within
+  the band is grazing: the samplers and the intersection test redraw that
+  replication and count the redraw;
 * polar membership is a dot-product test against the cell's extreme rays;
 * the nearest point of a cone to g is the feasible point nearest to g among
   the apex and the projections of g onto the spans of the candidate faces
@@ -122,26 +128,32 @@ def finalize(sums: Sequence[BatchSums], seed: int):
 
 
 @lru_cache(maxsize=None)
-def _combos(m: int, r: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(itertools.combinations(range(m), r))
+def _combos(m: int, r: int) -> np.ndarray:
+    """The r-subsets of range(m) in lexicographic order: read-only (C(m,r), r)."""
+    out = np.array(list(itertools.combinations(range(m), r)), dtype=np.intp).reshape(math.comb(m, r), r)
+    out.flags.writeable = False
+    return out
 
 
 def _nullspace_rays(rows: np.ndarray) -> np.ndarray:
-    """Nullspace direction of dim-1 row vectors in R^dim, batched, any dim >= 2.
+    """Nullspace direction of dim-1 row vectors in R^dim, batched, any dim >= 1.
 
-    rows: (..., dim-1, dim) -> (..., dim), unnormalized.
+    Components first, so that every product runs over contiguous memory:
+    rows (dim-1, dim, ...) -> (dim, ...), unnormalized.
     """
-    dim = rows.shape[-1]
+    dim = rows.shape[1]
+    if dim == 1:
+        return np.ones((1,) + rows.shape[2:])  # the empty subset spans R^1
     if dim == 2:
-        u = rows[..., 0, :]
-        return np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        u = rows[0]
+        return np.stack([-u[1], u[0]])
     if dim == 3:
-        return np.cross(rows[..., 0, :], rows[..., 1, :])
+        a, b = rows
+        return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
     if dim == 4:
         # generalized cross product: 2x2 minors of rows 0 and 1, then the
-        # signed 3x3 cofactors by expansion along row 2 (components moved to
-        # the front so that every product runs over contiguous memory)
-        a, b, c = np.ascontiguousarray(np.moveaxis(rows, (-2, -1), (0, 1)))
+        # signed 3x3 cofactors by expansion along row 2
+        a, b, c = rows
         p = {(i, j): a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(4), 2)}
         return np.stack(
             [
@@ -149,25 +161,55 @@ def _nullspace_rays(rows: np.ndarray) -> np.ndarray:
                 -c[0] * p[2, 3] + c[2] * p[0, 3] - c[3] * p[0, 2],
                 c[0] * p[1, 3] - c[1] * p[0, 3] + c[3] * p[0, 1],
                 -c[0] * p[1, 2] + c[1] * p[0, 2] - c[2] * p[0, 1],
-            ],
-            axis=-1,
+            ]
         )
-    out = np.empty(rows.shape[:-2] + (dim,))
+    mats = np.moveaxis(rows, (0, 1), (-2, -1))
     cols = np.arange(dim)
-    for i in range(dim):
-        out[..., i] = ((-1) ** i) * np.linalg.det(rows[..., :, cols != i])
-    return out
+    return np.stack([((-1) ** i) * np.linalg.det(mats[..., cols != i]) for i in range(dim)])
 
 
-def _rays_for(normals: np.ndarray, combos) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit extreme-ray candidates for each k-subset: (B, nC, dim), bad flags."""
-    idx = np.array(combos)  # (nC, k)
-    sub = normals[:, idx, :]  # (B, nC, k, dim)
-    rays = _nullspace_rays(sub)
-    norms = np.linalg.norm(rays, axis=-1)
-    bad = norms < 1e-12
-    norms = np.where(bad, 1.0, norms)
-    return rays / norms[..., None], bad.any(axis=1)
+_CHUNK = 1 << 20  # margins per block of subsets
+
+
+def _subset_blocks(R: np.ndarray, subsets: np.ndarray):
+    """Consecutive blocks of ``subsets`` holding about _CHUNK margins against R."""
+    step = max(1, _CHUNK // R[..., 0].size)
+    for lo in range(0, len(subsets), step):
+        yield subsets[lo : lo + step]
+
+
+def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
+    """Candidate extreme rays of the cones {y in R^j : R y >= 0}, batched.
+
+    R: (..., M, j) rows; subsets: (P, j-1) row indices, each spanning a line.
+    Returns per subset
+
+    * ``rays`` (..., P, j): the unit direction of the line;
+    * ``margins`` (..., P, M): ray . row for every row;
+    * ``sign`` (..., P) int8: +1 (-1) when every other margin lies above
+      _TOL (below -_TOL), so that +ray (-ray) is an extreme ray; else 0;
+    * ``grazing`` (..., P): the subset's rows are dependent, or the sign
+      class hinges on margins within _TOL of zero.
+
+    A subset's own margins vanish, so counting the margins beyond the band
+    needs no mask.  A pointed cone with generic rows is nontrivial iff some
+    subset has a nonzero sign class (Cover & Efron 1967).
+    """
+    M, j = R.shape[-2:]
+    comps = np.ascontiguousarray(np.moveaxis(R, (-2, -1), (0, 1)))  # (M, j, ...)
+    rays = _nullspace_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, ...)
+    norms = np.sqrt(sum(r * r for r in rays))
+    null = norms < 1e-12
+    rays /= np.where(null, 1.0, norms)
+    rays = np.ascontiguousarray(np.moveaxis(rays, (0, 1), (-1, -2)))
+    margins = rays @ np.swapaxes(R, -1, -2)
+    # einsum sums the short last axis several times faster than count_nonzero
+    pos = np.einsum("...m->...", margins > _TOL, dtype=np.intp)
+    neg = np.einsum("...m->...", margins < -_TOL, dtype=np.intp)
+    others = M - j + 1
+    sign = ((pos == others) & (neg == 0)).astype(np.int8) - ((neg == others) & (pos == 0))
+    grazing = np.moveaxis(null, 0, -1) | ((pos + neg < others) & ((pos == 0) | (neg == 0)))
+    return rays, margins, sign, grazing
 
 
 def _sample_unit(rng: np.random.Generator, shape) -> np.ndarray:
@@ -181,13 +223,14 @@ class CellBatch:
 
     ``normals``: (B, m, dim) sign-adjusted so each cell is {x: n_i.x >= 0};
     ``vert_sel``: (B, nC) in {-1, 0, +1} selecting which of +-ray_c is a
-    vertex of the cell (0: not incident); ``rays``: (B, nC, dim) unit rays.
+    vertex of the cell (0: not incident); ``rays``: (B, nC, dim) unit rays
+    of the (dim-1)-subsets ``combos`` (nC, dim-1) of the normals.
     """
 
     normals: np.ndarray
     rays: np.ndarray
     vert_sel: np.ndarray
-    combos: Tuple[Tuple[int, ...], ...]
+    combos: np.ndarray
     degenerate: int = 0
 
     @property
@@ -204,31 +247,6 @@ class CellBatch:
 
     def f0(self) -> np.ndarray:
         return np.count_nonzero(self.vert_sel, axis=1)
-
-
-def _vertex_selectors(
-    signed: np.ndarray, rays: np.ndarray, combos
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Which of +-ray_c is a vertex of the cell {x: signed_i . x >= 0}.
-
-    Returns (vert_sel (B,nC), bad (B,)); bad marks replications with a
-    margin too close to zero (measure-zero grazing; caller redraws).
-    """
-    B, m, dim = signed.shape
-    nC = rays.shape[1]
-    S = np.einsum("bcd,bmd->bcm", rays, signed)
-    mask = np.zeros((nC, m), dtype=bool)
-    for ci, c in enumerate(combos):
-        mask[ci, list(c)] = True
-    S_masked = np.where(mask[None, :, :], np.nan, S)
-    with np.errstate(invalid="ignore"):
-        mn = np.nanmin(S_masked, axis=2)
-        mx = np.nanmax(S_masked, axis=2)
-    pos = mn > _TOL
-    neg = mx < -_TOL
-    vert_sel = np.where(pos, 1, np.where(neg, -1, 0)).astype(np.int8)
-    near = (np.abs(mn) <= _TOL) | (np.abs(mx) <= _TOL)
-    return vert_sel, near.any(axis=1)
 
 
 def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
@@ -248,9 +266,8 @@ def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) ->
         dots = np.einsum("bmd,bd->bm", normals, v)
         bad = (np.abs(dots) <= _TOL).any(axis=1)
         signed = normals * np.sign(dots)[..., None]
-        rays, ray_bad = _rays_for(signed, combos)
-        sel, sel_bad = _vertex_selectors(signed, rays, combos)
-        bad |= ray_bad | sel_bad
+        rays, _, sel, grazing = _extreme_rays(signed, combos)
+        bad |= grazing.any(axis=1)
         good = ~bad
         tgt = pending[good]
         out_normals[tgt] = signed[good]
@@ -261,6 +278,21 @@ def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) ->
     return CellBatch(out_normals, out_rays, out_sel, combos, degenerate)
 
 
+@lru_cache(maxsize=None)
+def _mask_offsets(m: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sign-mask pieces of the cells around each k-subset's ray, read-only.
+
+    Returns the bitmask of the rows outside each subset (nC,) and, for each
+    of the 2^k local sign resolutions of the subset's own rows, the bits of
+    its rows on the positive side (nC, 2^k).
+    """
+    bits = 1 << _combos(m, k).astype(np.int64)
+    resolutions = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    outside, offsets = (1 << m) - 1 - bits.sum(axis=1), bits @ resolutions.T
+    outside.flags.writeable = offsets.flags.writeable = False
+    return outside, offsets
+
+
 def _enumerate_and_pick(
     normals: np.ndarray, rng: np.random.Generator, combos, n_cells: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -269,31 +301,20 @@ def _enumerate_and_pick(
     Returns (chosen bitmask (B,), bad (B,)); asserts the per-sample count.
     """
     B, m, dim = normals.shape
-    k = dim - 1
-    rays, ray_bad = _rays_for(normals, combos)
-    S = np.einsum("bcd,bmd->bcm", rays, normals)  # (B, nC, m)
-    nC = len(combos)
-    near = np.zeros(B, dtype=bool)
-    masks_all = []
+    _, margins, _, grazing = _extreme_rays(normals, combos)
+    outside, offsets = _mask_offsets(m, dim - 1)
     weights = 1 << np.arange(m, dtype=np.int64)
-    for ci, c in enumerate(combos):
-        nd = np.array([j for j in range(m) if j not in c])
-        sc = S[:, ci, :]
-        near |= (np.abs(sc[:, nd]) <= _TOL).any(axis=1)
-        base = ((sc[:, nd] > 0).astype(np.int64) * weights[nd]).sum(axis=1)
-        nd_mask = int(weights[nd].sum())
-        base_neg = base ^ nd_mask
-        dbits = [int(weights[j]) for j in c]
-        for res in range(1 << k):
-            add = sum(dbits[t] for t in range(k) if (res >> t) & 1)
-            masks_all.append(base + add)
-            masks_all.append(base_neg + add)
-    masks = np.stack(masks_all, axis=1)  # (B, nC * 2^(k+1))
+    # sides of the rows outside each subset, and any of them within the band
+    base = ((margins > 0) @ weights) & outside
+    banded = ((np.abs(margins) <= _TOL) @ weights) & outside
+    masks = np.concatenate(
+        [base[..., None] + offsets, (outside - base)[..., None] + offsets], axis=2
+    ).reshape(B, -1)  # (B, nC * 2^(k+1))
     masks.sort(axis=1)
     new = np.ones_like(masks, dtype=bool)
     new[:, 1:] = masks[:, 1:] != masks[:, :-1]
     counts = new.sum(axis=1)
-    bad = ray_bad | near
+    bad = grazing.any(axis=1) | (banded != 0).any(axis=1)
     if np.any((counts != n_cells) & ~bad):
         raise SampleAssertionError(
             f"cell count {counts[(counts != n_cells) & ~bad][0]} != C = {n_cells}"
@@ -338,9 +359,8 @@ def sample_typical_cells(
         chosen, bad = _enumerate_and_pick(normals, rng, combos, n_cells)
         signs = np.where((chosen[:, None] & weights[None, :]) > 0, 1.0, -1.0)
         signed = normals * signs[..., None]
-        rays, ray_bad = _rays_for(signed, combos)
-        sel, sel_bad = _vertex_selectors(signed, rays, combos)
-        bad |= ray_bad | sel_bad
+        rays, _, sel, grazing = _extreme_rays(signed, combos)
+        bad |= grazing.any(axis=1)
         good = ~bad
         tgt = pending[good]
         out_normals[tgt] = signed[good]
@@ -356,41 +376,37 @@ def sample_typical_cells(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _face_codes(m: int, k: int, r: int) -> np.ndarray:
+    """Bitmasks of the r-subsets of each k-subset of range(m): (C(m,k), C(k,r))."""
+    bits = 1 << _combos(m, k).astype(np.int64)
+    out = bits[:, _combos(k, r)].sum(axis=2)
+    out.flags.writeable = False
+    return out
+
+
 def fvec_values(cells: CellBatch, l: int) -> np.ndarray:
-    """f_l of each cell, from vertex incidences, with the Euler hard check."""
-    dim = cells.dim
-    k = dim - 1
-    f0 = cells.f0().astype(np.int64)
-    if np.any(f0 < k):
-        raise SampleAssertionError("pointed cell with fewer than k vertices")
-    if k == 1:
-        if np.any(f0 != 2):
-            raise SampleAssertionError("arc with vertex count != 2")
-        fl = {0: f0}[l]
-        return fl.astype(float)
-    if k == 2:
-        # polygons: f1 = f0 (Euler: f0 - f1 = 0)
-        return f0.astype(float)
-    if k == 3:
-        incid = _vertex_plane_incidence(cells)  # (B, nC->vertices, m) bool
-        f2 = incid.any(axis=1).sum(axis=1).astype(np.int64)
-        pair_common = np.einsum("bvm,bvn->bmn", incid.astype(np.int64), incid.astype(np.int64))
-        iu = np.triu_indices(cells.normals.shape[1], k=1)
-        f1 = (pair_common[:, iu[0], iu[1]] >= 2).sum(axis=1).astype(np.int64)
-        if np.any(f0 - f1 + f2 != 2):
-            raise SampleAssertionError("Euler relation f0 - f1 + f2 = 2 violated")
-        return {0: f0, 1: f1, 2: f2}[l].astype(float)
-    raise ValueError(f"unsupported face dimension k={k}")
+    """f_l of each cell from its vertices' facet sets, with the Euler hard check.
 
-
-def _vertex_plane_incidence(cells: CellBatch) -> np.ndarray:
-    B, nC = cells.vert_sel.shape
+    Cells are simple almost surely, so the l-faces through a vertex are cut
+    out by the (k-l)-subsets of its k facets, and f_l is the number of
+    distinct (k-l)-subsets of the vertices' facet sets.
+    """
+    k = cells.dim - 1
     m = cells.normals.shape[1]
-    incid = np.zeros((B, nC, m), dtype=bool)
-    for ci, c in enumerate(cells.combos):
-        incid[:, ci, list(c)] = True
-    incid &= (cells.vert_sel != 0)[..., None]
-    return incid
+    vertex = cells.vert_sel != 0
+    f = []
+    for i in range(k + 1):
+        codes = np.where(vertex[..., None], _face_codes(m, k, k - i), -1).reshape(cells.B, -1)
+        codes.sort(axis=1)
+        new = np.ones_like(codes, dtype=bool)
+        new[:, 1:] = codes[:, 1:] != codes[:, :-1]
+        f.append(np.count_nonzero(new & (codes >= 0), axis=1))
+    if np.any(f[0] < k):
+        raise SampleAssertionError("pointed cell with fewer than k vertices")
+    if np.any(sum((-1) ** i * f[i] for i in range(k)) != 1 - (-1) ** k):
+        raise SampleAssertionError(f"Euler relation sum (-1)^i f_i = {1 - (-1) ** k} violated")
+    return f[l].astype(float)
 
 
 def solid_fractions(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndarray:
@@ -447,40 +463,16 @@ def _haar_bases(rng, B: int, reps: int, dim: int, j: int) -> np.ndarray:
 
 
 def _hit_fraction(cells: CellBatch, bases: np.ndarray) -> np.ndarray:
-    j = bases.shape[-1]
-    restricted = np.einsum("bmd,brdj->brmj", cells.normals, bases)
-    if j == 1:
-        w = restricted[..., 0]
-        hit = (w > 0).all(axis=2) | (w < 0).all(axis=2)
-        return hit.mean(axis=1)
-    if j == 2:
-        ang = np.arctan2(restricted[..., 1], restricted[..., 0])
-        ang.sort(axis=2)
-        gaps = np.diff(ang, axis=2)
-        wrap = 2 * np.pi + ang[..., 0] - ang[..., -1]
-        maxgap = np.maximum(gaps.max(axis=2), wrap)
-        return (maxgap > np.pi).mean(axis=1)
-    if j == 3:
-        return _hit_fraction_3d(restricted)
-    raise ValueError(f"unsupported subspace dimension {j}")
+    """Per-cell fraction of the subspaces spanned by ``bases`` (B, reps, dim, j)
+    that meet the cone.
 
-
-def _hit_fraction_3d(restricted: np.ndarray) -> np.ndarray:
-    """Feasibility of {y in R^3: R y >= 0} != {0} via pairwise ray candidates."""
-    B, reps, m, _ = restricted.shape
-    pairs = _combos(m, 2)
-    hit = np.zeros((B, reps), dtype=bool)
-    chunk = 16
-    for lo in range(0, len(pairs), chunk):
-        sub = pairs[lo : lo + chunk]
-        idx = np.array(sub)
-        rows = restricted[:, :, idx, :]  # (B, reps, P, 2, 3)
-        cand = np.cross(rows[..., 0, :], rows[..., 1, :])  # (B, reps, P, 3)
-        marg = np.einsum("brpd,brmd->brpm", cand, restricted)
-        for pi, pair in enumerate(sub):
-            nd = [t for t in range(m) if t not in pair]
-            sl = marg[:, :, pi, :][:, :, nd]
-            hit |= (sl > 0).all(axis=2) | (sl < 0).all(axis=2)
+    A cone {x : A x >= 0} meets span(V) beyond the origin iff the restricted
+    cone {y in R^j : (A V) y >= 0} has an extreme ray.
+    """
+    R = cells.normals[:, None] @ bases  # (B, reps, m, j)
+    hit = np.zeros(R.shape[:2], dtype=bool)
+    for block in _subset_blocks(R, _combos(R.shape[2], R.shape[3] - 1)):
+        hit |= (_extreme_rays(R, block)[2] != 0).any(axis=-1)
     return hit.mean(axis=1)
 
 
@@ -545,7 +537,7 @@ def project_batch(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
     best_d = np.einsum("bd,bd->b", g, g)
     rows = np.arange(g.shape[0])
     for s in range(1, min(dim, m + 1)):
-        idx = np.array(_combos(m, s)).T  # (s, nS)
+        idx = _combos(m, s).T  # (s, nS)
         mu, ok = _solve_gram(
             [[gram[:, idx[a], idx[b]] for b in range(s)] for a in range(s)],
             [-marg[:, idx[a]] for a in range(s)],
@@ -587,34 +579,18 @@ def statdim_values(cells: CellBatch, rng: np.random.Generator) -> np.ndarray:
 def cones_intersect_batch(normals_a: np.ndarray, normals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized {x != 0 : A x >= 0, B x >= 0} nonemptiness test.
 
-    Returns (hit (B,), near (B,)); near flags margins within tolerance of
-    zero (caller redraws those replications).
+    The intersection is the cone of the stacked rows, nontrivial iff it has
+    an extreme ray.  Returns (hit (B,), near (B,)); near flags grazing rays
+    (caller redraws those replications).
     """
     stacked = np.concatenate([normals_a, normals_b], axis=1)
     B, M, dim = stacked.shape
-    subsets = _combos(M, dim - 1)
     hit = np.zeros(B, dtype=bool)
     near = np.zeros(B, dtype=bool)
-    chunk = 64
-    for lo in range(0, len(subsets), chunk):
-        sub = subsets[lo : lo + chunk]
-        idx = np.array(sub)
-        rows = stacked[:, idx, :]
-        cand = _nullspace_rays(rows)  # (B, P, dim)
-        norms = np.linalg.norm(cand, axis=-1)
-        near |= (norms < 1e-12).any(axis=1)
-        cand = cand / np.where(norms < 1e-12, 1.0, norms)[..., None]
-        marg = np.einsum("bpd,bmd->bpm", cand, stacked)
-        for pi, subset in enumerate(sub):
-            nd = [t for t in range(M) if t not in subset]
-            sl = marg[:, pi, :][:, nd]
-            pos = (sl > _TOL).all(axis=1)
-            neg = (sl < -_TOL).all(axis=1)
-            band = ((np.abs(sl) <= _TOL).any(axis=1)) & (
-                (sl > -_TOL).all(axis=1) | (sl < _TOL).all(axis=1)
-            )
-            hit |= pos | neg
-            near |= band
+    for block in _subset_blocks(stacked, _combos(M, dim - 1)):
+        _, _, sign, grazing = _extreme_rays(stacked, block)
+        hit |= (sign != 0).any(axis=1)
+        near |= grazing.any(axis=1)
     return hit, near
 
 
@@ -892,10 +868,8 @@ def _skeleton_report(n, d, k, config, omega):
     reps = min(config.reps, 256)
     ok = True
     if k < d:
-        subs = _combos(n, d - k)
         normals = _sample_unit(rng, (reps, n, d + 1))
-        idx = np.array(subs)
-        rows = normals[:, idx, :]  # (reps, nSub, d-k, d+1)
+        rows = normals[:, _combos(n, d - k), :]  # (reps, nSub, d-k, d+1)
         sv = np.linalg.svd(rows, compute_uv=False)
         ok = bool((sv[..., -1] > 1e-6).all())
     expected = math.comb(n, d - k) * omega

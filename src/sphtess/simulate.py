@@ -33,10 +33,7 @@ __all__ = [
     "estimate_isect",
     "compare",
     "consistency_checks",
-    "BATCH_SIZE",
 ]
-
-BATCH_SIZE = 4096  # fixed batching unit; part of the reproducibility contract
 
 
 @dataclass(frozen=True)

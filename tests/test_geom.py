@@ -21,6 +21,7 @@ from sphtess.geom import (
     polar_support_margin,
     project_onto_cone,
     sample_normal,
+    sample_vmf_mixture,
     solid_angle_mc,
     strict_feasibility,
     uniform_subspace,
@@ -106,6 +107,18 @@ def test_pole_concentrated_concentrates():
     a = np.stack([sample_normal(rng, 2, KappaFamily("pole_concentrated", beta)) for _ in range(4000)])
     assert (np.abs(a[:, 2]) > 0.5).mean() > 0.8
     assert abs((a[:, 2] > 0).mean() - 0.5) < 0.05  # even mixture
+
+
+@pytest.mark.parametrize("beta", [1e8, 1e12, 1e20])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vmf_mixture_at_large_beta(dim, beta):
+    x = sample_vmf_mixture(np.random.default_rng(int(math.log10(beta)) + dim), dim, beta, 20000)
+    assert np.all(np.isfinite(x))
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
+    if beta <= 1e12:
+        # 1 - w^2 = |tangent part|^2 has mean (p-1)/beta + O(beta^-2)
+        q = np.sum(x[:, :-1] ** 2, axis=1) * beta / dim
+        assert abs(q.mean() - 1) <= 4 * q.std() / math.sqrt(q.size)
 
 
 def test_intersect_to_subsphere():

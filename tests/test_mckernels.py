@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphtess import geom, mckernels
 from sphtess.combinat import cells_count
@@ -18,8 +20,8 @@ from sphtess.mckernels import (
     SampleAssertionError,
     _combos,
     _enumerate_and_pick,
+    _extreme_rays,
     _nullspace_rays,
-    _vertex_selectors,
     batch_rng,
     cones_intersect_batch,
     fvec_values,
@@ -48,9 +50,8 @@ def _random_signed(B, m, dim):
 def _cell_batch(B, m, dim):
     signed, _ = _random_signed(B, m, dim)
     combos = _combos(m, dim - 1)
-    rays, bad_r = mckernels._rays_for(signed, combos)
-    sel, bad_s = _vertex_selectors(signed, rays, combos)
-    assert not bad_r.any() and not bad_s.any()
+    rays, _, sel, grazing = _extreme_rays(signed, combos)
+    assert not grazing.any()
     return CellBatch(signed, rays, sel, combos)
 
 
@@ -73,9 +74,8 @@ def test_enumeration_matches_incremental(m, k):
         for signs, _ in arr.cells:
             mask = sum(1 << j for j, s in enumerate(signs) if s > 0)
             lp_masks.add(mask)
-        # recompute the batch mask set
-        rays, _ = mckernels._rays_for(normals, combos)
-        S = np.einsum("bcd,bmd->bcm", rays, normals)
+        # recompute the batch mask set, one subset and resolution at a time
+        _, S, _, _ = _extreme_rays(normals, combos)
         weights = 1 << np.arange(m, dtype=np.int64)
         masks = set()
         for ci, c in enumerate(combos):
@@ -110,16 +110,14 @@ def test_typical_cells_uniform_over_cells():
 
 
 def test_vertices_match_cell_f_vector():
-    for m, k in [(4, 2), (6, 2), (5, 3), (7, 3), (4, 1)]:
+    for m, k in [(4, 2), (6, 2), (5, 3), (7, 3), (4, 1), (7, 4)]:
         cells = _cell_batch(6, m, k + 1)
+        got = [fvec_values(cells, l) for l in range(k)]
         for b in range(cells.B):
             cell = SphericalCell(normals=cells.normals[b], witness=np.zeros(k + 1))
             fv = geom.cell_f_vector(cell, max(k - 1, 0))
             assert cells.f0()[b] == fv[0], (m, k, b)
-            if k == 3:
-                got1 = fvec_values(cells, 1)[b]
-                got2 = fvec_values(cells, 2)[b]
-                assert got1 == fv[1] and got2 == fv[2]
+            assert [g[b] for g in got] == fv, (m, k, b)
 
 
 def test_fvec_euler_assertion_enforced():
@@ -130,22 +128,23 @@ def test_fvec_euler_assertion_enforced():
 # -- subspace hit predicates vs LP -------------------------------------------
 
 
-@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_hit_predicates_match_lp(j):
-    dim = 4
-    m = 6
-    cells = _cell_batch(40, m, dim)
-    reps = 3
-    local = batch_rng(77, j, 0)
-    bases = mckernels._haar_bases(local, cells.B, reps, dim, j)
-    frac = mckernels._hit_fraction(cells, bases)
-    for b in range(cells.B):
-        hits = 0
-        for r in range(reps):
-            cell = SphericalCell(normals=cells.normals[b], witness=np.zeros(dim))
-            if geom.cone_meets_subspace(cell, bases[b, r]):
-                hits += 1
-        assert abs(frac[b] - hits / reps) < 1e-12, (b, j)
+    for dim, m in ((4, 6), (5, 7)):
+        if j >= dim:
+            continue
+        cells = _cell_batch(40, m, dim)
+        reps = 3
+        local = batch_rng(77, j, dim)
+        bases = mckernels._haar_bases(local, cells.B, reps, dim, j)
+        frac = mckernels._hit_fraction(cells, bases)
+        for b in range(cells.B):
+            hits = 0
+            for r in range(reps):
+                cell = SphericalCell(normals=cells.normals[b], witness=np.zeros(dim))
+                if geom.cone_meets_subspace(cell, bases[b, r]):
+                    hits += 1
+            assert abs(frac[b] - hits / reps) < 1e-12, (dim, b, j)
 
 
 def test_hit_predicates_match_lp_dim3(subtests=None):
@@ -236,7 +235,7 @@ def test_project_batch_duplicated_normal_drops_only_its_replication():
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_nullspace_rays_match_svd(dim):
     rows = rng.standard_normal((200, dim - 1, dim))
-    ray = _nullspace_rays(rows)
+    ray = _nullspace_rays(np.moveaxis(rows, 0, -1)).T
     ray /= np.linalg.norm(ray, axis=1, keepdims=True)
     null = np.linalg.svd(rows)[2][:, -1, :]  # unit, sign arbitrary
     assert np.allclose(np.abs(np.einsum("bd,bd->b", ray, null)), 1.0, atol=1e-10)
@@ -253,16 +252,98 @@ def test_statdim_values_moreau_assert():
 
 
 def test_cones_intersect_batch_matches_lp():
-    for dim in (3, 4):
-        a, _ = _random_signed(60, 4, dim)
-        b, _ = _random_signed(60, 4, dim)
+    for dim, ma, mb in ((3, 4, 4), (4, 4, 4), (5, 5, 5), (3, 3, 6), (4, 7, 4), (5, 5, 8)):
+        a, _ = _random_signed(60, ma, dim)
+        b, _ = _random_signed(60, mb, dim)
         hit, near = cones_intersect_batch(a, b)
         for i in range(60):
             if near[i]:
                 continue
             ca = SphericalCell(normals=a[i], witness=np.zeros(dim))
             cb = SphericalCell(normals=b[i], witness=np.zeros(dim))
-            assert bool(hit[i]) == geom.cones_intersect(ca, cb), (dim, i)
+            assert bool(hit[i]) == geom.cones_intersect(ca, cb), (dim, ma, mb, i)
+
+
+# -- grazing inputs: flagged and redrawn, never a silent hit --------------------
+
+
+def _touching_cones(local, dim, m_other):
+    """Two cones meeting only along the ray r, plus rows positive on r.
+
+    Cone A has rows u_1..u_{dim-1} spanning the complement of r, cone B the
+    rows -u_i, so A and B share only r, a boundary ray of both.
+    """
+    r = unit(local.standard_normal(dim))
+    u = local.standard_normal((dim - 1, dim))
+    u -= np.outer(u @ r, r)
+
+    def others():
+        v = local.standard_normal((m_other, dim))
+        v -= np.outer(v @ r, r)
+        return v + (np.abs(local.standard_normal((m_other, 1))) + 0.5) * r
+
+    return np.vstack([u, others()]), np.vstack([-u, others()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 3))
+def test_grazing_cones_are_flagged_near(seed, dim, m_other):
+    local = np.random.default_rng(seed)
+    a, b = _touching_cones(local, dim, m_other)
+    _, near = cones_intersect_batch(a[None], b[None])
+    assert near[0]
+    # a row shared by two generic cones: its subsets are dependent for
+    # dim >= 3; either way the test flags the pair or decides it as the LP
+    a, b = local.standard_normal((2, 1, dim + m_other, dim))
+    b[0, 0] = a[0, 0]
+    hit, near = cones_intersect_batch(a, b)
+    assert near[0] or dim == 2
+    if not near[0]:
+        ca = SphericalCell(normals=a[0], witness=np.zeros(dim))
+        cb = SphericalCell(normals=b[0], witness=np.zeros(dim))
+        assert bool(hit[0]) == geom.cones_intersect(ca, cb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(0, 3),
+    st.booleans(),
+    st.sampled_from(["duplicate", "span"]),
+)
+def test_grazing_draws_are_redrawn_and_counted(seed, dim, extra, typical, kind):
+    # The first draw of every replication is degenerate: row 1 repeats row 0,
+    # or row dim-1 lies in the span of rows 0..dim-2.  Typical sampling
+    # enumerates every cell, so it must redraw either; a weighted cell must
+    # redraw when dependent rows share a subset or the grazing ray is a
+    # vertex for certain (m = dim).
+    m = dim + extra
+    coef = np.abs(np.random.default_rng(seed).standard_normal(dim - 1)) + 0.1
+    sample_unit = mckernels._sample_unit
+    first = [True]
+
+    def built(rng, shape):
+        x = sample_unit(rng, shape)
+        if first[0] and len(shape) == 3:
+            first[0] = False
+            if kind == "duplicate":
+                x[:, 1] = x[:, 0]
+            else:
+                v = np.einsum("k,bkd->bd", coef, x[:, : dim - 1])
+                x[:, dim - 1] = v / np.linalg.norm(v, axis=1, keepdims=True)
+        return x
+
+    B = 8
+    sampler = sample_typical_cells if typical else sample_weighted_cells
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mckernels, "_sample_unit", built)
+        cells = sampler(batch_rng(seed, dim, 0), B, m, dim)
+    fvec_values(cells, 0)  # the Euler hard check holds on whatever was kept
+    if typical or m == dim or (kind == "duplicate" and dim >= 3):
+        assert cells.degenerate >= B
+        smallest = np.linalg.svd(cells.normals[:, :dim], compute_uv=False)[:, -1]
+        assert smallest.min() > 1e-9  # no built draw was kept
 
 
 # -- solid fractions -----------------------------------------------------------
@@ -272,8 +353,7 @@ def test_solid_fraction_octant():
     B = 512
     normals = np.broadcast_to(np.eye(3), (B, 3, 3)).copy()
     combos = _combos(3, 2)
-    rays, _ = mckernels._rays_for(normals, combos)
-    sel, _ = _vertex_selectors(normals, rays, combos)
+    rays, _, sel, _ = _extreme_rays(normals, combos)
     cells = CellBatch(normals, rays, sel, combos)
     frac = solid_fractions(cells, batch_rng(0, 5, 0), 64)
     assert abs(frac.mean() - 0.125) < 4 * 0.33 / math.sqrt(B * 64)

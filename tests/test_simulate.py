@@ -160,6 +160,22 @@ def test_compare_isect_d4():
     assert rep.estimate.degenerate_redraws <= 4096 * 1e-3
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        ExpectationQuery("U", "weighted", 6, 4, 4, 1),  # hits of 4-dim subspaces
+        ExpectationQuery("v", "weighted", 6, 4, 4, 1),
+        ExpectationQuery("statdim", "weighted", 6, 4, 4),
+    ]
+    + [ExpectationQuery("f", flavor, 6, 4, 4, l) for flavor in ("weighted", "typical") for l in range(4)],
+    ids=lambda q: f"{q.quantity}-{q.flavor}-l{q.l}",
+)
+def test_compare_d4(query):
+    rep = compare(query, ExperimentConfig(reps=4096, seed=3))
+    assert abs(rep.z_score) <= 4, rep.to_dict()
+    assert rep.estimate.degenerate_redraws <= 4096 * 1e-3
+
+
 def test_estimate_unbiased_spot_checks():
     checks = [
         (ExpectationQuery("f", "typical", 4, 2, 2, 0), FAST),

@@ -158,6 +158,17 @@ def test_cli_compare_and_config(tmp_path):
     assert d["exact"] == "3/8"
 
 
+def test_cli_kappa_at_large_beta():
+    res = run_cli("compare", "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
+                  "--k", "2", "--l", "0", "--kappa", "pole:1e8")
+    assert res.returncode == 0 and json.loads(res.stdout)["verdict"] == "pass"
+    # cutters that coincide in floating point end in an error line, not a traceback
+    res = run_cli("simulate", "--quantity", "f", "--flavor", "typical", "--n", "5", "--d", "3",
+                  "--k", "1", "--l", "0", "--kappa", "pole:1e20", "--reps", "200")
+    assert res.returncode == 2
+    assert res.stderr == "error: nearly dependent cutters\n"
+
+
 def test_cli_limit():
     res = run_cli("limit", "--d", "2", "--k", "2", "--l", "2", "--flavor", "typical",
                   "--n", "25,50,100,200")
