@@ -1,20 +1,21 @@
-"""Batched kernels against the certified LP geometry, case by case.
+"""Batched kernels against the LP oracle, case by case.
 
-Every fast predicate must agree with the single-draw LP route on random
-instances; the enumeration must reproduce build_arrangement's cell sets.
+Every fast predicate must agree with the one-instance LP route in
+``lp_oracle`` on random instances; the enumeration must reproduce
+build_arrangement's cell sets.
 """
 
 import itertools
 import math
 
+import lp_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphtess import geom, mckernels
+from sphtess import mckernels
 from sphtess.combinat import cells_count
-from sphtess.geom import SphericalCell, build_arrangement, unit
 from sphtess.mckernels import (
     CellBatch,
     SampleAssertionError,
@@ -69,11 +70,7 @@ def test_enumeration_matches_incremental(m, k):
         local = batch_rng(trial, 0, 0)
         chosen, bad = _enumerate_and_pick(normals, local, combos, n_cells)
         assert not bad.any()
-        arr = build_arrangement(normals[0], k)
-        lp_masks = set()
-        for signs, _ in arr.cells:
-            mask = sum(1 << j for j, s in enumerate(signs) if s > 0)
-            lp_masks.add(mask)
+        lp_masks = lp_oracle.build_arrangement(normals[0], k)
         # recompute the batch mask set, one subset and resolution at a time
         _, S, _, _ = _extreme_rays(normals, combos)
         weights = 1 << np.arange(m, dtype=np.int64)
@@ -114,8 +111,7 @@ def test_vertices_match_cell_f_vector():
         cells = _cell_batch(6, m, k + 1)
         got = [fvec_values(cells, l) for l in range(k)]
         for b in range(cells.B):
-            cell = SphericalCell(normals=cells.normals[b], witness=np.zeros(k + 1))
-            fv = geom.cell_f_vector(cell, max(k - 1, 0))
+            fv = lp_oracle.cell_f_vector(cells.normals[b], max(k - 1, 0))
             assert cells.f0()[b] == fv[0], (m, k, b)
             assert [g[b] for g in got] == fv, (m, k, b)
 
@@ -130,37 +126,17 @@ def test_fvec_euler_assertion_enforced():
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_hit_predicates_match_lp(j):
-    for dim, m in ((4, 6), (5, 7)):
+    # (dim, m, cells, subspaces per cell)
+    for dim, m, B, reps in ((3, 5, 60, 2), (4, 6, 40, 3), (5, 7, 40, 3)):
         if j >= dim:
             continue
-        cells = _cell_batch(40, m, dim)
-        reps = 3
+        cells = _cell_batch(B, m, dim)
         local = batch_rng(77, j, dim)
         bases = mckernels._haar_bases(local, cells.B, reps, dim, j)
         frac = mckernels._hit_fraction(cells, bases)
         for b in range(cells.B):
-            hits = 0
-            for r in range(reps):
-                cell = SphericalCell(normals=cells.normals[b], witness=np.zeros(dim))
-                if geom.cone_meets_subspace(cell, bases[b, r]):
-                    hits += 1
+            hits = sum(lp_oracle.cone_meets_subspace(cells.normals[b], bases[b, r]) for r in range(reps))
             assert abs(frac[b] - hits / reps) < 1e-12, (dim, b, j)
-
-
-def test_hit_predicates_match_lp_dim3(subtests=None):
-    dim, m = 3, 5
-    cells = _cell_batch(60, m, dim)
-    for j in (1, 2):
-        local = batch_rng(78, j, 0)
-        bases = mckernels._haar_bases(local, cells.B, 2, dim, j)
-        frac = mckernels._hit_fraction(cells, bases)
-        for b in range(cells.B):
-            hits = 0
-            for r in range(2):
-                cell = SphericalCell(normals=cells.normals[b], witness=np.zeros(dim))
-                if geom.cone_meets_subspace(cell, bases[b, r]):
-                    hits += 1
-            assert abs(frac[b] - hits / 2) < 1e-12
 
 
 def test_subspace_hits_full_space_is_certain():
@@ -183,11 +159,11 @@ def test_polar_fraction_matches_lp():
     dots = np.where(valid[:, None, :], dots, -np.inf)
     member = dots.max(axis=2) <= 0.0
     for b in range(cells.B):
-        lp_member = geom.polar_support_margin(cells.normals[b], x[b, 0]) <= 1e-9
+        lp_member = lp_oracle.polar_support_margin(cells.normals[b], x[b, 0]) <= 1e-9
         assert bool(member[b, 0]) == lp_member, b
 
 
-# -- projections vs certified Moreau enumeration ------------------------------
+# -- projections vs the oracle's Moreau enumeration ----------------------------
 
 
 def test_project_batch_matches_geom():
@@ -196,8 +172,7 @@ def test_project_batch_matches_geom():
         pts = rng.standard_normal((cells.B, dim)) * 2
         fast = project_batch(cells.normals, pts)
         for b in range(cells.B):
-            cell = SphericalCell(normals=cells.normals[b], witness=np.zeros(dim))
-            slow = geom.project_onto_cone(cell, pts[b])
+            slow = lp_oracle.project_onto_cone(cells.normals[b], pts[b])
             assert np.allclose(fast[b], slow, atol=1e-8), (m, dim, b)
 
 
@@ -259,9 +234,7 @@ def test_cones_intersect_batch_matches_lp():
         for i in range(60):
             if near[i]:
                 continue
-            ca = SphericalCell(normals=a[i], witness=np.zeros(dim))
-            cb = SphericalCell(normals=b[i], witness=np.zeros(dim))
-            assert bool(hit[i]) == geom.cones_intersect(ca, cb), (dim, ma, mb, i)
+            assert bool(hit[i]) == lp_oracle.cones_intersect(a[i], b[i]), (dim, ma, mb, i)
 
 
 # -- grazing inputs: flagged and redrawn, never a silent hit --------------------
@@ -273,7 +246,8 @@ def _touching_cones(local, dim, m_other):
     Cone A has rows u_1..u_{dim-1} spanning the complement of r, cone B the
     rows -u_i, so A and B share only r, a boundary ray of both.
     """
-    r = unit(local.standard_normal(dim))
+    r = local.standard_normal(dim)
+    r /= np.linalg.norm(r)
     u = local.standard_normal((dim - 1, dim))
     u -= np.outer(u @ r, r)
 
@@ -299,9 +273,7 @@ def test_grazing_cones_are_flagged_near(seed, dim, m_other):
     hit, near = cones_intersect_batch(a, b)
     assert near[0] or dim == 2
     if not near[0]:
-        ca = SphericalCell(normals=a[0], witness=np.zeros(dim))
-        cb = SphericalCell(normals=b[0], witness=np.zeros(dim))
-        assert bool(hit[0]) == geom.cones_intersect(ca, cb)
+        assert bool(hit[0]) == lp_oracle.cones_intersect(a[0], b[0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,27 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from lp_oracle import sample_weighted_face_full_skeleton
 
 from sphtess import mckernels
 from sphtess.exactnum import sp_eval
-from sphtess.geom import KappaFamily, solid_angle_mc
-from sphtess.moments import (
-    ExpectationQuery,
-    ef_typical,
-    ef_weighted,
-    v_weighted,
-)
+from sphtess.geom import KappaFamily
+from sphtess.moments import ExpectationQuery, v_weighted
 from sphtess.simulate import (
-    ComparisonReport,
     ExperimentConfig,
-    MCEstimate,
     compare,
     consistency_checks,
     estimate,
     estimate_isect,
-    sample_typical_face,
-    sample_weighted_face,
-    sample_weighted_face_full_skeleton,
 )
 
 rng = np.random.default_rng(31415)
@@ -34,90 +25,32 @@ rng = np.random.default_rng(31415)
 FAST = ExperimentConfig(reps=4000, seed=7, subspace_reps=8)
 
 
-def test_sample_typical_face_triangles():
-    for _ in range(40):
-        cell = sample_typical_face(3, 2, 2, rng)
-        from sphtess.geom import cell_f_vector
-
-        assert cell_f_vector(cell, 1) == [3, 3]
-        assert cell.margin() > 1e-9
-
-
-def test_sample_typical_face_mean_f0():
-    vals = []
-    for _ in range(1500):
-        cell = sample_typical_face(4, 2, 2, rng)
-        from sphtess.geom import cell_f_vector
-
-        vals.append(cell_f_vector(cell, 0)[0])
-    mean = float(np.mean(vals))
-    se = float(np.std(vals)) / math.sqrt(len(vals))
-    exact = float(sp_eval(ef_typical(4, 2, 2, 0), 20))
-    assert abs(mean - exact) < 5 * se
-
-
-def test_sample_typical_face_general_kappa():
-    kappa = KappaFamily("pole_concentrated", 3.0)
-    vals = []
-    for _ in range(600):
-        cell = sample_typical_face(5, 3, 2, rng, kappa)
-        from sphtess.geom import cell_f_vector
-
-        vals.append(cell_f_vector(cell, 0)[0])
-        assert cell.ambient is not None  # sectional pipeline used
-    mean = float(np.mean(vals))
-    se = float(np.std(vals)) / math.sqrt(len(vals))
-    exact = float(sp_eval(ef_typical(5, 3, 2, 0), 20))  # kappa-independent
-    assert abs(mean - exact) < 5 * se
-
-
-def test_sample_weighted_face_mean_f0():
-    vals = []
-    for _ in range(1500):
-        cell = sample_weighted_face(4, 2, 2, rng)
-        vals.append(len(cell.normals))  # polygon: every constraint is a facet?
-    # count facets properly through f-vector instead
-    from sphtess.geom import cell_f_vector
-
-    vals = []
-    for _ in range(1500):
-        cell = sample_weighted_face(4, 2, 2, rng)
-        vals.append(cell_f_vector(cell, 0)[0])
-    mean = float(np.mean(vals))
-    se = float(np.std(vals)) / math.sqrt(len(vals))
-    exact = float(sp_eval(ef_weighted(4, 2, 2, 0), 20))
-    assert abs(mean - exact) < 5 * se
-
-
 def test_full_skeleton_sampler_cross_validation():
-    # weighted 1-faces of T_{4,2}: mean normalized length = E v_1 = 1/4
+    # weighted 1-faces of T_{4,2}: mean normalized length = E v_1 = 1/4.
+    # The skeleton walk in S^2 and the batched sampler's reduced draw in S^1
+    # (dimension reduction) must agree with it and with each other.
     exact = float(sp_eval(v_weighted(4, 2, 1, 1), 20))
-    fracs = []
-    for _ in range(800):
-        cell = sample_weighted_face_full_skeleton(4, 2, 1, rng)
-        est = solid_angle_mc(cell, 32, rng)
-        fracs.append(est.mean)
-    mean = float(np.mean(fracs))
-    se = float(np.std(fracs)) / math.sqrt(len(fracs))
-    assert abs(mean - exact) < 5 * se
-    # and the reduced sampler agrees distributionally
-    fracs2 = []
-    for _ in range(800):
-        cell = sample_weighted_face(4, 2, 1, rng)
-        est = solid_angle_mc(cell, 32, rng)
-        fracs2.append(est.mean)
-    mean2 = float(np.mean(fracs2))
-    se2 = float(np.std(fracs2)) / math.sqrt(len(fracs2))
-    assert abs(mean2 - mean) < 5 * math.hypot(se, se2)
+    draws = 800
+    normals = np.stack([sample_weighted_face_full_skeleton(4, 2, 1, rng) for _ in range(draws)])
+    skeleton = mckernels.CellBatch(normals, None, None, None)  # solid fractions need only the normals
+    slow = mckernels.solid_fractions(skeleton, mckernels.batch_rng(1, 1, 0), 32)
+    local = mckernels.batch_rng(1, 2, 0)
+    fast = mckernels.solid_fractions(mckernels.sample_weighted_cells(local, draws, 3, 2), local, 32)
+    se = [fracs.std() / math.sqrt(draws) for fracs in (slow, fast)]
+    assert abs(slow.mean() - exact) < 5 * se[0]
+    assert abs(fast.mean() - slow.mean()) < 5 * math.hypot(*se)
 
 
 def test_sampler_preconditions():
+    local = mckernels.batch_rng(0, 0, 0)
     with pytest.raises(ValueError):
-        sample_typical_face(4, 2, 0, rng)
+        mckernels.sample_typical_cells(local, 8, 2, 3)  # m < k+1: cells not pointed
     with pytest.raises(ValueError):
-        sample_weighted_face(2, 2, 2, rng)
+        mckernels.sample_weighted_cells(local, 8, 2, 3)
     with pytest.raises(ValueError):
         sample_weighted_face_full_skeleton(4, 2, 0, rng)
+    with pytest.raises(ValueError):
+        sample_weighted_face_full_skeleton(2, 2, 2, rng)
 
 
 def test_estimate_determinism_and_thread_independence(monkeypatch):
@@ -240,6 +173,15 @@ def test_consistency_checks_small():
     assert len(reports) == 3
     for rep in reports:
         assert rep.verdict == "pass", rep.to_dict()
+
+
+def test_sizebias_stderr_has_no_cancellation():
+    # every spherical triangle has f0 = 3, so the size-biased ratio is
+    # exactly 3 and its delta-method stderr must vanish to rounding
+    cfg = ExperimentConfig(reps=4096, seed=5, subspace_reps=8)
+    (rep,) = consistency_checks(3, 2, 2, cfg, parts=("a",))
+    assert abs(rep.estimate.mean - 3) < 1e-12
+    assert rep.estimate.stderr <= 1e-12
 
 
 def test_comparison_report_fields():

@@ -108,7 +108,7 @@ def run_cli(*args, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
-    return subprocess.run(cmd, capture_output=True, text=True, env=full_env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=full_env, timeout=120)
 
 
 def test_cli_eval():
@@ -167,6 +167,11 @@ def test_cli_kappa_at_large_beta():
                   "--k", "1", "--l", "0", "--kappa", "pole:1e20", "--reps", "200")
     assert res.returncode == 2
     assert res.stderr == "error: nearly dependent cutters\n"
+    # every draw grazes: the redraw rounds run out instead of looping forever
+    res = run_cli("simulate", "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
+                  "--k", "2", "--l", "0", "--kappa", "pole:1e20", "--reps", "200")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "redraw rounds" in res.stderr
 
 
 def test_cli_limit():
