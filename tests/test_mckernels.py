@@ -124,19 +124,27 @@ def test_fvec_euler_assertion_enforced():
 # -- subspace hit predicates vs LP -------------------------------------------
 
 
+def _check_hit_fraction(dim, m, B, reps, j):
+    cells = _cell_batch(B, m, dim)
+    local = batch_rng(77, j, dim)
+    bases = mckernels._haar_bases(local, cells.B, reps, dim, j)
+    frac = mckernels._hit_fraction(cells, bases)
+    for b in range(cells.B):
+        hits = sum(lp_oracle.cone_meets_subspace(cells.normals[b], bases[b, r]) for r in range(reps))
+        assert abs(frac[b] - hits / reps) < 1e-12, (dim, b, j)
+
+
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_hit_predicates_match_lp(j):
     # (dim, m, cells, subspaces per cell)
-    for dim, m, B, reps in ((3, 5, 60, 2), (4, 6, 40, 3), (5, 7, 40, 3)):
-        if j >= dim:
-            continue
-        cells = _cell_batch(B, m, dim)
-        local = batch_rng(77, j, dim)
-        bases = mckernels._haar_bases(local, cells.B, reps, dim, j)
-        frac = mckernels._hit_fraction(cells, bases)
-        for b in range(cells.B):
-            hits = sum(lp_oracle.cone_meets_subspace(cells.normals[b], bases[b, r]) for r in range(reps))
-            assert abs(frac[b] - hits / reps) < 1e-12, (dim, b, j)
+    for dim, m, B, reps in ((4, 6, 40, 3), (5, 7, 40, 3)):
+        if j < dim:
+            _check_hit_fraction(dim, m, B, reps, j)
+
+
+def test_hit_predicates_match_lp_dim3():
+    for j in (1, 2):
+        _check_hit_fraction(3, 5, 60, 2, j)
 
 
 def test_subspace_hits_full_space_is_certain():
