@@ -68,7 +68,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--seed", type=int)
         p.add_argument("--kappa", default=None, help="iso or pole:BETA")
         p.add_argument("--subspace-reps", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--config", help="JSON file with ExperimentConfig fields")
         p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON (compare)")
 
@@ -200,7 +199,6 @@ def _load_config(args):
             if args.subspace_reps is not None
             else base.get("subspace_reps", 16)
         ),
-        threads=args.threads if args.threads is not None else base.get("threads", 1),
     )
 
 
@@ -230,6 +228,7 @@ def _cmd_sim(args) -> int:
             est = estimate_isect(q.flavor, q.n, _req(q.m, "m"), q.d, config)
         else:
             est = estimate(q, config)
+        _warn_redraws(est)
         print(
             json.dumps(
                 {
@@ -243,6 +242,7 @@ def _cmd_sim(args) -> int:
         )
         return 0
     report = compare(q, config)
+    _warn_redraws(report.estimate)
     if args.csv:
         d = report.to_dict()
         keys = list(d)
@@ -251,6 +251,18 @@ def _cmd_sim(args) -> int:
     else:
         print(json.dumps(report.to_dict()))
     return 0 if report.verdict != "fail" else 1
+
+
+def _warn_redraws(est) -> None:
+    from .simulate import REDRAW_RATE_LIMIT
+
+    if est.degenerate_redraws > est.reps * REDRAW_RATE_LIMIT:
+        print(
+            f"warning: {est.degenerate_redraws} degenerate redraws in {est.reps} replications"
+            f" exceed the accepted rate of {REDRAW_RATE_LIMIT:g} per replication;"
+            " the estimate is conditioned on non-degenerate draws",
+            file=sys.stderr,
+        )
 
 
 def _cmd_limit(args) -> int:

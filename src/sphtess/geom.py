@@ -36,12 +36,13 @@ class KappaFamily:
 
     In floating point, the tangent part of a draw on S^dim has scale
     sqrt((p-1)/beta) with p = dim+1.  Beyond about beta = 1e14 it reaches the
-    1e-9/1e-10 tolerances of the kernels, so draws graze and are redrawn,
-    and an estimate ends in :class:`DegenerateInput` once the redraws run
-    out.  With ``simulate --quantity f --flavor typical``, (n, d, k) =
-    (5, 3, 1) works at beta = 1e14 and fails at 1e15 (hypersphere nearly
-    contains the subsphere); (4, 2, 2) works at 1e16 but needs about 99
-    redraws per 200 replications.
+    1e-9/1e-10 tolerances of the kernels, so draws graze (or have nearly
+    dependent cutters, or a hypersphere nearly containing the subsphere)
+    and are redrawn, and an estimate ends in :class:`DegenerateInput` once
+    the redraws run out.  With ``simulate --quantity f --flavor typical
+    --reps 200``, (n, d, k) = (5, 3, 1) redraws 1 draw at beta = 1e15, 347
+    at 1e18 and runs out at 1e19; (4, 2, 2) redraws 99 at 1e16 and 624 at
+    1e17.
     """
 
     name: str = "isotropic"

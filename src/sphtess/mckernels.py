@@ -17,8 +17,9 @@ form, vectorized over replication batches:
   the normals restricted to it leave an extreme ray; two cones intersect
   iff their stacked normals do.  A ray whose class hinges on margins within
   the band is grazing: the samplers and the intersection test redraw that
-  replication and count the redraw, for at most MAX_REDRAW_ROUNDS rounds,
-  past which they raise DegenerateInput;
+  replication and count the redraw, as they do a pole-concentrated draw
+  with nearly dependent cutters, all through one loop (``_redraw``) of at
+  most MAX_REDRAW_ROUNDS rounds, past which it raises DegenerateInput;
 * polar membership is a dot-product test against the cell's extreme rays;
 * the nearest point of a cone to g is the feasible point nearest to g among
   the apex and the projections of g onto the spans of the candidate faces
@@ -30,9 +31,10 @@ lives with the tests (``tests/lp_oracle.py``), and the per-sample structural
 assertions (cell count = C(m,k), Euler relation, Moreau orthogonality) are
 enforced here on every replication.
 
-Determinism: batch j of a (seed, stream) pair draws from an independently
-keyed Philox generator, and partial sums are reduced in batch order, so
-results are bit-identical for any worker count.
+Determinism: every estimate runs its batches in order in one thread; batch
+j of a (seed, stream) pair draws from an independently keyed Philox
+generator, and partial sums are reduced in batch order, so results are
+bit-identical from (seed, reps, config).
 """
 
 from __future__ import annotations
@@ -40,16 +42,17 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .combinat import cells_count
-from .exactnum import sp_eval
+from .exactnum import sp_eval, sphere_surface
 from .geom import DegenerateInput, KappaFamily, sample_vmf_mixture
-from .moments import ExpectationQuery
+from .moments import ExpectationQuery, ef_typical, ef_weighted, evaluate_query
+from .simulate import ComparisonReport, MCEstimate
 
 BATCH = 1024
 _TOL = 1e-9
@@ -110,9 +113,7 @@ class BatchSums:
         self.degenerate += other.degenerate
 
 
-def finalize(sums: Sequence[BatchSums], seed: int):
-    from .simulate import MCEstimate
-
+def finalize(sums: Sequence[BatchSums], seed: int) -> MCEstimate:
     total = BatchSums()
     for s in sums:  # fixed batch order: bit-stable reduction
         total.merge(s)
@@ -217,13 +218,6 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
     return rays, margins, sign, grazing
 
 
-def _check_redrawn(left: int) -> None:
-    if left:
-        raise DegenerateInput(
-            f"{left} replications still degenerate after {MAX_REDRAW_ROUNDS} redraw rounds"
-        )
-
-
 def _sample_unit(rng: np.random.Generator, shape) -> np.ndarray:
     g = rng.standard_normal(shape)
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
@@ -261,36 +255,67 @@ class CellBatch:
         return np.count_nonzero(self.vert_sel, axis=1)
 
 
-def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
-    """Weighted typical cells: flip signs towards a uniform witness point."""
-    if m < dim:
-        raise ValueError("batched kernels require m >= k+1 (pointed cells)")
-    combos = _combos(m, dim - 1)
-    degenerate = 0
-    out_normals = np.empty((B, m, dim))
-    out_rays = np.empty((B, len(combos), dim))
-    out_sel = np.empty((B, len(combos)), dtype=np.int8)
+def _redraw(B: int, draw):
+    """B replications of ``draw``, redrawing the ones it flags.
+
+    ``draw(nb)`` returns (arrays with nb leading rows, a bad mask (nb,), the
+    redraws counted inside it).  The flagged replications are drawn again,
+    for at most MAX_REDRAW_ROUNDS rounds in all, past which DegenerateInput
+    is raised.  Returns (the arrays with B leading rows, the redraws: every
+    flagged replication plus those counted inside ``draw``).
+    """
+    out = None
+    redraws = 0
     pending = np.arange(B)
     for _ in range(MAX_REDRAW_ROUNDS):
         if not pending.size:
             break
-        nb = pending.size
-        normals = _sample_unit(rng, (nb, m, dim))
-        v = _sample_unit(rng, (nb, dim))
-        dots = np.einsum("bmd,bd->bm", normals, v)
-        bad = (np.abs(dots) <= _TOL).any(axis=1)
-        signed = normals * np.sign(dots)[..., None]
-        rays, _, sel, grazing = _extreme_rays(signed, combos)
-        bad |= grazing.any(axis=1)
+        arrays, bad, inner = draw(pending.size)
+        if out is None:
+            out = [np.empty((B,) + a.shape[1:], dtype=a.dtype) for a in arrays]
         good = ~bad
-        tgt = pending[good]
-        out_normals[tgt] = signed[good]
-        out_rays[tgt] = rays[good]
-        out_sel[tgt] = sel[good]
-        degenerate += int(bad.sum())
+        for o, a in zip(out, arrays):
+            o[pending[good]] = a[good]
+        redraws += inner + int(bad.sum())
         pending = pending[bad]
-    _check_redrawn(pending.size)
-    return CellBatch(out_normals, out_rays, out_sel, combos, degenerate)
+    if pending.size:
+        raise DegenerateInput(
+            f"{pending.size} replications still degenerate after {MAX_REDRAW_ROUNDS} redraw rounds"
+        )
+    return out, redraws
+
+
+def _sample_cells(B: int, m: int, dim: int, sides) -> CellBatch:
+    """B cells of arrangements of m normals in R^dim, one per arrangement.
+
+    ``sides(nb)`` draws nb arrangements and picks a cell of each: it returns
+    the normals (nb, m, dim), the side (+-1) of each normal the cell lies on
+    (nb, m), and a mask of the draws it flags as degenerate (nb,).  Draws
+    flagged there or grazing in the vertex enumeration are redrawn.
+    """
+    if m < dim:
+        raise ValueError("batched kernels require m >= k+1 (pointed cells)")
+    combos = _combos(m, dim - 1)
+
+    def draw(nb):
+        normals, signs, bad = sides(nb)
+        signed = normals * signs[..., None]
+        rays, _, sel, grazing = _extreme_rays(signed, combos)
+        return (signed, rays, sel), bad | grazing.any(axis=1), 0
+
+    (normals, rays, sel), redraws = _redraw(B, draw)
+    return CellBatch(normals, rays, sel, combos, redraws)
+
+
+def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
+    """Weighted typical cells: the cell of a uniform witness point."""
+
+    def sides(nb):
+        normals = _sample_unit(rng, (nb, m, dim))
+        dots = np.einsum("bmd,bd->bm", normals, _sample_unit(rng, (nb, dim)))
+        return normals, np.sign(dots), (np.abs(dots) <= _TOL).any(axis=1)
+
+    return _sample_cells(B, m, dim, sides)
 
 
 @lru_cache(maxsize=None)
@@ -309,11 +334,12 @@ def _mask_offsets(m: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _enumerate_and_pick(
-    normals: np.ndarray, rng: np.random.Generator, combos, n_cells: int
+    normals: np.ndarray, rng: np.random.Generator, combos, n_cells: int, bad: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Enumerate all cells through vertex incidences and pick one uniformly.
 
-    Returns (chosen bitmask (B,), bad (B,)); asserts the per-sample count.
+    ``bad`` flags draws already known to be degenerate.  Returns (chosen
+    bitmask (B,), bad (B,)); asserts the per-sample count on the rest.
     """
     B, m, dim = normals.shape
     _, margins, _, grazing = _extreme_rays(normals, combos)
@@ -329,7 +355,7 @@ def _enumerate_and_pick(
     new = np.ones_like(masks, dtype=bool)
     new[:, 1:] = masks[:, 1:] != masks[:, :-1]
     counts = new.sum(axis=1)
-    bad = grazing.any(axis=1) | (banded != 0).any(axis=1)
+    bad = bad | grazing.any(axis=1) | (banded != 0).any(axis=1)
     if np.any((counts != n_cells) & ~bad):
         raise SampleAssertionError(
             f"cell count {counts[(counts != n_cells) & ~bad][0]} != C = {n_cells}"
@@ -353,40 +379,22 @@ def sample_typical_cells(
 ) -> CellBatch:
     """Uniformly chosen cells of the arrangement of m normals in R^dim.
 
-    ``raw_sampler(rng, nb)`` may supply non-isotropic normals (nb, m, dim).
+    ``raw_sampler(rng, nb)`` may supply non-isotropic normals (nb, m, dim)
+    together with a mask (nb,) of the draws to redraw.
     """
-    if m < dim:
-        raise ValueError("batched kernels require m >= k+1 (pointed cells)")
     combos = _combos(m, dim - 1)
     n_cells = int(cells_count(m, dim - 1))
-    degenerate = 0
-    out_normals = np.empty((B, m, dim))
-    out_rays = np.empty((B, len(combos), dim))
-    out_sel = np.empty((B, len(combos)), dtype=np.int8)
-    pending = np.arange(B)
     weights = 1 << np.arange(m, dtype=np.int64)
-    for _ in range(MAX_REDRAW_ROUNDS):
-        if not pending.size:
-            break
-        nb = pending.size
+
+    def sides(nb):
         if raw_sampler is None:
-            normals = _sample_unit(rng, (nb, m, dim))
+            normals, bad = _sample_unit(rng, (nb, m, dim)), np.zeros(nb, dtype=bool)
         else:
-            normals = raw_sampler(rng, nb)
-        chosen, bad = _enumerate_and_pick(normals, rng, combos, n_cells)
-        signs = np.where((chosen[:, None] & weights[None, :]) > 0, 1.0, -1.0)
-        signed = normals * signs[..., None]
-        rays, _, sel, grazing = _extreme_rays(signed, combos)
-        bad |= grazing.any(axis=1)
-        good = ~bad
-        tgt = pending[good]
-        out_normals[tgt] = signed[good]
-        out_rays[tgt] = rays[good]
-        out_sel[tgt] = sel[good]
-        degenerate += int(bad.sum())
-        pending = pending[bad]
-    _check_redrawn(pending.size)
-    return CellBatch(out_normals, out_rays, out_sel, combos, degenerate)
+            normals, bad = raw_sampler(rng, nb)
+        chosen, bad = _enumerate_and_pick(normals, rng, combos, n_cells, bad)
+        return normals, np.where((chosen[:, None] & weights) > 0, 1.0, -1.0), bad
+
+    return _sample_cells(B, m, dim, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -617,62 +625,52 @@ def cones_intersect_batch(normals_a: np.ndarray, normals_b: np.ndarray) -> Tuple
 # ---------------------------------------------------------------------------
 
 
-def _batch_sizes(reps: int) -> List[int]:
-    out = [BATCH] * (reps // BATCH)
-    if reps % BATCH:
-        out.append(reps % BATCH)
-    return out
+def _batches(reps: int, seed: int, stream: int, worker) -> list:
+    """``worker(rng, nb)`` over the batches of ``reps`` replications, in order.
+
+    Batches hold BATCH replications, the last one the remainder; batch j
+    draws from ``batch_rng(seed, stream, j)``.
+    """
+    return [
+        worker(batch_rng(seed, stream, j), min(BATCH, reps - start))
+        for j, start in enumerate(range(0, reps, BATCH))
+    ]
 
 
-def _run_batches(reps, seed, stream, worker, threads: int = 1):
-    sizes = _batch_sizes(reps)
-    sums = [None] * len(sizes)
-
-    def one(j):
-        rng = batch_rng(seed, stream, j)
-        return worker(rng, sizes[j])
-
-    if threads > 1 and len(sizes) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for j, s in enumerate(ex.map(one, range(len(sizes)))):
-                sums[j] = s
-    else:
-        for j in range(len(sizes)):
-            sums[j] = one(j)
-    return finalize(sums, seed)
+def _sums(values: np.ndarray, degenerate: int) -> BatchSums:
+    sums = BatchSums()
+    sums.add_values(values, degenerate)
+    return sums
 
 
 def _kappa_sampler(kappa: KappaFamily, n: int, d: int, k: int):
-    """Raw normals factory for non-isotropic typical sampling (None if iso)."""
+    """Raw normals factory for non-isotropic typical sampling (None if iso).
+
+    Draws with nearly dependent cutters, or with a hypersphere that nearly
+    contains the subsphere, are flagged for redrawing.
+    """
     if kappa.name == "isotropic" or kappa.beta == 0.0:
         return None
     N = n - d + k
 
-    def factory(rng: np.random.Generator, nb: int) -> np.ndarray:
+    def factory(rng: np.random.Generator, nb: int) -> Tuple[np.ndarray, np.ndarray]:
         if k == d:
             flat = sample_vmf_mixture(rng, d, kappa.beta, nb * N)
-            return flat.reshape(nb, N, d + 1)
-        cutters = sample_vmf_mixture(rng, d, kappa.beta, nb * (d - k)).reshape(
-            nb, d - k, d + 1
-        )
+            return flat.reshape(nb, N, d + 1), np.zeros(nb, dtype=bool)
+        cutters = sample_vmf_mixture(rng, d, kappa.beta, nb * (d - k)).reshape(nb, d - k, d + 1)
         q, r = np.linalg.qr(cutters.transpose(0, 2, 1), mode="complete")
         diag = np.abs(np.einsum("bii->bi", r[:, : d - k, :]))
-        if np.any(diag < 1e-10):
-            raise DegenerateInput("nearly dependent cutters")
         basis = q[:, :, d - k :]  # (nb, d+1, k+1)
         rest = sample_vmf_mixture(rng, d, kappa.beta, nb * N).reshape(nb, N, d + 1)
         proj = np.einsum("bnd,bdj->bnj", rest, basis)
         norms = np.linalg.norm(proj, axis=2, keepdims=True)
-        if np.any(norms < 1e-9):
-            raise DegenerateInput("hypersphere nearly contains the subsphere")
-        return proj / norms
+        bad = (diag < 1e-10).any(axis=1) | (norms < 1e-9).any(axis=(1, 2))
+        return proj / np.where(norms < 1e-9, 1.0, norms), bad
 
     return factory
 
 
-def run_estimate(query: ExpectationQuery, config):
+def run_estimate(query: ExpectationQuery, config) -> MCEstimate:
     n, d, k, l = query.n, query.d, query.k, query.l
     flavor, quantity = query.flavor, query.quantity
     stream = stream_id(
@@ -680,120 +678,57 @@ def run_estimate(query: ExpectationQuery, config):
         config.subspace_reps,
     )
     if quantity != "isect" and k == 0:
-        return _constant_estimate(query, config)
-    N = n - d + k
-    m = N
-    dim = k + 1
+        # k = 0 faces are points: the defined functionals are a.s. constants
+        value = float(sp_eval(evaluate_query(query), 20))
+        return MCEstimate(mean=value, stderr=0.0, reps=config.reps, degenerate_redraws=0, seed=config.seed)
+    m, dim = n - d + k, k + 1
     raw = _kappa_sampler(config.kappa, n, d, k)
     if flavor == "weighted" and raw is not None:
         raise ValueError("weighted sampler is isotropic only")
     S = config.subspace_reps
 
-    def sample(rng, nb):
-        if flavor == "typical":
-            return sample_typical_cells(rng, nb, m, dim, raw_sampler=raw)
-        return sample_weighted_cells(rng, nb, m, dim)
-
-    if quantity == "f":
-        def worker(rng, nb):
-            cells = sample(rng, nb)
-            return _sums(fvec_values(cells, l), cells)
-    elif quantity == "U":
-        def worker(rng, nb):
-            cells = sample(rng, nb)
-            if l == k:
-                # U_k = half the two-sided line-hit probability = solid fraction
-                vals = solid_fractions(cells, rng, S)
-            else:
-                vals = 0.5 * subspace_hits(cells, rng, k - l + 1, S)
-            return _sums(vals, cells)
-    elif quantity == "v":
-        def worker(rng, nb):
-            cells = sample(rng, nb)
-            if l == k:
-                vals = solid_fractions(cells, rng, S)
-            else:
-                big, small = subspace_hits_paired(cells, rng, k - l + 1, S)
-                vals = 0.5 * (big - small)
-            return _sums(vals, cells)
-    elif quantity == "vminus1":
-        def worker(rng, nb):
-            cells = sample(rng, nb)
-            return _sums(polar_fractions(cells, rng, S), cells)
-    elif quantity == "statdim":
-        def worker(rng, nb):
-            cells = sample(rng, nb)
-            return _sums(statdim_values(cells, rng), cells)
-    elif quantity == "hk":
-        omega = float(sp_eval(_sphere_surface(k), 20))
-
-        def worker(rng, nb):
-            cells = sample(rng, nb)
-            return _sums(omega * solid_fractions(cells, rng, S), cells)
-    else:
+    # U_k = v_k = half the two-sided line-hit probability = the solid fraction
+    key = "solid" if quantity in ("U", "v") and l == k else quantity
+    omega = float(sp_eval(sphere_surface(k), 20)) if quantity == "hk" else None
+    values = {
+        "f": lambda cells, rng: fvec_values(cells, l),
+        "solid": lambda cells, rng: solid_fractions(cells, rng, S),
+        "U": lambda cells, rng: 0.5 * subspace_hits(cells, rng, k - l + 1, S),
+        "v": lambda cells, rng: 0.5 * np.subtract(*subspace_hits_paired(cells, rng, k - l + 1, S)),
+        "vminus1": lambda cells, rng: polar_fractions(cells, rng, S),
+        "statdim": statdim_values,
+        "hk": lambda cells, rng: omega * solid_fractions(cells, rng, S),
+    }.get(key)
+    if values is None:
         raise ValueError(f"run_estimate cannot handle quantity {quantity!r}")
-    return _run_batches(config.reps, config.seed, stream, worker, config.threads)
-
-
-def _sphere_surface(k):
-    from .exactnum import sphere_surface
-
-    return sphere_surface(k)
-
-
-def _sums(values: np.ndarray, cells=None) -> BatchSums:
-    s = BatchSums()
-    deg = cells.degenerate if cells is not None else 0
-    s.add_values(np.asarray(values, dtype=float), degenerate=deg)
-    return s
-
-
-def _constant_estimate(query: ExpectationQuery, config):
-    """k = 0 faces are points: the defined functionals are a.s. constants."""
-    from .moments import evaluate_query
-    from .simulate import MCEstimate
-
-    val = float(sp_eval(evaluate_query(query), 20))
-    return MCEstimate(mean=val, stderr=0.0, reps=config.reps, degenerate_redraws=0, seed=config.seed)
-
-
-def run_isect(flavor: str, n: int, m: int, d: int, config):
-    stream = stream_id("isect", flavor, n, m, d)
-    dim = d + 1
 
     def worker(rng, nb):
-        deg = 0
         if flavor == "typical":
-            ca = sample_typical_cells(rng, nb, n, dim)
-            cb = sample_typical_cells(rng, nb, m, dim)
-        elif flavor == "weighted":
-            ca = sample_weighted_cells(rng, nb, n, dim)
-            cb = sample_weighted_cells(rng, nb, m, dim)
+            cells = sample_typical_cells(rng, nb, m, dim, raw_sampler=raw)
         else:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        deg += ca.degenerate + cb.degenerate
-        hit, near = cones_intersect_batch(ca.normals, cb.normals)
-        for _ in range(MAX_REDRAW_ROUNDS):
-            if not near.any():
-                break
-            idx = np.flatnonzero(near)
-            deg += idx.size
-            if flavor == "typical":
-                ra = sample_typical_cells(rng, idx.size, n, dim)
-                rb = sample_typical_cells(rng, idx.size, m, dim)
-            else:
-                ra = sample_weighted_cells(rng, idx.size, n, dim)
-                rb = sample_weighted_cells(rng, idx.size, m, dim)
-            deg += ra.degenerate + rb.degenerate
-            h2, n2 = cones_intersect_batch(ra.normals, rb.normals)
-            hit[idx] = h2
-            near[idx] = n2
-        _check_redrawn(int(near.sum()))
-        s = BatchSums()
-        s.add_values(hit.astype(float), degenerate=deg)
-        return s
+            cells = sample_weighted_cells(rng, nb, m, dim)
+        return _sums(values(cells, rng), cells.degenerate)
 
-    return _run_batches(config.reps, config.seed, stream, worker, config.threads)
+    return finalize(_batches(config.reps, config.seed, stream, worker), config.seed)
+
+
+def run_isect(flavor: str, n: int, m: int, d: int, config) -> MCEstimate:
+    stream = stream_id("isect", flavor, n, m, d)
+    dim = d + 1
+    if flavor not in ("typical", "weighted"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    sample = sample_typical_cells if flavor == "typical" else sample_weighted_cells
+
+    def worker(rng, nb):
+        def draw(size):
+            ca, cb = sample(rng, size, n, dim), sample(rng, size, m, dim)
+            hit, near = cones_intersect_batch(ca.normals, cb.normals)
+            return (hit,), near, ca.degenerate + cb.degenerate
+
+        (hit,), redraws = _redraw(nb, draw)
+        return _sums(hit.astype(float), redraws)
+
+    return finalize(_batches(config.reps, config.seed, stream, worker), config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -802,33 +737,25 @@ def run_isect(flavor: str, n: int, m: int, d: int, config):
 
 
 def run_consistency(n: int, d: int, k: int, config, parts=("a", "b", "c")) -> list:
-    reports: list = []
-    S = config.subspace_reps
-    N = n - d + k
-    omega = float(sp_eval(_sphere_surface(k), 20))
-
-    if "a" in parts:
-        reports.append(_sizebias_report(n, d, k, config, S, N, omega))
-    if "b" in parts:
-        reports.append(_kappa_invariance_report(n, d, k, config))
-    if "c" in parts:
-        reports.append(_skeleton_report(n, d, k, config, omega))
-    return reports
+    omega = float(sp_eval(sphere_surface(k), 20))
+    checks = {
+        "a": lambda: _sizebias_report(n, d, k, config, omega),
+        "b": lambda: _kappa_invariance_report(n, d, k, config),
+        "c": lambda: _skeleton_report(n, d, k, config, omega),
+    }
+    return [check() for part, check in checks.items() if part in parts]
 
 
-def _sizebias_report(n, d, k, config, S, N, omega):
-    from .moments import ef_weighted
-    from .simulate import ComparisonReport, MCEstimate
-
+def _sizebias_report(n, d, k, config, omega):
     # (a) size bias: E[f0(Z) H^k(Z)] / E[H^k(Z)] vs E[f0(W)]
     stream = stream_id("sizebias", n, d, k)
-    fh, h, deg = [], [], 0
-    for j, nb in enumerate(_batch_sizes(config.reps)):
-        rng = batch_rng(config.seed, stream, j)
-        cells = sample_typical_cells(rng, nb, N, k + 1)
-        h.append(omega * solid_fractions(cells, rng, S))
-        fh.append(fvec_values(cells, 0) * h[-1])
-        deg += cells.degenerate
+
+    def worker(rng, nb):
+        cells = sample_typical_cells(rng, nb, n - d + k, k + 1)
+        h = omega * solid_fractions(cells, rng, config.subspace_reps)
+        return fvec_values(cells, 0) * h, h, cells.degenerate
+
+    fh, h, deg = zip(*_batches(config.reps, config.seed, stream, worker))
     fh, h = np.concatenate(fh), np.concatenate(h)
     R = h.size
     ratio = float(fh.mean() / h.mean())
@@ -836,17 +763,17 @@ def _sizebias_report(n, d, k, config, S, N, omega):
     # raw second moments cancel when the ratio is (nearly) constant
     se_ratio = float(np.std(fh - ratio * h, ddof=1) / h.mean()) / math.sqrt(R)
 
-    west = run_estimate(
-        ExpectationQuery("f", "weighted", n, d, k, 0), config
-    )
+    query = ExpectationQuery("f", "weighted", n, d, k, 0)
+    west = run_estimate(query, config)
     exact = ef_weighted(n, d, k, 0)
+    # the ratio is judged against the weighted estimate, not the exact value
     combined_se = math.sqrt(se_ratio**2 + west.stderr**2)
     z = (ratio - west.mean) / combined_se if combined_se else 0.0
-    est = MCEstimate(mean=ratio, stderr=se_ratio, reps=R, degenerate_redraws=deg, seed=config.seed)
+    est = MCEstimate(mean=ratio, stderr=se_ratio, reps=R, degenerate_redraws=sum(deg), seed=config.seed)
     return ComparisonReport(
-        query=ExpectationQuery("f", "weighted", n, d, k, 0),
+        query=query,
         exact=exact,
-        exact_float=west.mean,
+        exact_float=float(sp_eval(exact, 20)),
         estimate=est,
         z_score=z,
         verdict="pass" if abs(z) <= config.z_fail else "fail",
@@ -854,18 +781,9 @@ def _sizebias_report(n, d, k, config, S, N, omega):
 
 
 def _kappa_invariance_report(n, d, k, config):
-    from .moments import ef_typical
-    from .simulate import ComparisonReport
-
     # (b) kappa invariance of the typical f-vector
     beta = config.kappa.beta if config.kappa.name == "pole_concentrated" else 4.0
-    cfg_pole = type(config)(
-        reps=config.reps,
-        seed=config.seed,
-        kappa=KappaFamily("pole_concentrated", beta),
-        subspace_reps=config.subspace_reps,
-        threads=config.threads,
-    )
+    cfg_pole = replace(config, kappa=KappaFamily("pole_concentrated", beta))
     q = ExpectationQuery("f", "typical", n, d, k, 0)
     est_pole = run_estimate(q, cfg_pole)
     exact_t = ef_typical(n, d, k, 0)
@@ -873,8 +791,6 @@ def _kappa_invariance_report(n, d, k, config):
 
 
 def _skeleton_report(n, d, k, config, omega):
-    from .simulate import ComparisonReport, MCEstimate
-
     # (c) skeleton content: binom(n, d-k) valid subsphere intersections per draw
     stream = stream_id("skeleton", n, d, k)
     rng = batch_rng(config.seed, stream, 0)
@@ -886,15 +802,7 @@ def _skeleton_report(n, d, k, config, omega):
         sv = np.linalg.svd(rows, compute_uv=False)
         ok = bool((sv[..., -1] > 1e-6).all())
     expected = math.comb(n, d - k) * omega
-    est_c = MCEstimate(
-        mean=expected if ok else math.nan,
-        stderr=0.0,
-        reps=reps,
-        degenerate_redraws=0,
-        seed=config.seed,
-    )
-    from .exactnum import sphere_surface
-
+    est_c = MCEstimate(mean=expected if ok else math.nan, stderr=0.0, reps=reps, degenerate_redraws=0, seed=config.seed)
     exact_skel = sphere_surface(k).scale(math.comb(n, d - k))
     return ComparisonReport(
         query=ExpectationQuery("hk", "typical", n, d, k),
@@ -904,4 +812,3 @@ def _skeleton_report(n, d, k, config, omega):
         z_score=0.0 if ok else math.inf,
         verdict="pass" if ok else "fail",
     )
-

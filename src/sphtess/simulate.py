@@ -6,9 +6,9 @@ The public surface is the estimate and report types and the entry points
 :mod:`sphtess.mckernels`.
 
 Determinism contract: estimates are reproducible bit-for-bit from
-(seed, reps, config) regardless of worker count.  Replications are grouped
-in fixed-size batches; batch j draws from a Philox stream advanced to a
-fixed offset, and partial sums are combined in batch order.
+(seed, reps, config).  Replications are grouped in fixed-size batches that
+run in order in one thread; batch j draws from a Philox stream advanced to
+a fixed offset, and partial sums are combined in batch order.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+# Redraws per replication above which an estimate is suspect: redrawing
+# conditions the sample on non-degenerate draws.  The acceptance gates allow
+# the same rate.
+REDRAW_RATE_LIMIT = 1e-3
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     mean: float
@@ -52,6 +58,8 @@ class ExperimentConfig:
     seed: int = 20240601
     kappa: KappaFamily = field(default_factory=KappaFamily)
     subspace_reps: int = 16
+    # Estimates run in one thread; the field remains only for callers that
+    # still pass threads=1, and any other value is rejected.
     threads: int = 1
     z_fail: float = 6.0
     z_warn: float = 4.0
@@ -61,6 +69,8 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 100")
         if self.subspace_reps < 1:
             raise ValueError("subspace_reps must be >= 1")
+        if self.threads != 1:
+            raise ValueError("threads must be 1: estimates run in one thread")
         self.kappa.validate()
 
 

@@ -68,7 +68,7 @@ def test_enumeration_matches_incremental(m, k):
         normals = rng.standard_normal((1, m, dim))
         normals /= np.linalg.norm(normals, axis=2, keepdims=True)
         local = batch_rng(trial, 0, 0)
-        chosen, bad = _enumerate_and_pick(normals, local, combos, n_cells)
+        chosen, bad = _enumerate_and_pick(normals, local, combos, n_cells, np.zeros(1, dtype=bool))
         assert not bad.any()
         lp_masks = lp_oracle.build_arrangement(normals[0], k)
         # recompute the batch mask set, one subset and resolution at a time
@@ -91,7 +91,7 @@ def test_enumeration_assertion_trips_on_wrong_count():
     normals = rng.standard_normal((1, 4, 3))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
     with pytest.raises(SampleAssertionError):
-        _enumerate_and_pick(normals, batch_rng(0, 0, 0), _combos(4, 2), 99)
+        _enumerate_and_pick(normals, batch_rng(0, 0, 0), _combos(4, 2), 99, np.zeros(1, dtype=bool))
 
 
 def test_typical_cells_uniform_over_cells():

@@ -1,6 +1,5 @@
 """Samplers, estimator plumbing, determinism, and cross-validation."""
 
-import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -11,7 +10,7 @@ from lp_oracle import sample_weighted_face_full_skeleton
 from sphtess import mckernels
 from sphtess.exactnum import sp_eval
 from sphtess.geom import KappaFamily
-from sphtess.moments import ExpectationQuery, v_weighted
+from sphtess.moments import ExpectationQuery, ef_weighted, v_weighted
 from sphtess.simulate import (
     ExperimentConfig,
     compare,
@@ -53,21 +52,32 @@ def test_sampler_preconditions():
         sample_weighted_face_full_skeleton(2, 2, 2, rng)
 
 
-def test_estimate_determinism_and_thread_independence(monkeypatch):
+def test_estimate_determinism_and_thread_independence():
     q = ExpectationQuery("v", "weighted", 4, 2, 2, 1)
-    cfg1 = ExperimentConfig(reps=3000, seed=99, subspace_reps=8, threads=1)
-    cfg2 = ExperimentConfig(reps=3000, seed=99, subspace_reps=8, threads=3)
-    e1 = estimate(q, cfg1)
-    e2 = estimate(q, cfg1)
-    e3 = estimate(q, cfg2)
-    assert e1 == e2 == e3
-    e4 = estimate(q, ExperimentConfig(reps=3000, seed=100, subspace_reps=8))
+    cfg = ExperimentConfig(reps=3000, seed=99, subspace_reps=8)
+    e1 = estimate(q, cfg)
+    e2 = estimate(q, cfg)
+    assert e1 == e2
+    e4 = estimate(q, replace(cfg, seed=100))
     assert e4.mean != e1.mean
-    # a single batch runs inline: no thread pool is started for it
-    one = ExperimentConfig(reps=mckernels.BATCH, seed=99, subspace_reps=8, threads=1)
-    single = estimate(q, one)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
-    assert estimate(q, replace(one, threads=3)) == single
+    # estimates run in one thread: threads is not a setting
+    with pytest.raises(ValueError):
+        estimate(q, replace(cfg, threads=3))
+
+
+def test_raw_sampler_flags_are_redrawn():
+    calls = []
+
+    def raw_sampler(local, nb):
+        calls.append(nb)
+        normals = mckernels._sample_unit(local, (nb, 5, 3))
+        return normals, np.full(nb, len(calls) == 1)
+
+    B = 64
+    cells = mckernels.sample_typical_cells(mckernels.batch_rng(3, 3, 0), B, 5, 3, raw_sampler=raw_sampler)
+    assert calls[:2] == [B, B]
+    assert cells.B == B and cells.degenerate == B
+    mckernels.fvec_values(cells, 0)  # the Euler relation holds on every cell
 
 
 def test_finalize_variance_is_stable_at_large_mean():
@@ -173,6 +183,16 @@ def test_consistency_checks_small():
     assert len(reports) == 3
     for rep in reports:
         assert rep.verdict == "pass", rep.to_dict()
+
+
+def test_sizebias_report_carries_the_exact_weighted_value():
+    cfg = ExperimentConfig(reps=1024, seed=5, subspace_reps=8)
+    (rep,) = consistency_checks(4, 2, 2, cfg, parts=("a",))
+    assert rep.exact_float == float(sp_eval(ef_weighted(4, 2, 2, 0), 20))
+    west = estimate(ExpectationQuery("f", "weighted", 4, 2, 2, 0), cfg)
+    # the ratio is still judged against the weighted estimate
+    se = math.hypot(rep.estimate.stderr, west.stderr)
+    assert math.isclose(rep.z_score, (rep.estimate.mean - west.mean) / se, rel_tol=1e-12)
 
 
 def test_sizebias_stderr_has_no_cancellation():

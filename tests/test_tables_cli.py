@@ -145,6 +145,7 @@ def test_cli_simulate_json_and_env_seed():
     assert d["reps"] == 2000 and d["seed"] == 5
     r3 = run_cli(*args, env={"SPHTESS_SEED": "77"})
     assert json.loads(r3.stdout)["seed"] == 77
+    assert run_cli(*args, "--threads", "2").returncode == 2  # estimates run in one thread
 
 
 def test_cli_compare_and_config(tmp_path):
@@ -162,16 +163,34 @@ def test_cli_kappa_at_large_beta():
     res = run_cli("compare", "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
                   "--k", "2", "--l", "0", "--kappa", "pole:1e8")
     assert res.returncode == 0 and json.loads(res.stdout)["verdict"] == "pass"
-    # cutters that coincide in floating point end in an error line, not a traceback
+    # cutters that coincide in floating point are redrawn until the rounds
+    # run out, and end in an error line, not a traceback
     res = run_cli("simulate", "--quantity", "f", "--flavor", "typical", "--n", "5", "--d", "3",
                   "--k", "1", "--l", "0", "--kappa", "pole:1e20", "--reps", "200")
     assert res.returncode == 2
-    assert res.stderr == "error: nearly dependent cutters\n"
+    assert res.stderr.startswith("error: ") and "redraw rounds" in res.stderr
+    # a hypersphere that nearly contains the subsphere in one draw: that draw is redrawn
+    res = run_cli("simulate", "--quantity", "f", "--flavor", "typical", "--n", "5", "--d", "3",
+                  "--k", "1", "--l", "0", "--kappa", "pole:1e15", "--reps", "200")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["degenerate_redraws"] == 1
     # every draw grazes: the redraw rounds run out instead of looping forever
     res = run_cli("simulate", "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
                   "--k", "2", "--l", "0", "--kappa", "pole:1e20", "--reps", "200")
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "redraw rounds" in res.stderr
+
+
+def test_cli_warns_on_high_redraw_rate():
+    for command in ("simulate", "compare"):
+        res = run_cli(command, "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
+                      "--k", "2", "--l", "0", "--kappa", "pole:1e17", "--reps", "200")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["degenerate_redraws"] == 624
+        assert res.stderr.startswith("warning: 624 degenerate redraws")
+    res = run_cli("simulate", "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
+                  "--k", "2", "--l", "0", "--reps", "200")
+    assert res.returncode == 0 and res.stderr == ""
 
 
 def test_cli_limit():
