@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from .exactnum import sp_eval, sp_format
 from .geom import DegenerateInput, KappaFamily
+from .mckernels import SampleAssertionError
 from .moments import (
     GAMMA_STAR,
     EuclidQuery,
@@ -98,6 +99,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _dispatch(args)
     except (ValueError, KeyError, DegenerateInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SampleAssertionError as exc:
+        print(f"error: per-sample assertion failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -43,6 +43,12 @@ class KappaFamily:
     --reps 200``, (n, d, k) = (5, 3, 1) redraws 1 draw at beta = 1e15, 347
     at 1e18 and runs out at 1e19; (4, 2, 2) redraws 99 at 1e16 and 624 at
     1e17.
+
+    Cone projections (statdim) break far earlier, because nearly parallel
+    normals are not flagged for redrawing: with ``simulate --quantity
+    statdim --flavor typical --reps 1100 --seed 99``, (4, 2, 2) runs clean
+    at beta = 1e5 and fails the Moreau assertion from 1e6, and (5, 3, 3)
+    fails it from 1e7.
     """
 
     name: str = "isotropic"

@@ -13,9 +13,11 @@ form, vectorized over replication batches:
   extreme ray iff every other margin lies beyond the tolerance band on one
   side, and a pointed cone with generic rows is nontrivial iff it has an
   extreme ray (Cover & Efron 1967).  Cell vertices and the enumeration
-  masks use the cell's normals; a cone meets a uniform j-dim subspace iff
-  the normals restricted to it leave an extreme ray; two cones intersect
-  iff their stacked normals do.  A ray whose class hinges on margins within
+  masks use the cell's normals.  Every "does this cone meet ..." question
+  is one predicate on top of it (``_meets``): a cone meets a uniform j-dim
+  subspace, the span of a standard Gaussian (dim, j) frame, iff the normals
+  restricted to the frame leave an extreme ray; two cones intersect iff
+  their stacked normals do.  A ray whose class hinges on margins within
   the band is grazing: the samplers and the intersection test redraw that
   replication and count the redraw, as they do a pole-concentrated draw
   with nearly dependent cutters, all through one loop (``_redraw``) of at
@@ -174,16 +176,6 @@ def _nullspace_rays(rows: np.ndarray) -> np.ndarray:
     return np.stack([((-1) ** i) * np.linalg.det(mats[..., cols != i]) for i in range(dim)])
 
 
-_CHUNK = 1 << 20  # margins per block of subsets
-
-
-def _subset_blocks(R: np.ndarray, subsets: np.ndarray):
-    """Consecutive blocks of ``subsets`` holding about _CHUNK margins against R."""
-    step = max(1, _CHUNK // R[..., 0].size)
-    for lo in range(0, len(subsets), step):
-        yield subsets[lo : lo + step]
-
-
 def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
     """Candidate extreme rays of the cones {y in R^j : R y >= 0}, batched.
 
@@ -216,6 +208,30 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
     sign = ((pos == others) & (neg == 0)).astype(np.int8) - ((neg == others) & (pos == 0))
     grazing = np.moveaxis(null, 0, -1) | ((pos + neg < others) & ((pos == 0) | (neg == 0)))
     return rays, margins, sign, grazing
+
+
+_CHUNK = 1 << 20  # margins per block of subsets
+
+
+def _meets(R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Whether the cones {y in R^j : R y >= 0} hold more than the origin, batched.
+
+    R: (..., M, j) rows.  Returns (nontrivial (...), grazing (...)): a cone
+    is nontrivial iff some (j-1)-subset of its rows spans an extreme ray,
+    and grazing iff some subset's rows are dependent or its sign class
+    hinges on margins within the band.  The subsets go to ``_extreme_rays``
+    in blocks of about _CHUNK margins.
+    """
+    M, j = R.shape[-2:]
+    subsets = _combos(M, j - 1)
+    nontrivial = np.zeros(R.shape[:-2], dtype=bool)
+    grazing = np.zeros(R.shape[:-2], dtype=bool)
+    step = max(1, _CHUNK // R[..., 0].size)
+    for lo in range(0, len(subsets), step):
+        sign, graze = _extreme_rays(R, subsets[lo : lo + step])[2:]  # frees the margins
+        nontrivial |= (sign != 0).any(axis=-1)
+        grazing |= graze.any(axis=-1)
+    return nontrivial, grazing
 
 
 def _sample_unit(rng: np.random.Generator, shape) -> np.ndarray:
@@ -456,11 +472,7 @@ def subspace_hits(
     cells: CellBatch, rng: np.random.Generator, j: int, reps: int
 ) -> np.ndarray:
     """Per-cell fraction of uniform j-dim subspaces meeting the cone."""
-    dim = cells.dim
-    if j >= dim:
-        return np.ones(cells.B)
-    bases = _haar_bases(rng, cells.B, reps, dim, j)
-    return _hit_fraction(cells, bases)
+    return _hit_fraction(cells, rng.standard_normal((cells.B, reps, cells.dim, j)), j)
 
 
 def subspace_hits_paired(
@@ -468,38 +480,30 @@ def subspace_hits_paired(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Hit fractions for j-dim subspaces and nested (j-2)-dim subspaces.
 
-    The small subspace is the leading columns of the same Haar frame, which
-    keeps it Haar-distributed while pairing the two indicators for variance
-    reduction in v = U_l - U_{l+2}.
+    The small subspace is spanned by the leading columns of the same
+    Gaussian frame, which keeps it uniform while pairing the two indicators
+    for variance reduction in v = U_l - U_{l+2}.
     """
-    dim = cells.dim
-    bases = _haar_bases(rng, cells.B, reps, dim, min(j, dim))
-    big = np.ones(cells.B) if j >= dim else _hit_fraction(cells, bases[..., :j])
-    if j - 2 <= 0:
-        return big, np.zeros(cells.B)
-    small = _hit_fraction(cells, bases[..., : j - 2])
-    return big, small
+    frames = rng.standard_normal((cells.B, reps, cells.dim, j))
+    return _hit_fraction(cells, frames, j), _hit_fraction(cells, frames, j - 2)
 
 
-def _haar_bases(rng, B: int, reps: int, dim: int, j: int) -> np.ndarray:
-    g = rng.standard_normal((B, reps, dim, j))
-    q, r = np.linalg.qr(g)
-    diag = np.sign(np.einsum("brii->bri", r))
-    return q * diag[..., None, :]
+def _hit_fraction(cells: CellBatch, frames: np.ndarray, j: int) -> np.ndarray:
+    """Per-cell fraction of the subspaces spanned by the leading j columns of
+    ``frames`` (B, reps, dim, >= j) that meet the cone beyond the origin.
 
-
-def _hit_fraction(cells: CellBatch, bases: np.ndarray) -> np.ndarray:
-    """Per-cell fraction of the subspaces spanned by ``bases`` (B, reps, dim, j)
-    that meet the cone.
-
-    A cone {x : A x >= 0} meets span(V) beyond the origin iff the restricted
-    cone {y in R^j : (A V) y >= 0} has an extreme ray.
+    A cone {x : A x >= 0} meets span(V) iff the restricted cone
+    {y in R^j : (A V) y >= 0} is nontrivial, which depends on span(V) only:
+    V need not be orthonormal, and the span of the leading i columns of a
+    standard Gaussian frame is a uniform i-dim subspace.  For j >= dim the
+    subspace is the whole space, which meets the cone; for j <= 0 it is the
+    origin, which does not.
     """
-    R = cells.normals[:, None] @ bases  # (B, reps, m, j)
-    hit = np.zeros(R.shape[:2], dtype=bool)
-    for block in _subset_blocks(R, _combos(R.shape[2], R.shape[3] - 1)):
-        hit |= (_extreme_rays(R, block)[2] != 0).any(axis=-1)
-    return hit.mean(axis=1)
+    if j >= cells.dim:
+        return np.ones(cells.B)
+    if j <= 0:
+        return np.zeros(cells.B)
+    return _meets(cells.normals[:, None] @ frames[..., :j])[0].mean(axis=1)
 
 
 def _solve_gram(G, h):
@@ -605,19 +609,10 @@ def statdim_values(cells: CellBatch, rng: np.random.Generator) -> np.ndarray:
 def cones_intersect_batch(normals_a: np.ndarray, normals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized {x != 0 : A x >= 0, B x >= 0} nonemptiness test.
 
-    The intersection is the cone of the stacked rows, nontrivial iff it has
-    an extreme ray.  Returns (hit (B,), near (B,)); near flags grazing rays
-    (caller redraws those replications).
+    The intersection is the cone of the stacked rows.  Returns (hit (B,),
+    near (B,)); near flags grazing rays (caller redraws those replications).
     """
-    stacked = np.concatenate([normals_a, normals_b], axis=1)
-    B, M, dim = stacked.shape
-    hit = np.zeros(B, dtype=bool)
-    near = np.zeros(B, dtype=bool)
-    for block in _subset_blocks(stacked, _combos(M, dim - 1)):
-        _, _, sign, grazing = _extreme_rays(stacked, block)
-        hit |= (sign != 0).any(axis=1)
-        near |= grazing.any(axis=1)
-    return hit, near
+    return _meets(np.concatenate([normals_a, normals_b], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +782,7 @@ def _kappa_invariance_report(n, d, k, config):
     q = ExpectationQuery("f", "typical", n, d, k, 0)
     est_pole = run_estimate(q, cfg_pole)
     exact_t = ef_typical(n, d, k, 0)
-    return ComparisonReport.build(q, exact_t, est_pole, cfg_pole.z_warn, cfg_pole.z_fail)
+    return ComparisonReport.build(q, exact_t, est_pole, cfg_pole.z_fail)
 
 
 def _skeleton_report(n, d, k, config, omega):

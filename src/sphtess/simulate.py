@@ -62,7 +62,6 @@ class ExperimentConfig:
     # still pass threads=1, and any other value is rejected.
     threads: int = 1
     z_fail: float = 6.0
-    z_warn: float = 4.0
 
     def validate(self) -> None:
         if self.reps < 100:
@@ -84,7 +83,7 @@ class ComparisonReport:
     verdict: str  # pass | fail | known-discrepancy
 
     @classmethod
-    def build(cls, query, exact, estimate, z_warn=4.0, z_fail=6.0) -> "ComparisonReport":
+    def build(cls, query, exact, estimate, z_fail=6.0) -> "ComparisonReport":
         exact_float = float(sp_eval(exact, 20))
         z = estimate.z_score(exact_float)
         verdict = "pass" if abs(z) <= z_fail else "fail"
@@ -144,7 +143,7 @@ def compare(query: ExpectationQuery, config: ExperimentConfig) -> ComparisonRepo
         est = estimate_isect(query.flavor, query.n, query.m, query.d, config)
     else:
         est = estimate(query, config)
-    return ComparisonReport.build(query, exact, est, config.z_warn, config.z_fail)
+    return ComparisonReport.build(query, exact, est, config.z_fail)
 
 
 # ---------------------------------------------------------------------------

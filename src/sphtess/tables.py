@@ -45,7 +45,6 @@ TABLE_NAMES = (
 class TableSpec:
     which: str
     n_range: Optional[Tuple[int, int]] = None
-    m_range: Optional[Tuple[int, int]] = None
 
     def validate(self) -> None:
         if self.which not in TABLE_NAMES:
@@ -157,7 +156,7 @@ def render_table(spec: TableSpec) -> List[TableRow]:
         default = (3, 8) if d == 2 else (4, 8)
         table = getattr(app, f"APP_E_D{d}")
         for n in _rng(spec, default):
-            for m in _rng(spec, default) if spec.m_range is None else range(spec.m_range[0], spec.m_range[1] + 1):
+            for m in _rng(spec, default):
                 rows.append(
                     _row(which, "isect", "W", d, n, m, None, isect_prob_weighted(n, m, d), table.get((n, m)))
                 )

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 
 from sphtess.combinat import cells_count, faces_count
 from sphtess.geom import DegenerateInput, sample_vmf_mixture
-from sphtess.mckernels import CellBatch, _haar_bases, _sample_unit, batch_rng, solid_fractions
+from sphtess.mckernels import CellBatch, _sample_unit, batch_rng, solid_fractions
 
 rng = np.random.default_rng(20240607)
 OCTANT = np.eye(3)
@@ -143,11 +143,6 @@ def test_intersect_to_subsphere():
             assert np.max(np.abs(basis.T @ u)) < 1e-10
     with pytest.raises(DegenerateInput):
         intersect_to_subsphere([n1, n1 + 1e-12 * n2], 3)
-
-
-def test_uniform_subspace_orthonormal():
-    V = _haar_bases(batch_rng(0, 0, 0), 10, 5, 4, 2)
-    assert np.allclose(np.swapaxes(V, -1, -2) @ V, np.eye(2), atol=1e-10)
 
 
 # -- arrangements ------------------------------------------------------------

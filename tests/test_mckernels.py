@@ -126,11 +126,10 @@ def test_fvec_euler_assertion_enforced():
 
 def _check_hit_fraction(dim, m, B, reps, j):
     cells = _cell_batch(B, m, dim)
-    local = batch_rng(77, j, dim)
-    bases = mckernels._haar_bases(local, cells.B, reps, dim, j)
-    frac = mckernels._hit_fraction(cells, bases)
+    frames = batch_rng(77, j, dim).standard_normal((cells.B, reps, dim, j))
+    frac = mckernels._hit_fraction(cells, frames, j)
     for b in range(cells.B):
-        hits = sum(lp_oracle.cone_meets_subspace(cells.normals[b], bases[b, r]) for r in range(reps))
+        hits = sum(lp_oracle.cone_meets_subspace(cells.normals[b], frames[b, r]) for r in range(reps))
         assert abs(frac[b] - hits / reps) < 1e-12, (dim, b, j)
 
 
@@ -152,6 +151,28 @@ def test_subspace_hits_full_space_is_certain():
     assert np.all(subspace_hits(cells, batch_rng(1, 1, 0), 3, 4) == 1.0)
     big, small = subspace_hits_paired(cells, batch_rng(1, 2, 0), 3, 4)
     assert np.all(big == 1.0)
+
+
+@pytest.mark.parametrize("m,dim,j", [(8, 4, 2), (8, 4, 3), (6, 3, 2), (5, 3, 2), (7, 4, 3), (9, 5, 4)])
+def test_hit_fraction_raw_frames_match_orthonormal(m, dim, j):
+    # a hit depends only on the span: Gaussian frames as drawn decide every
+    # cell as their QR'd orthonormal frames (with the sign fix) do
+    cells = _cell_batch(128, m, dim)
+    frames = batch_rng(13, m, j).standard_normal((cells.B, 16, dim, j))
+    q, r = np.linalg.qr(frames)
+    orthonormal = q * np.sign(np.einsum("brii->bri", r))[..., None, :]
+    raw = mckernels._hit_fraction(cells, frames, j)
+    assert np.array_equal(raw, mckernels._hit_fraction(cells, orthonormal, j))
+    assert 0 < raw.mean() < 1
+
+
+@pytest.mark.parametrize("m,dim,j", [(6, 3, 3), (8, 4, 3), (8, 4, 4), (9, 5, 4), (9, 5, 5)])
+def test_subspace_hits_paired_nested(m, dim, j):
+    # the small subspace lies inside the big one, so it never hits more often
+    cells = _cell_batch(256, m, dim)
+    big, small = subspace_hits_paired(cells, batch_rng(21, m, j), j, 16)
+    assert np.all(small <= big)
+    assert (small < big).any()
 
 
 # -- polar membership vs LP ---------------------------------------------------
