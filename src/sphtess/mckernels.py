@@ -22,16 +22,25 @@ form, vectorized over replication batches:
   replication and count the redraw, as they do a pole-concentrated draw
   with nearly dependent cutters, all through one loop (``_redraw``) of at
   most MAX_REDRAW_ROUNDS rounds, past which it raises DegenerateInput;
-* polar membership is a dot-product test against the cell's extreme rays;
-* the nearest point of a cone to g is the feasible point nearest to g among
-  the apex and the projections of g onto the spans of the candidate faces
-  (every active set of fewer than dim constraints), each a small Gram solve
-  vectorized over the batch.
+* at dim <= 4 (IVOL_MAX_DIM) one kernel, ``ivol_vector``, gives each
+  cell's conic intrinsic volumes (v_0, ..., v_dim) from closed-form angles
+  at its vertices and 2-faces and the Gauss-Bonnet relations, with v_4
+  the only sampled entry (a solid fraction).  U, v, v_{-1}, statdim and
+  H^k are rows of coefficients applied to it; U_0 = 1/2 (and v_0 at
+  k = 1) is returned as an exact constant without sampling;
+* at dim >= 5 each quantity keeps its own sampled functional: subspace
+  hits for U and v, polar membership (a dot-product test against the
+  cell's extreme rays) for v_{-1}, the solid fraction for H^k, and cone
+  projections for statdim, where the nearest point of a cone to g is the
+  feasible point nearest to g among the apex and the projections of g
+  onto the spans of the candidate faces (every active set of fewer than
+  dim constraints), each a small Gram solve vectorized over the batch.
 
 Every kernel is equivalence-tested against an independent LP route that
-lives with the tests (``tests/lp_oracle.py``), and the per-sample structural
-assertions (cell count = C(m,k), Euler relation, Moreau orthogonality) are
-enforced here on every replication.
+lives with the tests (``tests/lp_oracle.py``) or against the sampled
+functionals, and the per-sample structural assertions (cell count = C(m,k),
+Euler relation, Moreau orthogonality, two vertices per 2-face and the
+Gauss-Bonnet bounds) are enforced here on every replication.
 
 Determinism: every estimate runs its batches in order in one thread; batch
 j of a (seed, stream) pair draws from an independently keyed Philox
@@ -468,6 +477,99 @@ def polar_fractions(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.
     return member.mean(axis=1)
 
 
+# ivol_vector's closed-form angles cover cells up to this dimension.
+IVOL_MAX_DIM = 4
+
+
+@lru_cache(maxsize=None)
+def _subfaces(m: int, r: int) -> np.ndarray:
+    """Row in _combos(m, r-1) of each (r-1)-subset of each r-subset: read-only (C(m,r), r)."""
+    row = {c: i for i, c in enumerate(map(tuple, _combos(m, r - 1)))}
+    out = np.array(
+        [[row[s] for s in itertools.combinations(c, r - 1)] for c in map(tuple, _combos(m, r))],
+        dtype=np.intp,
+    ).reshape(math.comb(m, r), r)
+    out.flags.writeable = False
+    return out
+
+
+def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angle between unit vectors along the last axis, 2 atan2(|a-b|, |a+b|):
+    accurate near 0 and pi, where arccos(a.b) loses half the digits."""
+    return 2 * np.arctan2(np.linalg.norm(a - b, axis=-1), np.linalg.norm(a + b, axis=-1))
+
+
+def ivol_vector(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndarray:
+    """Conic intrinsic volumes (v_0, ..., v_dim) of each cell, dim <= 4: (B, dim+1).
+
+    v_j is the sum over the j-faces F of the internal angle of F times the
+    external angle at F, the share of its span that the normal cone of F
+    covers (Schneider & Weil 2008, sec. 6.5).  Cells are simple, so a vertex
+    ray lies on dim-1 facets and a 2-face, spanned by two vertex rays u and
+    w, on the dim-2 facets those vertices share.  Normal cones are spanned
+    by facet normals:
+
+    * v_1: each vertex adds 1/2 x the angle of its dim-1 normals: 1/2 at
+      dim 2, angle(a, b)/2pi at dim 3, and at dim 4 the solid angle
+      Omega/4pi, Omega = 2 atan2(|det(a,b,c)|, 1 + ab + bc + ca) (Van
+      Oosterom & Strackee 1983), |det| the norm of the generalized cross
+      product;
+    * v_2: each 2-face adds angle(u, w)/2pi x the angle of its dim-2
+      normals: 1 at dim 2, 1/2 at dim 3, angle(a, b)/2pi at dim 4;
+    * the Gauss-Bonnet relations sum_{j even} v_j = sum_{j odd} v_j = 1/2
+      give v_3 = 1/2 - v_1 and v_0 = 1/2 - v_2 - v_4, where v_4 at dim 4
+      has no elementary form and is the solid fraction of ``pts`` uniform
+      points.
+
+    Raises SampleAssertionError where a 2-face has other than two vertices
+    or where v_3 or 1/2 - v_2 falls below -1e-12.
+    """
+    B, m, dim = cells.normals.shape
+    if dim > IVOL_MAX_DIM:
+        raise ValueError(f"closed-form intrinsic volumes need dim <= {IVOL_MAX_DIM}")
+    unit = cells.normals / np.linalg.norm(cells.normals, axis=2, keepdims=True)
+    bi, ci = np.nonzero(cells.vert_sel)
+    normals = unit[bi[:, None], cells.combos[ci]]  # (V, dim-1, dim) per vertex
+    if dim == 2:
+        outer = np.full(bi.size, 0.5)
+    elif dim == 3:
+        outer = _angle(normals[:, 0], normals[:, 1]) / (2 * np.pi)
+    else:
+        volume = np.sqrt(sum(r * r for r in _nullspace_rays(np.moveaxis(normals, 0, -1))))
+        dots = np.einsum("vid,vid->v", normals, np.roll(normals, 1, axis=1))  # ab + bc + ca
+        outer = np.arctan2(volume, 1.0 + dots) / (2 * np.pi)
+    v1 = np.bincount(bi, weights=0.5 * outer, minlength=B)
+
+    # 2-faces: sorted (cell, (dim-2)-subset) keys of the vertices must come
+    # in runs of exactly two, the face's two vertex rays u and w
+    n_sub = math.comb(m, dim - 2)
+    keys = (bi[:, None] * n_sub + _subfaces(m, dim - 1)[ci]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if keys.size % 2 or (keys[0::2] != keys[1::2]).any() or (keys[1:-1:2] == keys[2::2]).any():
+        raise SampleAssertionError("a 2-face of a cell does not have exactly two vertices")
+    verts = cells.rays[bi, ci] * cells.vert_sel[bi, ci, None]
+    pair = order.reshape(-1, 2) // (dim - 1)
+    arc = _angle(verts[pair[:, 0]], verts[pair[:, 1]])
+    fb, fs = np.divmod(keys[0::2], n_sub)
+    if dim == 4:
+        outer = _angle(*np.moveaxis(unit[fb[:, None], _combos(m, 2)[fs]], 1, 0)) / (2 * np.pi)
+    else:
+        outer = 1.0 if dim == 2 else 0.5
+    v2 = np.bincount(fb, weights=arc / (2 * np.pi) * outer, minlength=B)
+
+    if (dim >= 3 and (0.5 - v1 < -1e-12).any()) or (0.5 - v2 < -1e-12).any():
+        raise SampleAssertionError("Gauss-Bonnet: v_3 or 1/2 - v_2 below -1e-12")
+    out = np.zeros((B, dim + 1))
+    out[:, 1], out[:, 2] = v1, v2
+    if dim >= 3:
+        out[:, 3] = 0.5 - v1
+    if dim == 4:
+        out[:, 4] = solid_fractions(cells, rng, pts)
+    out[:, 0] = 0.5 - out[:, 2::2].sum(axis=1)
+    return out
+
+
 def subspace_hits(
     cells: CellBatch, rng: np.random.Generator, j: int, reps: int
 ) -> np.ndarray:
@@ -665,6 +767,24 @@ def _kappa_sampler(kappa: KappaFamily, n: int, d: int, k: int):
     return factory
 
 
+def _ivol_row(quantity: str, l, dim: int, omega) -> np.ndarray:
+    """Coefficients of a quantity in the conic intrinsic volumes (v_0, ..., v_dim)."""
+    row = np.zeros(dim + 1)
+    if quantity == "U":
+        row[l + 1 :: 2] = 1.0  # Crofton: U_l = v_{l+1} + v_{l+3} + ...
+    elif quantity == "v":
+        row[l + 1] = 1.0  # spherical v_l is conic v_{l+1}
+    elif quantity == "vminus1":
+        row[0] = 1.0
+    elif quantity == "statdim":
+        row[:] = np.arange(dim + 1)
+    elif quantity == "hk":
+        row[dim] = omega
+    else:
+        raise ValueError(f"run_estimate cannot handle quantity {quantity!r}")
+    return row
+
+
 def run_estimate(query: ExpectationQuery, config) -> MCEstimate:
     n, d, k, l = query.n, query.d, query.k, query.l
     flavor, quantity = query.flavor, query.quantity
@@ -672,8 +792,9 @@ def run_estimate(query: ExpectationQuery, config) -> MCEstimate:
         quantity, flavor, n, d, k, l, config.kappa.name, config.kappa.beta,
         config.subspace_reps,
     )
-    if quantity != "isect" and k == 0:
-        # k = 0 faces are points: the defined functionals are a.s. constants
+    if quantity != "isect" and (k == 0 or l == 0 and (quantity == "U" or quantity == "v" and k == 1)):
+        # a.s. constants: every functional of a point (k = 0), U_0 = 1/2
+        # (Gauss-Bonnet) and v_0 = U_0 - U_2 = U_0 at k = 1
         value = float(sp_eval(evaluate_query(query), 20))
         return MCEstimate(mean=value, stderr=0.0, reps=config.reps, degenerate_redraws=0, seed=config.seed)
     m, dim = n - d + k, k + 1
@@ -682,20 +803,25 @@ def run_estimate(query: ExpectationQuery, config) -> MCEstimate:
         raise ValueError("weighted sampler is isotropic only")
     S = config.subspace_reps
 
-    # U_k = v_k = half the two-sided line-hit probability = the solid fraction
-    key = "solid" if quantity in ("U", "v") and l == k else quantity
     omega = float(sp_eval(sphere_surface(k), 20)) if quantity == "hk" else None
-    values = {
-        "f": lambda cells, rng: fvec_values(cells, l),
-        "solid": lambda cells, rng: solid_fractions(cells, rng, S),
-        "U": lambda cells, rng: 0.5 * subspace_hits(cells, rng, k - l + 1, S),
-        "v": lambda cells, rng: 0.5 * np.subtract(*subspace_hits_paired(cells, rng, k - l + 1, S)),
-        "vminus1": lambda cells, rng: polar_fractions(cells, rng, S),
-        "statdim": statdim_values,
-        "hk": lambda cells, rng: omega * solid_fractions(cells, rng, S),
-    }.get(key)
-    if values is None:
-        raise ValueError(f"run_estimate cannot handle quantity {quantity!r}")
+    if quantity == "f":
+        values = lambda cells, rng: fvec_values(cells, l)
+    elif dim <= IVOL_MAX_DIM:
+        row = _ivol_row(quantity, l, dim, omega)
+        values = lambda cells, rng: ivol_vector(cells, rng, S) @ row
+    else:
+        # U_k = v_k = half the two-sided line-hit probability = the solid fraction
+        key = "solid" if quantity in ("U", "v") and l == k else quantity
+        values = {
+            "solid": lambda cells, rng: solid_fractions(cells, rng, S),
+            "U": lambda cells, rng: 0.5 * subspace_hits(cells, rng, k - l + 1, S),
+            "v": lambda cells, rng: 0.5 * np.subtract(*subspace_hits_paired(cells, rng, k - l + 1, S)),
+            "vminus1": lambda cells, rng: polar_fractions(cells, rng, S),
+            "statdim": statdim_values,
+            "hk": lambda cells, rng: omega * solid_fractions(cells, rng, S),
+        }.get(key)
+        if values is None:
+            raise ValueError(f"run_estimate cannot handle quantity {quantity!r}")
 
     def worker(rng, nb):
         if flavor == "typical":
@@ -747,7 +873,9 @@ def _sizebias_report(n, d, k, config, omega):
 
     def worker(rng, nb):
         cells = sample_typical_cells(rng, nb, n - d + k, k + 1)
-        h = omega * solid_fractions(cells, rng, config.subspace_reps)
+        S = config.subspace_reps
+        solid = ivol_vector(cells, rng, S)[:, -1] if k < IVOL_MAX_DIM else solid_fractions(cells, rng, S)
+        h = omega * solid
         return fvec_values(cells, 0) * h, h, cells.degenerate
 
     fh, h, deg = zip(*_batches(config.reps, config.seed, stream, worker))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from sphtess import mckernels
 from sphtess.combinat import cells_count
+from sphtess.geom import KappaFamily
 from sphtess.mckernels import (
     CellBatch,
     SampleAssertionError,
@@ -26,6 +27,7 @@ from sphtess.mckernels import (
     batch_rng,
     cones_intersect_batch,
     fvec_values,
+    ivol_vector,
     polar_fractions,
     project_batch,
     sample_typical_cells,
@@ -345,6 +347,65 @@ def test_grazing_draws_are_redrawn_and_counted(seed, dim, extra, typical, kind):
         assert cells.degenerate >= B
         smallest = np.linalg.svd(cells.normals[:, :dim], compute_uv=False)[:, -1]
         assert smallest.min() > 1e-9  # no built draw was kept
+
+
+# -- intrinsic volume vector vs the sampled routes ------------------------------
+
+
+def _ivol_cells(m, dim, beta):
+    local = batch_rng(41, m, dim)
+    if beta is None:
+        return sample_weighted_cells(local, 16, m, dim)
+    # the kappa cells of (n, d, k) = (m, dim - 1, dim - 1)
+    raw = mckernels._kappa_sampler(KappaFamily("pole_concentrated", beta), m, dim - 1, dim - 1)
+    return sample_typical_cells(local, 16, m, dim, raw_sampler=raw)
+
+
+def _assert_share(sampled, share, draws, what):
+    # a share of `draws` uniform draws per cell, within 5 binomial standard
+    # errors of twice the variance (the vector's v_4 is itself a share at
+    # dim 4), floored for shares near 0 or 1
+    sigma = np.sqrt(2 * np.maximum(share * (1 - share), 1e-3) / draws)
+    assert np.all(np.abs(sampled - share) <= 5 * sigma), (what, sampled - share)
+
+
+@pytest.mark.parametrize(
+    "m,dim,beta",
+    [(3, 2, None), (6, 2, None), (4, 3, None), (7, 3, None), (5, 4, None), (8, 4, None), (12, 4, None),
+     (4, 3, 4.0), (5, 4, 4.0)],
+)
+def test_ivol_vector_matches_sampled_routes(m, dim, beta):
+    cells = _ivol_cells(m, dim, beta)
+    local = batch_rng(43, m, dim)
+    vec = ivol_vector(cells, local, 20000)
+    assert np.allclose(vec[:, 0::2].sum(axis=1), 0.5) and np.allclose(vec[:, 1::2].sum(axis=1), 0.5)
+    S = 3000
+    for l in range(dim):
+        # Crofton: a uniform (dim-l)-subspace meets the cone with probability 2 U_l
+        _assert_share(subspace_hits(cells, local, dim - l, S), 2 * vec[:, l + 1 :: 2].sum(axis=1), S, ("U", l))
+    _assert_share(solid_fractions(cells, local, S), vec[:, dim], S, "v_dim")
+    _assert_share(polar_fractions(cells, local, S), vec[:, 0], S, "v_0")
+    # the definitional statdim: E ||Pi_C g||^2 over Gaussians g, per cell
+    # and over all cells
+    G = 750
+    g = local.standard_normal((cells.B, G, dim))
+    proj = project_batch(np.repeat(cells.normals, G, axis=0), g.reshape(-1, dim)).reshape(g.shape)
+    sq = np.einsum("bsd,bsd->bs", proj, proj)
+    diff, var = sq.mean(axis=1) - vec @ np.arange(dim + 1), sq.var(axis=1, ddof=1) / G
+    assert np.all(np.abs(diff) <= 5 * np.sqrt(var)), diff / np.sqrt(var)
+    assert abs(diff.sum()) <= 4 * math.sqrt(var.sum())
+
+
+def test_ivol_vector_duplicated_vertex_raises():
+    # a vertex ray entered a second time, under a subset that is no vertex,
+    # leaves some 2-face with one or three vertices
+    for m, dim in ((4, 2), (5, 3), (6, 4)):
+        cells = _cell_batch(4, m, dim)
+        ivol_vector(cells, batch_rng(0, 1, 0), 8)
+        real, spare = np.flatnonzero(cells.vert_sel[0])[0], np.flatnonzero(cells.vert_sel[0] == 0)[0]
+        cells.rays[0, spare], cells.vert_sel[0, spare] = cells.rays[0, real], cells.vert_sel[0, real]
+        with pytest.raises(SampleAssertionError):
+            ivol_vector(cells, batch_rng(0, 1, 0), 8)
 
 
 # -- solid fractions -----------------------------------------------------------

@@ -151,6 +151,22 @@ def test_estimate_k0_constants():
     assert est.mean == 0.5
 
 
+def test_estimate_u0_is_exact_without_draws(monkeypatch):
+    # U_0 = 1/2 for every face, and v_0 = U_0 at k = 1: exact constants with
+    # no cell drawn, at every dim
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a constant functional drew cells or subspaces")
+
+    for name in ("subspace_hits", "subspace_hits_paired", "sample_typical_cells", "sample_weighted_cells"):
+        monkeypatch.setattr(mckernels, name, no_draws)
+    queries = [ExpectationQuery("U", flavor, n, d, k, 0) for flavor in ("typical", "weighted")
+               for n, d, k in ((3, 2, 1), (4, 2, 2), (5, 3, 3), (6, 4, 4))]
+    queries.append(ExpectationQuery("v", "weighted", 4, 2, 1, 0))
+    for q in queries:
+        est = estimate(q, FAST)
+        assert est.mean == 0.5 and est.stderr == 0.0 and est.degenerate_redraws == 0, q
+
+
 def test_estimate_isect():
     est = estimate_isect("weighted", 3, 3, 2, FAST)
     exact = 13 / 8 - 9 / math.pi**2

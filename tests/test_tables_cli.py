@@ -183,9 +183,10 @@ def test_cli_kappa_at_large_beta():
 
 def test_cli_sample_assertion_is_an_error_line():
     # nearly parallel pole-concentrated normals break the Moreau assertion
-    # of a cone projection (see KappaFamily): an error line, not a traceback
-    res = run_cli("simulate", "--quantity", "statdim", "--flavor", "typical", "--n", "4", "--d", "2",
-                  "--k", "2", "--kappa", "pole:1e8", "--reps", "1100", "--seed", "99")
+    # of a cone projection, the statdim route at dim >= 5 (see KappaFamily):
+    # an error line, not a traceback
+    res = run_cli("simulate", "--quantity", "statdim", "--flavor", "typical", "--n", "5", "--d", "4",
+                  "--k", "4", "--kappa", "pole:1e8", "--reps", "1100", "--seed", "99")
     assert res.returncode == 2
     assert res.stderr == "error: per-sample assertion failed: Moreau orthogonality > 1e-8\n"
 
