@@ -69,7 +69,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--seed", type=int)
         p.add_argument("--kappa", default=None, help="iso or pole:BETA")
         p.add_argument("--subspace-reps", type=int)
-        p.add_argument("--config", help="JSON file with ExperimentConfig fields")
+        p.add_argument("--config", help="JSON object with any of reps, seed, kappa, subspace_reps")
         p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON (compare)")
 
     p_limit = sub.add_parser("limit", help="Euclidean-limit sweep")
@@ -181,29 +181,51 @@ def _cmd_table(args) -> int:
     return 0
 
 
+CONFIG_KEYS = ("reps", "seed", "kappa", "subspace_reps")
+
+
 def _load_config(args):
     from .simulate import ExperimentConfig
 
     base = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            base = json.load(fh)
-    kappa_text = args.kappa if args.kappa is not None else base.get("kappa", "iso")
-    kappa = _parse_kappa(kappa_text)
-    seed = args.seed if args.seed is not None else base.get("seed", 20240601)
+        try:
+            with open(args.config) as fh:
+                base = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"config file {args.config!r} cannot be read: {exc.strerror}") from exc
+        _check_config(base)
+    defaults = ExperimentConfig()
+    kappa_text = args.kappa if args.kappa is not None else base.get("kappa")
+    kappa = defaults.kappa if kappa_text is None else _parse_kappa(kappa_text)
+    seed = args.seed if args.seed is not None else base.get("seed", defaults.seed)
     env_seed = os.environ.get("SPHTESS_SEED")
     if env_seed is not None:
         seed = int(env_seed)
     return ExperimentConfig(
-        reps=args.reps if args.reps is not None else base.get("reps", 20000),
+        reps=args.reps if args.reps is not None else base.get("reps", defaults.reps),
         seed=seed,
         kappa=kappa,
         subspace_reps=(
             args.subspace_reps
             if args.subspace_reps is not None
-            else base.get("subspace_reps", 16)
+            else base.get("subspace_reps", defaults.subspace_reps)
         ),
     )
+
+
+def _check_config(base) -> None:
+    """A config file holds a JSON object with some of CONFIG_KEYS, integer
+    reps, seed and subspace_reps and a string kappa."""
+    if not isinstance(base, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(base) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"config file has unknown keys {unknown}; expected some of {list(CONFIG_KEYS)}")
+    for key, value in base.items():
+        kind = str if key == "kappa" else int
+        if type(value) is not kind:
+            raise ValueError(f"config file key {key!r} must be of type {kind.__name__}, got {value!r}")
 
 
 def _parse_kappa(text: str) -> KappaFamily:

@@ -44,13 +44,15 @@ class KappaFamily:
     at 1e18 and runs out at 1e19; (4, 2, 2) redraws 99 at 1e16 and 624 at
     1e17.
 
-    At k <= 3, statdim comes from closed-form angles and stays clean as
-    long as the samplers do: with ``simulate --quantity statdim --flavor
-    typical --reps 1100 --seed 99``, (4, 2, 2) and (5, 3, 3) run clean at
-    beta = 1e8, and at 1e12 redraw 4 and 1308 draws.  Cone projections,
-    statdim's route at k >= 4, break far earlier, because nearly parallel
-    normals are not flagged for redrawing: with the same command, (5, 4, 4)
-    runs clean at beta = 1e6 and fails the Moreau assertion from 1e7.
+    Statdim, like every quantity but f, is a row on the cell's conic
+    intrinsic volumes, and stays clean as long as the samplers do.  With
+    ``simulate --quantity statdim --flavor typical --reps 1100 --seed 99``,
+    (4, 2, 2) and (5, 3, 3), from closed-form angles, run clean at
+    beta = 1e8, and at 1e12 redraw 4 and 1308 draws.  (5, 4, 4), from
+    subspace hits and the solid fraction, runs clean at 1e7, redraws 174
+    draws at 1e8 and 3693 at 3e8, and runs out of redraw rounds at 1e9; f
+    at (5, 4, 4) redraws 196 at 1e8 and runs out at 1e9 too, so the
+    samplers set the limit there.
     """
 
     name: str = "isotropic"

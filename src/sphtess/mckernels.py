@@ -22,25 +22,32 @@ form, vectorized over replication batches:
   replication and count the redraw, as they do a pole-concentrated draw
   with nearly dependent cutters, all through one loop (``_redraw``) of at
   most MAX_REDRAW_ROUNDS rounds, past which it raises DegenerateInput;
-* at dim <= 4 (IVOL_MAX_DIM) one kernel, ``ivol_vector``, gives each
-  cell's conic intrinsic volumes (v_0, ..., v_dim) from closed-form angles
-  at its vertices and 2-faces and the Gauss-Bonnet relations, with v_4
-  the only sampled entry (a solid fraction).  U, v, v_{-1}, statdim and
-  H^k are rows of coefficients applied to it; U_0 = 1/2 (and v_0 at
-  k = 1) is returned as an exact constant without sampling;
-* at dim >= 5 each quantity keeps its own sampled functional: subspace
-  hits for U and v, polar membership (a dot-product test against the
-  cell's extreme rays) for v_{-1}, the solid fraction for H^k, and cone
-  projections for statdim, where the nearest point of a cone to g is the
-  feasible point nearest to g among the apex and the projections of g
-  onto the spans of the candidate faces (every active set of fewer than
-  dim constraints), each a small Gram solve vectorized over the batch.
+* U, v, v_{-1}, statdim and H^k are rows of coefficients applied to each
+  cell's conic intrinsic volumes (v_0, ..., v_dim), one functional
+  (``ivol_values``) at every dim; U_0 = 1/2 (and v_0 at k = 1) is
+  returned as an exact constant without sampling.  At dim <= 4
+  (IVOL_MAX_DIM) the row multiplies ``ivol_vector``, which takes the
+  vector from closed-form angles at the cell's vertices and 2-faces and
+  the Gauss-Bonnet relations, with v_4 the only sampled entry (a solid
+  fraction);
+* at dim >= 5 the row is rewritten onto the Quermass integrals through
+  v_j = U_{j-1} - U_{j+1}, and each U_l it needs is half a subspace-hit
+  fraction (nested hits from one Gaussian frame) or, for U_{dim-1} = v_dim,
+  the solid fraction.
+
+The sampled routes the row replaces stay as test references: polar
+membership (a dot-product test against the cell's extreme rays) for
+v_{-1}, separate and paired subspace hits for U and v, and cone
+projections for statdim, where the nearest point of a cone to g is the
+feasible point nearest to g among the apex and the projections of g onto
+the spans of the candidate faces (every active set of fewer than dim
+constraints), each a small Gram solve vectorized over the batch.
 
 Every kernel is equivalence-tested against an independent LP route that
 lives with the tests (``tests/lp_oracle.py``) or against the sampled
 functionals, and the per-sample structural assertions (cell count = C(m,k),
-Euler relation, Moreau orthogonality, two vertices per 2-face and the
-Gauss-Bonnet bounds) are enforced here on every replication.
+Euler relation, two vertices per 2-face and the Gauss-Bonnet bounds, and
+Moreau orthogonality in the projections) are enforced on every replication.
 
 Determinism: every estimate runs its batches in order in one thread; batch
 j of a (seed, stream) pair draws from an independently keyed Philox
@@ -570,6 +577,34 @@ def ivol_vector(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndar
     return out
 
 
+def ivol_values(cells: CellBatch, rng: np.random.Generator, pts: int, row: np.ndarray) -> np.ndarray:
+    """row . (v_0, ..., v_dim) of each cell: (B,).
+
+    At dim <= 4 this is ``ivol_vector`` times the row.  Beyond, the row is
+    rewritten onto the Quermass integrals: v_j = U_{j-1} - U_{j+1} with
+    U_{-1} = U_0 = 1/2 and U_dim = U_{dim+1} = 0, so U_l carries the
+    coefficient c_l = row_{l+1} - row_{l-1}, and only the U_l with c_l != 0
+    are sampled.  For 1 <= l <= dim-2, U_l is half the fraction of ``pts``
+    uniform (dim-l)-dim subspaces meeting the cone, all spanned by leading
+    columns of one Gaussian frame per point, so that the fractions are
+    nested; U_{dim-1} = v_dim is the solid fraction.
+    """
+    dim = cells.dim
+    if dim <= IVOL_MAX_DIM:
+        return ivol_vector(cells, rng, pts) @ row
+    c = np.array(row, dtype=float)  # c[l + 1] = c_l for l = -1, ..., dim-1
+    c[2:] -= row[: dim - 1]
+    out = np.full(cells.B, 0.5 * (c[0] + c[1]))
+    hit = [l for l in range(1, dim - 1) if c[l + 1]]
+    if hit:
+        frames = rng.standard_normal((cells.B, pts, dim, dim - hit[0]))
+        for l in hit:
+            out += c[l + 1] * 0.5 * _hit_fraction(cells, frames, dim - l)
+    if c[dim]:
+        out += c[dim] * solid_fractions(cells, rng, pts)
+    return out
+
+
 def subspace_hits(
     cells: CellBatch, rng: np.random.Generator, j: int, reps: int
 ) -> np.ndarray:
@@ -806,22 +841,9 @@ def run_estimate(query: ExpectationQuery, config) -> MCEstimate:
     omega = float(sp_eval(sphere_surface(k), 20)) if quantity == "hk" else None
     if quantity == "f":
         values = lambda cells, rng: fvec_values(cells, l)
-    elif dim <= IVOL_MAX_DIM:
-        row = _ivol_row(quantity, l, dim, omega)
-        values = lambda cells, rng: ivol_vector(cells, rng, S) @ row
     else:
-        # U_k = v_k = half the two-sided line-hit probability = the solid fraction
-        key = "solid" if quantity in ("U", "v") and l == k else quantity
-        values = {
-            "solid": lambda cells, rng: solid_fractions(cells, rng, S),
-            "U": lambda cells, rng: 0.5 * subspace_hits(cells, rng, k - l + 1, S),
-            "v": lambda cells, rng: 0.5 * np.subtract(*subspace_hits_paired(cells, rng, k - l + 1, S)),
-            "vminus1": lambda cells, rng: polar_fractions(cells, rng, S),
-            "statdim": statdim_values,
-            "hk": lambda cells, rng: omega * solid_fractions(cells, rng, S),
-        }.get(key)
-        if values is None:
-            raise ValueError(f"run_estimate cannot handle quantity {quantity!r}")
+        row = _ivol_row(quantity, l, dim, omega)
+        values = lambda cells, rng: ivol_values(cells, rng, S, row)
 
     def worker(rng, nb):
         if flavor == "typical":
@@ -870,12 +892,11 @@ def run_consistency(n: int, d: int, k: int, config, parts=("a", "b", "c")) -> li
 def _sizebias_report(n, d, k, config, omega):
     # (a) size bias: E[f0(Z) H^k(Z)] / E[H^k(Z)] vs E[f0(W)]
     stream = stream_id("sizebias", n, d, k)
+    row = _ivol_row("hk", None, k + 1, omega)
 
     def worker(rng, nb):
         cells = sample_typical_cells(rng, nb, n - d + k, k + 1)
-        S = config.subspace_reps
-        solid = ivol_vector(cells, rng, S)[:, -1] if k < IVOL_MAX_DIM else solid_fractions(cells, rng, S)
-        h = omega * solid
+        h = ivol_values(cells, rng, config.subspace_reps, row)
         return fvec_values(cells, 0) * h, h, cells.degenerate
 
     fh, h, deg = zip(*_batches(config.reps, config.seed, stream, worker))

@@ -80,6 +80,12 @@ class ExpectationQuery:
         else:
             if self.n < self.d + 1:
                 raise ValueError(f"weighted formulas need n >= d+1, got n={self.n}")
+        if self.quantity in ("f", "U", "v"):
+            if self.l is None:
+                raise ValueError(f"quantity {self.quantity!r} needs l")
+            top = self.k - 1 if self.quantity == "f" else self.k
+            if not 0 <= self.l <= top:
+                raise ValueError(f"quantity {self.quantity!r} needs 0 <= l <= {top} at k={self.k}, got l={self.l}")
 
 
 GAMMA_STAR = "gamma_star"
@@ -496,16 +502,10 @@ def evaluate_query(q: ExpectationQuery) -> SqrtPiPoly:
     q.validate()
     typ = q.flavor == "typical"
     if q.quantity == "f":
-        if q.l is None:
-            raise ValueError("quantity 'f' needs l")
         return (ef_typical if typ else ef_weighted)(q.n, q.d, q.k, q.l)
     if q.quantity == "U":
-        if q.l is None:
-            raise ValueError("quantity 'U' needs l")
         return (u_typical if typ else u_weighted)(q.n, q.d, q.k, q.l)
     if q.quantity == "v":
-        if q.l is None:
-            raise ValueError("quantity 'v' needs l")
         return (v_typical if typ else v_weighted)(q.n, q.d, q.k, q.l)
     if q.quantity == "vminus1":
         if typ:

@@ -27,6 +27,7 @@ from sphtess.mckernels import (
     batch_rng,
     cones_intersect_batch,
     fvec_values,
+    ivol_values,
     ivol_vector,
     polar_fractions,
     project_batch,
@@ -392,6 +393,52 @@ def test_ivol_vector_matches_sampled_routes(m, dim, beta):
     proj = project_batch(np.repeat(cells.normals, G, axis=0), g.reshape(-1, dim)).reshape(g.shape)
     sq = np.einsum("bsd,bsd->bs", proj, proj)
     diff, var = sq.mean(axis=1) - vec @ np.arange(dim + 1), sq.var(axis=1, ddof=1) / G
+    assert np.all(np.abs(diff) <= 5 * np.sqrt(var)), diff / np.sqrt(var)
+    assert abs(diff.sum()) <= 4 * math.sqrt(var.sum())
+
+
+def _share_var(p, draws):
+    # binomial variance of a share of `draws` draws, floored for shares near 0 or 1
+    p = np.clip(p, 0, 1)
+    return np.maximum(p * (1 - p), 1e-3) / draws
+
+
+@pytest.mark.parametrize("m,dim", [(6, 5), (7, 5), (7, 6)])
+@pytest.mark.parametrize("beta", [None, 4.0], ids=["iso", "pole4"])
+def test_ivol_values_matches_sampled_routes_at_high_dim(m, dim, beta):
+    # beyond IVOL_MAX_DIM every row goes through the Quermass integrals;
+    # each check is within 5 standard errors of the difference of two
+    # independent per-cell estimates
+    cells = _ivol_cells(m, dim, beta)
+    local = batch_rng(44, m, dim)
+    S = 1000
+
+    def row(quantity, l=None):
+        return mckernels._ivol_row(quantity, l, dim, None)
+
+    U = [ivol_values(cells, local, S, row("U", l)) for l in range(dim)]
+    for l in range(dim):
+        # Crofton: a uniform (dim-l)-subspace meets the cone with probability
+        # 2 U_l; U_{dim-1} is the solid fraction, a share itself
+        hits = subspace_hits(cells, local, dim - l, S)
+        own = 4 * _share_var(U[l], S) if l == dim - 1 else _share_var(2 * U[l], S)
+        diff = hits - 2 * U[l]
+        assert np.all(np.abs(diff) <= 5 * np.sqrt(own + _share_var(hits, S))), ("U", l, diff)
+    # v_{-1} = 1/2 - U_1
+    vm1 = ivol_values(cells, local, S, row("vminus1"))
+    polar = polar_fractions(cells, local, S)
+    diff = polar - vm1
+    assert np.all(np.abs(diff) <= 5 * np.sqrt(_share_var(1 - 2 * vm1, S) / 4 + _share_var(polar, S))), diff
+    # statdim = 1/2 + 2 (U_1 + ... + U_{dim-1}) from nested hits, whose
+    # standard errors add up, against the definitional E ||Pi_C g||^2 over
+    # Gaussians g, per cell and over all cells
+    sd = ivol_values(cells, local, S, row("statdim"))
+    own = sum(np.sqrt(_share_var(2 * U[l], S)) for l in range(1, dim - 1)) + 2 * np.sqrt(_share_var(U[-1], S))
+    G = 400
+    g = local.standard_normal((cells.B, G, dim))
+    proj = project_batch(np.repeat(cells.normals, G, axis=0), g.reshape(-1, dim)).reshape(g.shape)
+    sq = np.einsum("bsd,bsd->bs", proj, proj)
+    diff, var = sq.mean(axis=1) - sd, sq.var(axis=1, ddof=1) / G + own**2
     assert np.all(np.abs(diff) <= 5 * np.sqrt(var)), diff / np.sqrt(var)
     assert abs(diff.sum()) <= 4 * math.sqrt(var.sum())
 

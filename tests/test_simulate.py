@@ -109,6 +109,11 @@ def test_compare_isect_d4():
         ExpectationQuery("U", "weighted", 6, 4, 4, 1),  # hits of 4-dim subspaces
         ExpectationQuery("v", "weighted", 6, 4, 4, 1),
         ExpectationQuery("statdim", "weighted", 6, 4, 4),
+        # m = 7 normals in R^5: every coefficient row at dim 5
+        ExpectationQuery("vminus1", "weighted", 7, 4, 4),
+        ExpectationQuery("hk", "typical", 7, 4, 4),
+        ExpectationQuery("statdim", "typical", 7, 4, 4),
+        ExpectationQuery("U", "typical", 7, 4, 4, 2),
     ]
     + [ExpectationQuery("f", flavor, 6, 4, 4, l) for flavor in ("weighted", "typical") for l in range(4)],
     ids=lambda q: f"{q.quantity}-{q.flavor}-l{q.l}",
@@ -157,7 +162,7 @@ def test_estimate_u0_is_exact_without_draws(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("a constant functional drew cells or subspaces")
 
-    for name in ("subspace_hits", "subspace_hits_paired", "sample_typical_cells", "sample_weighted_cells"):
+    for name in ("_hit_fraction", "solid_fractions", "ivol_vector", "sample_typical_cells", "sample_weighted_cells"):
         monkeypatch.setattr(mckernels, name, no_draws)
     queries = [ExpectationQuery("U", flavor, n, d, k, 0) for flavor in ("typical", "weighted")
                for n, d, k in ((3, 2, 1), (4, 2, 2), (5, 3, 3), (6, 4, 4))]

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from sphtess import appendix_data as app
+from sphtess import cli, mckernels
 from sphtess.exactnum import sp_parse
 from sphtess.figures import figure_csv
 from sphtess.moments import ef_typical
@@ -181,14 +182,64 @@ def test_cli_kappa_at_large_beta():
     assert res.stderr.startswith("error: ") and "redraw rounds" in res.stderr
 
 
-def test_cli_sample_assertion_is_an_error_line():
-    # nearly parallel pole-concentrated normals break the Moreau assertion
-    # of a cone projection, the statdim route at dim >= 5 (see KappaFamily):
-    # an error line, not a traceback
+def test_cli_sample_assertion_is_an_error_line(monkeypatch, capsys):
+    # a failed per-sample assertion is an error line, not a traceback
+    def broken(*args, **kwargs):
+        raise mckernels.SampleAssertionError("Gauss-Bonnet: v_3 or 1/2 - v_2 below -1e-12")
+
+    monkeypatch.setattr(mckernels, "ivol_vector", broken)
+    code = cli.main(["simulate", "--quantity", "statdim", "--flavor", "typical", "--n", "4", "--d", "2",
+                     "--k", "2", "--reps", "200"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: per-sample assertion failed: Gauss-Bonnet: v_3 or 1/2 - v_2 below -1e-12\n"
+    )
+    # nearly parallel pole-concentrated normals, which broke the Moreau
+    # assertion of the cone projections statdim once used at dim >= 5: the
+    # samplers redraw the grazing draws (see KappaFamily)
     res = run_cli("simulate", "--quantity", "statdim", "--flavor", "typical", "--n", "5", "--d", "4",
                   "--k", "4", "--kappa", "pole:1e8", "--reps", "1100", "--seed", "99")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["degenerate_redraws"] == 174
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--quantity", "U", "--n", "4", "--d", "2", "--k", "2"),
+        ("--quantity", "v", "--n", "4", "--d", "2", "--k", "2", "--l", "5"),
+        ("--quantity", "f", "--n", "4", "--d", "2", "--k", "2"),
+        ("--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l", "2"),
+    ],
+    ids=["U-no-l", "v-l-too-large", "f-no-l", "f-l-equals-k"],
+)
+def test_cli_simulate_rejects_bad_l(args):
+    res = run_cli("simulate", *args, "--reps", "200")
     assert res.returncode == 2
-    assert res.stderr == "error: per-sample assertion failed: Moreau orthogonality > 1e-8\n"
+    assert res.stderr.startswith("error: quantity ") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"rep": 300, "subspace_rep": 2}, {"reps": "300"}, {"seed": 1.5}, {"subspace_reps": True},
+     {"kappa": 4}, {"threads": 1}, {"z_fail": 3.0}, [300]],
+    ids=["misspelled", "string-reps", "float-seed", "bool-subspace-reps", "number-kappa", "threads",
+         "z-fail", "not-an-object"],
+)
+def test_cli_config_rejects_unknown_keys_and_types(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    res = run_cli("simulate", "--quantity", "U", "--n", "3", "--d", "2", "--k", "2", "--l", "1",
+                  "--config", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: config ") and "Traceback" not in res.stderr
+
+
+def test_cli_config_missing_file(tmp_path):
+    res = run_cli("simulate", "--quantity", "U", "--n", "3", "--d", "2", "--k", "2", "--l", "1",
+                  "--config", str(tmp_path / "missing.json"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: config file ") and "Traceback" not in res.stderr
 
 
 def test_cli_warns_on_high_redraw_rate():
