@@ -1,11 +1,10 @@
 """Exact-arithmetic engine and Monte Carlo simulator for spherical faces of
 random great-hypersphere tessellations."""
 
-from .exactnum import BigRational, SqrtPiPoly, sp_eval, sp_format, sp_parse
+from .exactnum import SqrtPiPoly, sp_eval, sp_format, sp_parse
 from .moments import ExpectationQuery, EuclidQuery, evaluate_query
 
 __all__ = [
-    "BigRational",
     "SqrtPiPoly",
     "sp_eval",
     "sp_format",

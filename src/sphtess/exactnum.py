@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
 
 __all__ = [
-    "BigRational",
     "SqrtPiPoly",
     "ZERO",
     "ONE",
@@ -34,10 +33,6 @@ __all__ = [
     "pi_decimal",
     "ParseError",
 ]
-
-# Arbitrary-precision reduced fractions; ``fractions.Fraction`` already keeps
-# gcd(|num|, den) = 1 with den >= 1 and is exact under arithmetic.
-BigRational = Fraction
 
 RationalLike = Union[int, Fraction]
 

@@ -7,7 +7,9 @@ form, vectorized over replication batches:
   m >= k+1 normals every cell of the central arrangement in R^{k+1} is a
   pointed cone whose extreme rays are the +-nullspace directions of the
   k-subsets, and each of the 2^k local sign resolutions around a ray belongs
-  to exactly one cell;
+  to exactly one cell; a subset's nullspace direction is one generalized
+  cross product at every dim, its minors grown by Laplace expansion one
+  row at a time (``_nullspace_rays``);
 * every cone question goes through one primitive: each (j-1)-subset of
   the rows of {y in R^j : R y >= 0} spans a candidate ray, which is an
   extreme ray iff every other margin lies beyond the tolerance band on one
@@ -164,32 +166,47 @@ def _nullspace_rays(rows: np.ndarray) -> np.ndarray:
 
     Components first, so that every product runs over contiguous memory:
     rows (dim-1, dim, ...) -> (dim, ...), unnormalized.
+
+    A generalized cross product: up to one sign for all components,
+    component i is (-1)^i times the minor of the rows without column i.
+    The minors of rows 0..r over each set of r+1 columns come from those of
+    rows 0..r-1 by Laplace expansion along row r (``_expand``), starting
+    from the empty minor; the expansion along the last row carries the signs.
     """
     dim = rows.shape[1]
     if dim == 1:
         return np.ones((1,) + rows.shape[2:])  # the empty subset spans R^1
-    if dim == 2:
-        u = rows[0]
-        return np.stack([-u[1], u[0]])
-    if dim == 3:
-        a, b = rows
-        return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
-    if dim == 4:
-        # generalized cross product: 2x2 minors of rows 0 and 1, then the
-        # signed 3x3 cofactors by expansion along row 2
-        a, b, c = rows
-        p = {(i, j): a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(4), 2)}
-        return np.stack(
-            [
-                c[1] * p[2, 3] - c[2] * p[1, 3] + c[3] * p[1, 2],
-                -c[0] * p[2, 3] + c[2] * p[0, 3] - c[3] * p[0, 2],
-                c[0] * p[1, 3] - c[1] * p[0, 3] + c[3] * p[0, 1],
-                -c[0] * p[1, 2] + c[1] * p[0, 2] - c[2] * p[0, 1],
-            ]
-        )
-    mats = np.moveaxis(rows, (0, 1), (-2, -1))
-    cols = np.arange(dim)
-    return np.stack([((-1) ** i) * np.linalg.det(mats[..., cols != i]) for i in range(dim)])
+    minors = {(): None}
+    for r in range(dim - 2):
+        minors = {cols: _expand(rows[r], cols, minors) for cols in itertools.combinations(range(dim), r + 1)}
+    rest = [tuple(c for c in range(dim) if c != i) for i in range(dim)]
+    return np.stack([_expand(rows[dim - 2], cols, minors, i % 2 == 0) for i, cols in enumerate(rest)])
+
+
+def _expand(row: np.ndarray, cols: tuple, minors: dict, negate: bool = False) -> np.ndarray:
+    """The minor over ``cols`` by Laplace expansion along ``row``, or its negative.
+
+    ``minors`` maps every len(cols)-1 of the columns to the minor of the
+    rows above (None: the empty minor, 1).  The sum row[c_0] m_0 - row[c_1] m_1
+    + ... runs left to right; its negative starts row[c_1] m_1 - row[c_0] m_0,
+    which rounds exactly as the negated sum, so a sign costs an array pass
+    only for a single column.  With two or more columns every term is a
+    fresh product, so the sum runs in place.
+    """
+    acc = None
+    for t, c in enumerate(cols):
+        minor = minors[cols[:t] + cols[t + 1 :]]
+        term = row[c] if minor is None else row[c] * minor
+        if t == 0:
+            acc = term
+        elif t == 1 and negate:
+            term -= acc
+            acc = term
+        elif (t % 2 == 0) != negate:
+            acc += term
+        else:
+            acc -= term
+    return -acc if negate and len(cols) == 1 else acc
 
 
 def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
@@ -282,9 +299,6 @@ class CellBatch:
     def vertices_masked(self) -> Tuple[np.ndarray, np.ndarray]:
         """(B, nC, dim) signed vertices with a (B, nC) validity mask."""
         return self.rays * self.vert_sel[..., None], self.vert_sel != 0
-
-    def f0(self) -> np.ndarray:
-        return np.count_nonzero(self.vert_sel, axis=1)
 
 
 def _redraw(B: int, draw):

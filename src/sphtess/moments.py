@@ -72,14 +72,7 @@ class ExpectationQuery:
             raise ValueError(f"unknown quantity {self.quantity!r}")
         if self.flavor not in ("typical", "weighted"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if not 0 <= self.k <= self.d:
-            raise ValueError(f"need 0 <= k <= d, got k={self.k}, d={self.d}")
-        if self.flavor == "typical":
-            if self.n < self.d - self.k:
-                raise ValueError(f"typical formulas need n >= d-k, got n={self.n}")
-        else:
-            if self.n < self.d + 1:
-                raise ValueError(f"weighted formulas need n >= d+1, got n={self.n}")
+        _check_face_indices(self.n, self.d, self.k, weighted=self.flavor == "weighted")
         if self.quantity in ("f", "U", "v"):
             if self.l is None:
                 raise ValueError(f"quantity {self.quantity!r} needs l")
@@ -116,6 +109,20 @@ def _check_face_indices(n: int, d: int, k: int, weighted: bool) -> int:
     return n - d + k
 
 
+def _ba_series(M: int, cs: Iterable[int], L: int) -> SqrtPiPoly:
+    """The weighted formulas' sum over c in cs of c^2 B{M, c+1} A[c-1, L].
+
+    The c = 0 summand, 0^2 B{M, 1} A[-1, -1], stands for 2/pi B{M, 1}.
+    """
+    total = ZERO
+    for c in cs:
+        if c == 0:
+            total = total + coeff_B(M, 1) * SqrtPiPoly.pi_power(-1, 2)
+        else:
+            total = total + coeff_B(M, c + 1).scale(c * c) * coeff_A(c - 1, L)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Expected f-vectors.
 # ---------------------------------------------------------------------------
@@ -143,15 +150,7 @@ def ef_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
     pref = SqrtPiPoly.pi_power(
         d - l - n, Fraction(math.factorial(N), math.factorial(k - l))
     )
-    total = ZERO
-    for s in range(l // 2 + 1):
-        c = k - 2 * s - 1
-        if c == 0:
-            # 0^2 * A[-1,-1] stands for 2/pi; here l = k-1 necessarily
-            total = total + coeff_B(N, 1) * SqrtPiPoly.pi_power(-1, 2)
-        else:
-            total = total + coeff_B(N, k - 2 * s).scale(c * c) * coeff_A(c - 1, k - l - 2)
-    return pref * total
+    return pref * _ba_series(N, (k - 2 * s - 1 for s in range(l // 2 + 1)), k - l - 2)
 
 
 def hk_typical_mean(n: int, d: int, k: int) -> SqrtPiPoly:
@@ -181,14 +180,7 @@ def u_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
         # U_0 = 1/2 almost surely; the series below only covers l >= 1.
         return SqrtPiPoly.rational(Fraction(1, 2))
     pref = SqrtPiPoly.pi_power(-N, Fraction(math.factorial(N), 2))
-    total = ZERO
-    for s in range((k - l) // 2 + 1):
-        c = k - 2 * s - 1
-        if c == 0:
-            total = total + coeff_B(N + l, 1) * SqrtPiPoly.pi_power(-1, 2)
-        else:
-            total = total + coeff_B(N + l, k - 2 * s).scale(c * c) * coeff_A(c - 1, l - 2)
-    return pref * total
+    return pref * _ba_series(N + l, (k - 2 * s - 1 for s in range((k - l) // 2 + 1)), l - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +206,11 @@ def v_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
 def v_minus1_weighted(n: int, d: int, k: int) -> SqrtPiPoly:
     """E v_{-1}(W): content of the polar of the weighted face (isotropic)."""
     N = _check_face_indices(n, d, k, weighted=True)
-    ms = [m for m in range(k + 2, N + 2) if (m - k) % 2 == 0]
-    if not ms:
+    cs = range(k + 1, N + 1, 2)
+    if not cs:
         raise ValueError(f"v_minus1 needs n >= d+1 with a nonempty sum, got n={n}")
     pref = SqrtPiPoly.pi_power(-N, Fraction(math.factorial(N), 2))
-    total = ZERO
-    for m in ms:
-        total = total + coeff_B(N + 1, m).scale((m - 1) ** 2) * coeff_A(m - 2, -1)
-    return pref * total
+    return pref * _ba_series(N + 1, cs, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_finalize_variance_is_stable_at_large_mean():
 
 
 def test_compare_isect_d4():
-    # cells in R^5: the nullspace rays of 4 x 5 subsets use the cofactor route
+    # cells in R^5: the nullspace rays of 4 x 5 subsets expand 4 x 4 minors
     rep = compare(ExpectationQuery("isect", "weighted", 5, 4, 4, m=5), ExperimentConfig(reps=4096, seed=3))
     assert abs(rep.z_score) <= 4
     assert rep.estimate.degenerate_redraws <= 4096 * 1e-3

@@ -1,12 +1,15 @@
-"""Print every Monte Carlo estimate of the benchmark's workloads, one line each.
+"""Print every Monte Carlo estimate of the benchmark's workloads and d = 4 tests, one line each.
 
     python3 tools/estimate_digest.py --root DIR --seeds 9101 9102 9103
 
 Imports the package from ``DIR/src`` and the workloads from ``DIR/sphbench``,
 builds the operations of ``acceptance-mc`` and ``large-arrangements`` for each
-seed and runs them in order.  Each line holds the workload, the seed, the
-operation's label, ``repr`` of the mean and of the stderr, the reps and the
-redraws, tab-separated; an operation that raises prints its error instead.
+seed and runs them in order.  Then it runs the d = 4 comparisons of
+``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
+seed 3), which reach the kernels at dim 5 that the workloads do not.  Each
+line holds the workload (``d4`` for those), the seed, the operation's label,
+``repr`` of the mean and of the stderr, the reps and the redraws,
+tab-separated; an operation that raises prints its error instead.
 
 A change meant to keep every estimate bit-identical is checked by running
 this on a checkout of the parent commit (``git worktree add``) and on the
@@ -20,6 +23,34 @@ import os
 import sys
 
 WORKLOADS = ("acceptance-mc", "large-arrangements")
+D4_SEED = 3
+# (quantity, flavor, n, d, k, l, m) of the d = 4 comparisons in tests/test_simulate.py
+D4_CELLS = [
+    ("isect", "weighted", 5, 4, 4, None, 5),
+    ("U", "weighted", 6, 4, 4, 1, None),
+    ("v", "weighted", 6, 4, 4, 1, None),
+    ("statdim", "weighted", 6, 4, 4, None, None),
+    ("vminus1", "weighted", 7, 4, 4, None, None),
+    ("hk", "typical", 7, 4, 4, None, None),
+    ("statdim", "typical", 7, 4, 4, None, None),
+    ("U", "typical", 7, 4, 4, 2, None),
+] + [("f", flavor, 6, 4, 4, l, None) for flavor in ("weighted", "typical") for l in range(4)]
+
+
+def _fields(run):
+    try:
+        out = run()
+    except Exception as exc:  # a failing operation is part of the digest
+        return [f"error {type(exc).__name__}: {exc}"]
+    return [repr(out["mean"]), repr(out["stderr"]), str(out["reps"]), str(out["redraws"])]
+
+
+def _compare(cell):
+    from sphtess.moments import ExpectationQuery
+    from sphtess.simulate import ExperimentConfig, compare
+
+    est = compare(ExpectationQuery(*cell), ExperimentConfig(reps=4096, seed=D4_SEED)).estimate
+    return {"mean": est.mean, "stderr": est.stderr, "reps": est.reps, "redraws": est.degenerate_redraws}
 
 
 def main(argv=None) -> int:
@@ -34,13 +65,11 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         for seed in args.seeds:
             for op in workloads.build_ops(workload, seed):
-                try:
-                    out = workloads.run_op(op)
-                except Exception as exc:  # a failing operation is part of the digest
-                    fields = [f"error {type(exc).__name__}: {exc}"]
-                else:
-                    fields = [repr(out["mean"]), repr(out["stderr"]), str(out["reps"]), str(out["redraws"])]
+                fields = _fields(lambda: workloads.run_op(op))
                 print("\t".join([workload, str(seed), op.label] + fields), flush=True)
+    for cell in D4_CELLS:
+        label = "{}-{}-n{}-d{}-k{}-l{}-m{}".format(*cell)
+        print("\t".join(["d4", str(D4_SEED), label] + _fields(lambda: _compare(cell))), flush=True)
     return 0
 
 
