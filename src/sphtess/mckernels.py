@@ -14,16 +14,19 @@ form, vectorized over replication batches:
   the rows of {y in R^j : R y >= 0} spans a candidate ray, which is an
   extreme ray iff every other margin lies beyond the tolerance band on one
   side, and a pointed cone with generic rows is nontrivial iff it has an
-  extreme ray (Cover & Efron 1967).  Cell vertices and the enumeration
-  masks use the cell's normals.  Every "does this cone meet ..." question
-  is one predicate on top of it (``_meets``): a cone meets a uniform j-dim
-  subspace, the span of a standard Gaussian (dim, j) frame, iff the normals
-  restricted to the frame leave an extreme ray; two cones intersect iff
-  their stacked normals do.  A ray whose class hinges on margins within
-  the band is grazing: the samplers and the intersection test redraw that
-  replication and count the redraw, as they do a pole-concentrated draw
-  with nearly dependent cutters, all through one loop (``_redraw``) of at
-  most MAX_REDRAW_ROUNDS rounds, past which it raises DegenerateInput;
+  extreme ray (Cover & Efron 1967).  Both samplers make one pass over each
+  drawn arrangement: the typical cell is picked from the enumeration masks
+  of its margins, and either cell's vertices are the sign classes of the
+  margins flipped to the cell's sides.  Every "does this cone meet ..."
+  question is one predicate on top of it (``_meets``): a cone meets a
+  uniform j-dim subspace, the span of a standard Gaussian (dim, j) frame,
+  iff the normals restricted to the frame leave an extreme ray; two cones
+  intersect iff their stacked normals do.  A ray whose class hinges on
+  margins within the band is grazing: the samplers and the intersection
+  test redraw that replication and count the redraw, as they do a
+  pole-concentrated draw with nearly dependent cutters, all through one
+  loop (``_redraw``) of at most MAX_REDRAW_ROUNDS rounds, past which it
+  raises DegenerateInput;
 * U, v, v_{-1}, statdim and H^k are rows of coefficients applied to each
   cell's conic intrinsic volumes (v_0, ..., v_dim), one functional
   (``ivol_values``) at every dim; U_0 = 1/2 (and v_0 at k = 1) is
@@ -68,7 +71,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .combinat import cells_count
+from .combinat import cells_count, faces_count
 from .exactnum import sp_eval, sphere_surface
 from .geom import DegenerateInput, KappaFamily, sample_vmf_mixture
 from .moments import ExpectationQuery, ef_typical, ef_weighted, evaluate_query
@@ -217,30 +220,34 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
 
     * ``rays`` (..., P, j): the unit direction of the line;
     * ``margins`` (..., P, M): ray . row for every row;
-    * ``sign`` (..., P) int8: +1 (-1) when every other margin lies above
-      _TOL (below -_TOL), so that +ray (-ray) is an extreme ray; else 0;
-    * ``grazing`` (..., P): the subset's rows are dependent, or the sign
-      class hinges on margins within _TOL of zero.
+    * ``null`` (..., P): the subset's rows are dependent.
 
-    A subset's own margins vanish, so counting the margins beyond the band
-    needs no mask.  A pointed cone with generic rows is nontrivial iff some
-    subset has a nonzero sign class (Cover & Efron 1967).
+    ``_sign_classes`` reads which of +-ray is an extreme ray from the margins.
     """
-    M, j = R.shape[-2:]
     comps = np.ascontiguousarray(np.moveaxis(R, (-2, -1), (0, 1)))  # (M, j, ...)
     rays = _nullspace_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, ...)
     norms = np.sqrt(sum(r * r for r in rays))
     null = norms < 1e-12
     rays /= np.where(null, 1.0, norms)
     rays = np.ascontiguousarray(np.moveaxis(rays, (0, 1), (-1, -2)))
-    margins = rays @ np.swapaxes(R, -1, -2)
+    return rays, rays @ np.swapaxes(R, -1, -2), np.moveaxis(null, 0, -1)
+
+
+def _sign_classes(margins: np.ndarray, others: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sign class and hinge flag of each candidate ray from its margins (..., P, M).
+
+    Returns ``sign`` (..., P) int8: +1 (-1) when all ``others`` margins of
+    the rows outside the subset lie above _TOL (below -_TOL), so that +ray
+    (-ray) is an extreme ray, else 0; and ``hinged`` (..., P): the class
+    hinges on margins within _TOL.  A subset's own margins vanish, so the
+    count needs no mask.  Negation is exact, so margins flipped per row give
+    the classes of the cone with those rows negated, bit for bit.
+    """
     # einsum sums the short last axis several times faster than count_nonzero
     pos = np.einsum("...m->...", margins > _TOL, dtype=np.intp)
     neg = np.einsum("...m->...", margins < -_TOL, dtype=np.intp)
-    others = M - j + 1
     sign = ((pos == others) & (neg == 0)).astype(np.int8) - ((neg == others) & (pos == 0))
-    grazing = np.moveaxis(null, 0, -1) | ((pos + neg < others) & ((pos == 0) | (neg == 0)))
-    return rays, margins, sign, grazing
+    return sign, (pos + neg < others) & ((pos == 0) | (neg == 0))
 
 
 _CHUNK = 1 << 20  # margins per block of subsets
@@ -261,9 +268,11 @@ def _meets(R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     grazing = np.zeros(R.shape[:-2], dtype=bool)
     step = max(1, _CHUNK // R[..., 0].size)
     for lo in range(0, len(subsets), step):
-        sign, graze = _extreme_rays(R, subsets[lo : lo + step])[2:]  # frees the margins
+        rays, margins, null = _extreme_rays(R, subsets[lo : lo + step])
+        sign, hinged = _sign_classes(margins, M - j + 1)
+        del rays, margins  # freed before the next block
         nontrivial |= (sign != 0).any(axis=-1)
-        grazing |= graze.any(axis=-1)
+        grazing |= (null | hinged).any(axis=-1)
     return nontrivial, grazing
 
 
@@ -331,23 +340,30 @@ def _redraw(B: int, draw):
     return out, redraws
 
 
-def _sample_cells(B: int, m: int, dim: int, sides) -> CellBatch:
+def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_sampler=None) -> CellBatch:
     """B cells of arrangements of m normals in R^dim, one per arrangement.
 
-    ``sides(nb)`` draws nb arrangements and picks a cell of each: it returns
-    the normals (nb, m, dim), the side (+-1) of each normal the cell lies on
-    (nb, m), and a mask of the draws it flags as degenerate (nb,).  Draws
-    flagged there or grazing in the vertex enumeration are redrawn.
+    Each draw takes m unit normals, isotropic or ``raw_sampler(rng, nb)``'s
+    (normals, mask of draws to redraw), and one extreme-ray pass.
+    ``pick(normals, margins, bad)`` returns the side (+-1) of each normal the
+    chosen cell lies on (nb, m) and the draws to redraw; the vertices are
+    the sign classes of the margins flipped to those sides.  Flagged draws,
+    and those with a null ray or a hinged class, are redrawn.
     """
     if m < dim:
         raise ValueError("batched kernels require m >= k+1 (pointed cells)")
     combos = _combos(m, dim - 1)
 
     def draw(nb):
-        normals, signs, bad = sides(nb)
-        signed = normals * signs[..., None]
-        rays, _, sel, grazing = _extreme_rays(signed, combos)
-        return (signed, rays, sel), bad | grazing.any(axis=1), 0
+        if raw_sampler is None:
+            normals, bad = _sample_unit(rng, (nb, m, dim)), np.zeros(nb, dtype=bool)
+        else:
+            normals, bad = raw_sampler(rng, nb)
+        rays, margins, null = _extreme_rays(normals, combos)
+        signs, bad = pick(normals, margins, bad)
+        margins *= signs[:, None, :]
+        sel, hinged = _sign_classes(margins, m - dim + 1)
+        return (normals * signs[..., None], rays, sel), bad | (null | hinged).any(axis=1), 0
 
     (normals, rays, sel), redraws = _redraw(B, draw)
     return CellBatch(normals, rays, sel, combos, redraws)
@@ -356,12 +372,11 @@ def _sample_cells(B: int, m: int, dim: int, sides) -> CellBatch:
 def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
     """Weighted typical cells: the cell of a uniform witness point."""
 
-    def sides(nb):
-        normals = _sample_unit(rng, (nb, m, dim))
-        dots = np.einsum("bmd,bd->bm", normals, _sample_unit(rng, (nb, dim)))
-        return normals, np.sign(dots), (np.abs(dots) <= _TOL).any(axis=1)
+    def pick(normals, margins, bad):
+        dots = np.einsum("bmd,bd->bm", normals, _sample_unit(rng, (len(normals), dim)))
+        return np.sign(dots), bad | (np.abs(dots) <= _TOL).any(axis=1)
 
-    return _sample_cells(B, m, dim, sides)
+    return _sample_cells(rng, B, m, dim, pick)
 
 
 @lru_cache(maxsize=None)
@@ -380,28 +395,30 @@ def _mask_offsets(m: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _enumerate_and_pick(
-    normals: np.ndarray, rng: np.random.Generator, combos, n_cells: int, bad: np.ndarray
+    margins: np.ndarray, k: int, rng: np.random.Generator, n_cells: int, bad: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Enumerate all cells through vertex incidences and pick one uniformly.
 
-    ``bad`` flags draws already known to be degenerate.  Returns (chosen
-    bitmask (B,), bad (B,)); asserts the per-sample count on the rest.
+    ``margins`` (B, C(m,k), m): the k-subsets' rays against the m normals.
+    ``bad`` flags draws known to be degenerate, to which any draw with an
+    outside margin within the band is added.  Returns (chosen bitmask (B,),
+    bad (B,)); asserts the per-sample count on the rest.
     """
-    B, m, dim = normals.shape
-    _, margins, _, grazing = _extreme_rays(normals, combos)
-    outside, offsets = _mask_offsets(m, dim - 1)
+    B, nC, m = margins.shape
+    outside, offsets = _mask_offsets(m, k)
     weights = 1 << np.arange(m, dtype=np.int64)
     # sides of the rows outside each subset, and any of them within the band
     base = ((margins > 0) @ weights) & outside
     banded = ((np.abs(margins) <= _TOL) @ weights) & outside
-    masks = np.concatenate(
-        [base[..., None] + offsets, (outside - base)[..., None] + offsets], axis=2
-    ).reshape(B, -1)  # (B, nC * 2^(k+1))
+    masks = np.empty((B, nC, 2, len(offsets[0])), dtype=np.int64)
+    np.add(base[..., None], offsets, out=masks[:, :, 0])
+    np.add((outside - base)[..., None], offsets, out=masks[:, :, 1])
+    masks = masks.reshape(B, -1)  # (B, nC * 2^(k+1))
     masks.sort(axis=1)
     new = np.ones_like(masks, dtype=bool)
     new[:, 1:] = masks[:, 1:] != masks[:, :-1]
     counts = new.sum(axis=1)
-    bad = bad | grazing.any(axis=1) | (banded != 0).any(axis=1)
+    bad = bad | (banded != 0).any(axis=1)
     if np.any((counts != n_cells) & ~bad):
         raise SampleAssertionError(
             f"cell count {counts[(counts != n_cells) & ~bad][0]} != C = {n_cells}"
@@ -428,19 +445,14 @@ def sample_typical_cells(
     ``raw_sampler(rng, nb)`` may supply non-isotropic normals (nb, m, dim)
     together with a mask (nb,) of the draws to redraw.
     """
-    combos = _combos(m, dim - 1)
     n_cells = int(cells_count(m, dim - 1))
     weights = 1 << np.arange(m, dtype=np.int64)
 
-    def sides(nb):
-        if raw_sampler is None:
-            normals, bad = _sample_unit(rng, (nb, m, dim)), np.zeros(nb, dtype=bool)
-        else:
-            normals, bad = raw_sampler(rng, nb)
-        chosen, bad = _enumerate_and_pick(normals, rng, combos, n_cells, bad)
-        return normals, np.where((chosen[:, None] & weights) > 0, 1.0, -1.0), bad
+    def pick(normals, margins, bad):
+        chosen, bad = _enumerate_and_pick(margins, dim - 1, rng, n_cells, bad)
+        return np.where((chosen[:, None] & weights) > 0, 1.0, -1.0), bad
 
-    return _sample_cells(B, m, dim, sides)
+    return _sample_cells(rng, B, m, dim, pick, raw_sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +910,7 @@ def run_consistency(n: int, d: int, k: int, config, parts=("a", "b", "c")) -> li
     checks = {
         "a": lambda: _sizebias_report(n, d, k, config, omega),
         "b": lambda: _kappa_invariance_report(n, d, k, config),
-        "c": lambda: _skeleton_report(n, d, k, config, omega),
+        "c": lambda: _skeleton_report(n, d, k, config),
     }
     return [check() for part, check in checks.items() if part in parts]
 
@@ -948,25 +960,11 @@ def _kappa_invariance_report(n, d, k, config):
     return ComparisonReport.build(q, exact_t, est_pole, cfg_pole.z_fail)
 
 
-def _skeleton_report(n, d, k, config, omega):
-    # (c) skeleton content: binom(n, d-k) valid subsphere intersections per draw
-    stream = stream_id("skeleton", n, d, k)
-    rng = batch_rng(config.seed, stream, 0)
-    reps = min(config.reps, 256)
-    ok = True
-    if k < d:
-        normals = _sample_unit(rng, (reps, n, d + 1))
-        rows = normals[:, _combos(n, d - k), :]  # (reps, nSub, d-k, d+1)
-        sv = np.linalg.svd(rows, compute_uv=False)
-        ok = bool((sv[..., -1] > 1e-6).all())
-    expected = math.comb(n, d - k) * omega
-    est_c = MCEstimate(mean=expected if ok else math.nan, stderr=0.0, reps=reps, degenerate_redraws=0, seed=config.seed)
-    exact_skel = sphere_surface(k).scale(math.comb(n, d - k))
-    return ComparisonReport(
-        query=ExpectationQuery("hk", "typical", n, d, k),
-        exact=exact_skel,
-        exact_float=float(sp_eval(exact_skel, 20)),
-        estimate=est_c,
-        z_score=0.0 if ok else math.inf,
-        verdict="pass" if ok else "fail",
-    )
+def _skeleton_report(n, d, k, config):
+    # (c) skeleton content: the C(n,d,k) k-faces of every realization carry
+    # H^k(skel_k) = binom(n, d-k) omega_{k+1}, so C(n,d,k) E H^k(typical face) is it
+    query = ExpectationQuery("hk", "typical", n, d, k)
+    est = run_estimate(query, config)
+    faces = float(faces_count(n, d, k))
+    scaled = replace(est, mean=faces * est.mean, stderr=faces * est.stderr)
+    return ComparisonReport.build(query, sphere_surface(k).scale(math.comb(n, d - k)), scaled, config.z_fail)

@@ -161,7 +161,8 @@ def consistency_checks(
     (b) kappa invariance: E f_0 of the typical face under a concentrated
         non-isotropic directional distribution matches the isotropic value;
     (c) skeleton measure: every realization carries exactly binom(n, d-k)
-        distinct k-subspheres, so H^k(skel_k) = binom(n, d-k) omega_{k+1}.
+        distinct k-subspheres, so H^k(skel_k) = binom(n, d-k) omega_{k+1};
+        C(n,d,k) times the estimated H^k of the typical k-face must match it.
     """
     from . import mckernels
 

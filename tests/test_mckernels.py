@@ -24,6 +24,7 @@ from sphtess.mckernels import (
     _enumerate_and_pick,
     _extreme_rays,
     _nullspace_rays,
+    _sign_classes,
     batch_rng,
     cones_intersect_batch,
     fvec_values,
@@ -39,10 +40,8 @@ from sphtess.mckernels import (
     subspace_hits_paired,
 )
 
-rng = np.random.default_rng(987)
 
-
-def _random_signed(B, m, dim):
+def _random_signed(rng, B, m, dim):
     normals = rng.standard_normal((B, m, dim))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
     w = rng.standard_normal((B, dim))
@@ -51,11 +50,12 @@ def _random_signed(B, m, dim):
     return normals * np.sign(dots)[..., None], w
 
 
-def _cell_batch(B, m, dim):
-    signed, _ = _random_signed(B, m, dim)
+def _cell_batch(rng, B, m, dim):
+    signed, _ = _random_signed(rng, B, m, dim)
     combos = _combos(m, dim - 1)
-    rays, _, sel, grazing = _extreme_rays(signed, combos)
-    assert not grazing.any()
+    rays, margins, null = _extreme_rays(signed, combos)
+    sel, hinged = _sign_classes(margins, m - dim + 1)
+    assert not (null | hinged).any()
     return CellBatch(signed, rays, sel, combos)
 
 
@@ -65,17 +65,18 @@ def _cell_batch(B, m, dim):
 @pytest.mark.parametrize("m,k", [(3, 2), (5, 2), (7, 2), (4, 3), (6, 3), (3, 1), (6, 1)])
 def test_enumeration_matches_incremental(m, k):
     dim = k + 1
+    rng = np.random.default_rng(101)
     combos = _combos(m, k)
     n_cells = int(cells_count(m, k))
     for trial in range(8):
         normals = rng.standard_normal((1, m, dim))
         normals /= np.linalg.norm(normals, axis=2, keepdims=True)
         local = batch_rng(trial, 0, 0)
-        chosen, bad = _enumerate_and_pick(normals, local, combos, n_cells, np.zeros(1, dtype=bool))
+        _, S, _ = _extreme_rays(normals, combos)
+        chosen, bad = _enumerate_and_pick(S, k, local, n_cells, np.zeros(1, dtype=bool))
         assert not bad.any()
         lp_masks = lp_oracle.build_arrangement(normals[0], k)
         # recompute the batch mask set, one subset and resolution at a time
-        _, S, _, _ = _extreme_rays(normals, combos)
         weights = 1 << np.arange(m, dtype=np.int64)
         masks = set()
         for ci, c in enumerate(combos):
@@ -91,27 +92,58 @@ def test_enumeration_matches_incremental(m, k):
 
 
 def test_enumeration_assertion_trips_on_wrong_count():
-    normals = rng.standard_normal((1, 4, 3))
+    normals = np.random.default_rng(102).standard_normal((1, 4, 3))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+    margins = _extreme_rays(normals, _combos(4, 2))[1]
     with pytest.raises(SampleAssertionError):
-        _enumerate_and_pick(normals, batch_rng(0, 0, 0), _combos(4, 2), 99, np.zeros(1, dtype=bool))
+        _enumerate_and_pick(margins, 2, batch_rng(0, 0, 0), 99, np.zeros(1, dtype=bool))
 
 
 def test_typical_cells_uniform_over_cells():
-    # for 3 circles all 8 cells are triangles with equal selection probability
-    counts = {}
-    B = 4096
-    cells = sample_typical_cells(batch_rng(5, 1, 0), B, 3, 3)
+    # 4 great circles in general position cut S^2 into 8 triangles and 6
+    # quadrilaterals; a uniform cell is a triangle with probability 8/14
+    # and has 24/7 vertices on average, each within 4 standard errors
+    B = 8192
+    cells = sample_typical_cells(batch_rng(5, 1, 0), B, 4, 3)
     f0 = np.count_nonzero(cells.vert_sel, axis=1)
-    assert np.all(f0 == 3)
+    assert set(np.unique(f0)) <= {3, 4}
+    p = 8 / 14
+    se = math.sqrt(p * (1 - p) / B)  # f0 = 4 - [triangle], so both share it
+    assert abs(np.mean(f0 == 3) - p) < 4 * se
+    assert abs(f0.mean() - 24 / 7) < 4 * se
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "flavor,cutters,beta",
+    [("typical", 0, 0.0), ("typical", 0, 4.0), ("typical", 1, 4.0), ("weighted", 0, 0.0)],
+    ids=["iso", "kappa-k=d", "kappa-k<d", "weighted"],
+)
+def test_cell_vertices_match_a_pass_on_the_cell_normals(dim, flavor, cutters, beta):
+    # the samplers read a cell's vertices from the margins of the drawn
+    # normals flipped to the cell's sides; a fresh pass on the cell's own
+    # (signed) normals must give the same vertex vectors bit for bit
+    m, k = dim + 2, dim - 1
+    local = batch_rng(7, dim, 0)
+    if flavor == "weighted":
+        cells = sample_weighted_cells(local, 256, m, dim)
+    else:
+        # the cells of (n, d, k) = (m + cutters, k + cutters, k)
+        raw = mckernels._kappa_sampler(KappaFamily("pole_concentrated", beta), m + cutters, k + cutters, k)
+        cells = sample_typical_cells(local, 256, m, dim, raw_sampler=raw)
+    rays, margins, null = _extreme_rays(cells.normals, cells.combos)
+    sel, hinged = _sign_classes(margins, m - dim + 1)
+    assert not (null | hinged).any()
+    assert np.array_equal(cells.rays * cells.vert_sel[..., None], rays * sel[..., None])
 
 
 # -- vertex machinery ---------------------------------------------------------
 
 
 def test_vertices_match_cell_f_vector():
+    rng = np.random.default_rng(103)
     for m, k in [(4, 2), (6, 2), (5, 3), (7, 3), (4, 1), (7, 4)]:
-        cells = _cell_batch(6, m, k + 1)
+        cells = _cell_batch(rng, 6, m, k + 1)
         got = [fvec_values(cells, l) for l in range(k)]
         for b in range(cells.B):
             fv = lp_oracle.cell_f_vector(cells.normals[b], max(k - 1, 0))
@@ -120,15 +152,15 @@ def test_vertices_match_cell_f_vector():
 
 
 def test_fvec_euler_assertion_enforced():
-    cells = _cell_batch(64, 6, 4)
+    cells = _cell_batch(np.random.default_rng(104), 64, 6, 4)
     fvec_values(cells, 0)  # must not raise on valid cells
 
 
 # -- subspace hit predicates vs LP -------------------------------------------
 
 
-def _check_hit_fraction(dim, m, B, reps, j):
-    cells = _cell_batch(B, m, dim)
+def _check_hit_fraction(rng, dim, m, B, reps, j):
+    cells = _cell_batch(rng, B, m, dim)
     frames = batch_rng(77, j, dim).standard_normal((cells.B, reps, dim, j))
     frac = mckernels._hit_fraction(cells, frames, j)
     for b in range(cells.B):
@@ -139,18 +171,20 @@ def _check_hit_fraction(dim, m, B, reps, j):
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_hit_predicates_match_lp(j):
     # (dim, m, cells, subspaces per cell)
+    rng = np.random.default_rng(105)
     for dim, m, B, reps in ((4, 6, 40, 3), (5, 7, 40, 3)):
         if j < dim:
-            _check_hit_fraction(dim, m, B, reps, j)
+            _check_hit_fraction(rng, dim, m, B, reps, j)
 
 
 def test_hit_predicates_match_lp_dim3():
+    rng = np.random.default_rng(106)
     for j in (1, 2):
-        _check_hit_fraction(3, 5, 60, 2, j)
+        _check_hit_fraction(rng, 3, 5, 60, 2, j)
 
 
 def test_subspace_hits_full_space_is_certain():
-    cells = _cell_batch(8, 5, 3)
+    cells = _cell_batch(np.random.default_rng(107), 8, 5, 3)
     assert np.all(subspace_hits(cells, batch_rng(1, 1, 0), 3, 4) == 1.0)
     big, small = subspace_hits_paired(cells, batch_rng(1, 2, 0), 3, 4)
     assert np.all(big == 1.0)
@@ -160,7 +194,7 @@ def test_subspace_hits_full_space_is_certain():
 def test_hit_fraction_raw_frames_match_orthonormal(m, dim, j):
     # a hit depends only on the span: Gaussian frames as drawn decide every
     # cell as their QR'd orthonormal frames (with the sign fix) do
-    cells = _cell_batch(128, m, dim)
+    cells = _cell_batch(np.random.default_rng(108), 128, m, dim)
     frames = batch_rng(13, m, j).standard_normal((cells.B, 16, dim, j))
     q, r = np.linalg.qr(frames)
     orthonormal = q * np.sign(np.einsum("brii->bri", r))[..., None, :]
@@ -172,7 +206,7 @@ def test_hit_fraction_raw_frames_match_orthonormal(m, dim, j):
 @pytest.mark.parametrize("m,dim,j", [(6, 3, 3), (8, 4, 3), (8, 4, 4), (9, 5, 4), (9, 5, 5)])
 def test_subspace_hits_paired_nested(m, dim, j):
     # the small subspace lies inside the big one, so it never hits more often
-    cells = _cell_batch(256, m, dim)
+    cells = _cell_batch(np.random.default_rng(109), 256, m, dim)
     big, small = subspace_hits_paired(cells, batch_rng(21, m, j), j, 16)
     assert np.all(small <= big)
     assert (small < big).any()
@@ -182,7 +216,7 @@ def test_subspace_hits_paired_nested(m, dim, j):
 
 
 def test_polar_fraction_matches_lp():
-    cells = _cell_batch(50, 5, 3)
+    cells = _cell_batch(np.random.default_rng(110), 50, 5, 3)
     local = batch_rng(3, 9, 0)
     x = local.standard_normal((cells.B, 1, 3))
     x /= np.linalg.norm(x, axis=2, keepdims=True)
@@ -199,8 +233,9 @@ def test_polar_fraction_matches_lp():
 
 
 def test_project_batch_matches_geom():
+    rng = np.random.default_rng(111)
     for m, dim in ((6, 2), (6, 3), (6, 4), (9, 4), (12, 4)):
-        cells = _cell_batch(40, m, dim)
+        cells = _cell_batch(rng, 40, m, dim)
         pts = rng.standard_normal((cells.B, dim)) * 2
         fast = project_batch(cells.normals, pts)
         for b in range(cells.B):
@@ -211,6 +246,7 @@ def test_project_batch_matches_geom():
 def test_project_batch_kkt():
     # Moreau: x = Pi_C g iff x in C, x . (g - x) = 0 and g - x in the polar
     # cone, i.e. (g - x) . r <= 0 for every vertex ray r of the cell
+    rng = np.random.default_rng(112)
     shapes = ((5, 2), (6, 3), (8, 4), (12, 4))
     for sampler, (m, dim) in itertools.product((sample_typical_cells, sample_weighted_cells), shapes):
         cells = sampler(batch_rng(11, m, dim), 256, m, dim)
@@ -225,7 +261,8 @@ def test_project_batch_kkt():
 
 
 def test_project_batch_duplicated_normal_drops_only_its_replication():
-    cells = _cell_batch(64, 8, 4)
+    rng = np.random.default_rng(113)
+    cells = _cell_batch(rng, 64, 8, 4)
     pts = rng.standard_normal((cells.B, 4)) * 2
     base = project_batch(cells.normals, pts)
     dup = cells.normals.copy()
@@ -241,7 +278,7 @@ def test_project_batch_duplicated_normal_drops_only_its_replication():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7])
 def test_nullspace_rays_match_svd(dim):
-    rows = rng.standard_normal((200, dim - 1, dim))
+    rows = np.random.default_rng(114).standard_normal((200, dim - 1, dim))
     ray = _nullspace_rays(np.moveaxis(rows, 0, -1)).T
     if dim == 1:  # the empty subset spans R^1
         assert np.array_equal(ray, np.ones((200, 1)))
@@ -253,7 +290,7 @@ def test_nullspace_rays_match_svd(dim):
 
 
 def test_statdim_values_moreau_assert():
-    cells = _cell_batch(256, 6, 3)
+    cells = _cell_batch(np.random.default_rng(115), 256, 6, 3)
     vals = statdim_values(cells, batch_rng(0, 4, 0))
     assert np.all(vals >= 0)
 
@@ -262,9 +299,10 @@ def test_statdim_values_moreau_assert():
 
 
 def test_cones_intersect_batch_matches_lp():
+    rng = np.random.default_rng(116)
     for dim, ma, mb in ((3, 4, 4), (4, 4, 4), (5, 5, 5), (3, 3, 6), (4, 7, 4), (5, 5, 8)):
-        a, _ = _random_signed(60, ma, dim)
-        b, _ = _random_signed(60, mb, dim)
+        a, _ = _random_signed(rng, 60, ma, dim)
+        b, _ = _random_signed(rng, 60, mb, dim)
         hit, near = cones_intersect_batch(a, b)
         for i in range(60):
             if near[i]:
@@ -449,8 +487,9 @@ def test_ivol_values_matches_sampled_routes_at_high_dim(m, dim, beta):
 def test_ivol_vector_duplicated_vertex_raises():
     # a vertex ray entered a second time, under a subset that is no vertex,
     # leaves some 2-face with one or three vertices
+    rng = np.random.default_rng(117)
     for m, dim in ((4, 2), (5, 3), (6, 4)):
-        cells = _cell_batch(4, m, dim)
+        cells = _cell_batch(rng, 4, m, dim)
         ivol_vector(cells, batch_rng(0, 1, 0), 8)
         real, spare = np.flatnonzero(cells.vert_sel[0])[0], np.flatnonzero(cells.vert_sel[0] == 0)[0]
         cells.rays[0, spare], cells.vert_sel[0, spare] = cells.rays[0, real], cells.vert_sel[0, real]
@@ -465,7 +504,8 @@ def test_solid_fraction_octant():
     B = 512
     normals = np.broadcast_to(np.eye(3), (B, 3, 3)).copy()
     combos = _combos(3, 2)
-    rays, _, sel, _ = _extreme_rays(normals, combos)
+    rays, margins, _ = _extreme_rays(normals, combos)
+    sel, _ = _sign_classes(margins, 1)
     cells = CellBatch(normals, rays, sel, combos)
     frac = solid_fractions(cells, batch_rng(0, 5, 0), 64)
     assert abs(frac.mean() - 0.125) < 4 * 0.33 / math.sqrt(B * 64)

@@ -204,6 +204,10 @@ def test_consistency_checks_small():
     assert len(reports) == 3
     for rep in reports:
         assert rep.verdict == "pass", rep.to_dict()
+    # (c) is an estimate of the skeleton content, judged by its z
+    skeleton = reports[2]
+    assert skeleton.estimate.stderr > 0
+    assert skeleton.exact_float == pytest.approx(4 * math.pi)  # binom(4, 0) omega_3
 
 
 def test_sizebias_report_carries_the_exact_weighted_value():

@@ -1,4 +1,4 @@
-"""Print every Monte Carlo estimate of the benchmark's workloads and d = 4 tests, one line each.
+"""Print every Monte Carlo estimate of the benchmark's workloads, d = 4 tests and kappa cells, one line each.
 
     python3 tools/estimate_digest.py --root DIR --seeds 9101 9102 9103
 
@@ -6,8 +6,10 @@ Imports the package from ``DIR/src`` and the workloads from ``DIR/sphbench``,
 builds the operations of ``acceptance-mc`` and ``large-arrangements`` for each
 seed and runs them in order.  Then it runs the d = 4 comparisons of
 ``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
-seed 3), which reach the kernels at dim 5 that the workloads do not.  Each
-line holds the workload (``d4`` for those), the seed, the operation's label,
+seed 3), which reach the kernels at dim 5 that the workloads do not, and
+two typical cells with k < d at pole:4 (reps 4096, seed 3), which reach the
+cutter path of the kappa sampler that no workload runs.  Each line holds the
+workload (``d4`` or ``kappa`` for those), the seed, the operation's label,
 ``repr`` of the mean and of the stderr, the reps and the redraws,
 tab-separated; an operation that raises prints its error instead.
 
@@ -35,6 +37,8 @@ D4_CELLS = [
     ("statdim", "typical", 7, 4, 4, None, None),
     ("U", "typical", 7, 4, 4, 2, None),
 ] + [("f", flavor, 6, 4, 4, l, None) for flavor in ("weighted", "typical") for l in range(4)]
+# typical cells with k < d under the pole-concentrated law, beta = 4
+KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, None)]
 
 
 def _fields(run):
@@ -45,11 +49,13 @@ def _fields(run):
     return [repr(out["mean"]), repr(out["stderr"]), str(out["reps"]), str(out["redraws"])]
 
 
-def _compare(cell):
+def _compare(cell, beta=0.0):
+    from sphtess.geom import KappaFamily
     from sphtess.moments import ExpectationQuery
     from sphtess.simulate import ExperimentConfig, compare
 
-    est = compare(ExpectationQuery(*cell), ExperimentConfig(reps=4096, seed=D4_SEED)).estimate
+    kappa = KappaFamily("pole_concentrated", beta) if beta else KappaFamily()
+    est = compare(ExpectationQuery(*cell), ExperimentConfig(reps=4096, seed=D4_SEED, kappa=kappa)).estimate
     return {"mean": est.mean, "stderr": est.stderr, "reps": est.reps, "redraws": est.degenerate_redraws}
 
 
@@ -67,9 +73,10 @@ def main(argv=None) -> int:
             for op in workloads.build_ops(workload, seed):
                 fields = _fields(lambda: workloads.run_op(op))
                 print("\t".join([workload, str(seed), op.label] + fields), flush=True)
-    for cell in D4_CELLS:
-        label = "{}-{}-n{}-d{}-k{}-l{}-m{}".format(*cell)
-        print("\t".join(["d4", str(D4_SEED), label] + _fields(lambda: _compare(cell))), flush=True)
+    for name, cells, beta in (("d4", D4_CELLS, 0.0), ("kappa", KAPPA_CELLS, 4.0)):
+        for cell in cells:
+            label = "{}-{}-n{}-d{}-k{}-l{}-m{}".format(*cell)
+            print("\t".join([name, str(D4_SEED), label] + _fields(lambda: _compare(cell, beta))), flush=True)
     return 0
 
 
