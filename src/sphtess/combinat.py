@@ -8,8 +8,9 @@ checked against an independent route in the test suite (series product vs.
 recurrence for A, recurrence vs. symbolic integral vs. printed closed forms
 for B).
 
-Everything here is a pure function over immutable memo tables; concurrent
-cache fills are idempotent.
+Everything here is a pure function over immutable memo tables.  The B
+recurrence climbs on integer forms (one denominator, integer numerators,
+one content gcd per entry) and converts to SqrtPiPoly only in ``coeff_B``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Literal
+from typing import Dict, Literal, Tuple
 
 from .exactnum import ZERO, SqrtPiPoly
 
@@ -212,11 +213,6 @@ def _wallis(j: int) -> Fraction:
     return _wallis(j - 2) * Fraction(j - 1, j)
 
 
-def _wallis_poly(j: int) -> SqrtPiPoly:
-    r = _wallis(j)
-    return SqrtPiPoly.pi_power(1, r) if j % 2 == 0 else SqrtPiPoly.rational(r)
-
-
 @lru_cache(maxsize=None)
 def coeff_B(m: int, l: int) -> SqrtPiPoly:
     """B{m, l} computed by climbing B{n+2,k} = (B{n,k-2} - B{n,k}) / (k-1)^2.
@@ -226,23 +222,41 @@ def coeff_B(m: int, l: int) -> SqrtPiPoly:
     """
     if m < 0 or l < 0:
         raise ValueError(f"coeff_B indices must be >= 0, got ({m}, {l})")
-    if l == 0:
-        return SqrtPiPoly.pi_power(m, Fraction(1, math.factorial(m)))
-    if m < 1:
+    if l >= 1 and m < 1:
         raise ValueError("coeff_B requires m >= 1 when l >= 1")
+    den, nums = _coeff_B_int(m, l)
+    return SqrtPiPoly({e: Fraction(num, den) for e, num in nums.items()})
+
+
+def _reduced(den: int, nums: Dict[int, int]) -> Tuple[int, Dict[int, int]]:
+    """Divide out the content gcd(den, numerators) and drop zero numerators."""
+    g = math.gcd(den, *nums.values())
+    return den // g, {e: num // g for e, num in nums.items() if num}
+
+
+@lru_cache(maxsize=None)
+def _coeff_B_int(m: int, l: int) -> Tuple[int, Dict[int, int]]:
+    """B{m, l} as (den, {s-exponent: numerator}), in lowest terms; see coeff_B."""
     if l > m:
-        return ZERO
-    if l == 1:
+        return 1, {}
+    if l <= 1:
         # integral of x^{m-1} over [0, pi] / (m-1)! = pi^m / m!
-        return SqrtPiPoly.pi_power(m, Fraction(1, math.factorial(m)))
+        return math.factorial(m), {2 * m: 1}
     if m == l:
-        return _wallis_poly(l - 1).scale(Fraction(1, math.factorial(l - 1)))
+        r = _wallis(l - 1) / math.factorial(l - 1)
+        return r.denominator, {2 if l % 2 else 0: r.numerator}
     if m == l + 1:
-        half_pi = SqrtPiPoly.pi_power(1, Fraction(1, 2))
-        return coeff_B(l, l) * half_pi
+        den, nums = _coeff_B_int(l, l)  # times pi/2
+        return _reduced(2 * den, {e + 2: num for e, num in nums.items()})
     # climb two steps down in m with matching parity
-    prev = coeff_B(m - 2, l - 2) - coeff_B(m - 2, l)
-    return prev.scale(Fraction(1, (l - 1) ** 2))
+    d1, n1 = _coeff_B_int(m - 2, l - 2)
+    d2, n2 = _coeff_B_int(m - 2, l)
+    g = math.gcd(d1, d2)
+    f1, f2 = d2 // g, d1 // g
+    nums = {e: num * f1 for e, num in n1.items()}
+    for e, num in n2.items():
+        nums[e] = nums.get(e, 0) - num * f2
+    return _reduced(d1 * f1 * (l - 1) ** 2, nums)
 
 
 def coeff_B_oracle(m: int, l: int) -> SqrtPiPoly:
@@ -298,11 +312,11 @@ def _moment_cos(q: int, j: int) -> SqrtPiPoly:
 @lru_cache(maxsize=None)
 def _moment_sin(q: int, j: int) -> SqrtPiPoly:
     """Exact integral of x^q sin(jx) over [0, pi], j >= 1."""
-    boundary = Fraction(-((-1) ** j), j)  # -pi^q cos(j pi)/j, pi-power q
-    value = SqrtPiPoly.pi_power(q, boundary) if q > 0 else SqrtPiPoly.rational(boundary * 1)
     if q == 0:
         # (1 - cos(j pi)) / j
         return SqrtPiPoly.rational(Fraction(1 - (-1) ** j, j))
+    boundary = Fraction(-((-1) ** j), j)  # -pi^q cos(j pi)/j, pi-power q
+    value = SqrtPiPoly.pi_power(q, boundary)
     return value + _moment_cos(q - 1, j).scale(Fraction(q, j))
 
 

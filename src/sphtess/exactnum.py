@@ -6,19 +6,21 @@ even s-exponents, and the Euclidean-limit formulas need odd exponents.
 Numeric evaluation goes through ``decimal`` with guard digits, never through
 hardware floats, so values can be compared both symbolically and numerically.
 
-All values are immutable; the memo caches below are only ever filled with
-values that are functions of their key, so concurrent (idempotent) fills from
-several threads are harmless.
+All values are immutable.  Each value builds, on first use in a product, an
+integer form: one common denominator and the integer numerators over it.
+:func:`sp_dot`, the sum of products a*b over a sequence of pairs, works on
+these forms alone: it accumulates integer numerators over a running lcm of
+the denominators and reduces each exponent's coefficient once at the end.
+Every product (``*``) is an ``sp_dot`` of one pair.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = [
     "SqrtPiPoly",
@@ -30,11 +32,14 @@ __all__ = [
     "sp_parse",
     "sp_format",
     "sp_eval",
+    "sp_dot",
     "pi_decimal",
     "ParseError",
 ]
 
 RationalLike = Union[int, Fraction]
+# (den, [(s-exponent, numerator)]): the coefficients over one common denominator
+IntegerForm = Tuple[int, List[Tuple[int, int]]]
 
 
 class ParseError(ValueError):
@@ -57,7 +62,7 @@ class SqrtPiPoly:
     multiples of integer powers of pi occupy the even exponents.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_int")
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
         canon: Dict[int, Fraction] = {}
@@ -68,6 +73,7 @@ class SqrtPiPoly:
                     canon[int(e)] = c
         self._terms = canon
         self._hash: int | None = None
+        self._int: IntegerForm | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -105,6 +111,13 @@ class SqrtPiPoly:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
+    def _integer_form(self) -> IntegerForm:
+        """(den, [(e, num)]) with coefficient num/den at s-exponent e; cached."""
+        if self._int is None:
+            den = math.lcm(*(c.denominator for c in self._terms.values()))
+            self._int = (den, [(e, c.numerator * (den // c.denominator)) for e, c in self._terms.items()])
+        return self._int
+
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
@@ -130,17 +143,7 @@ class SqrtPiPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
-        other = _coerce(other)
-        out: Dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SqrtPiPoly(out)
+        return sp_dot(((self, _coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -206,11 +209,38 @@ ZERO = SqrtPiPoly()
 ONE = SqrtPiPoly.rational(1)
 
 
+def sp_dot(pairs: Iterable[Tuple[SqrtPiPoly, SqrtPiPoly]]) -> SqrtPiPoly:
+    """The sum of a*b over ``pairs``, fraction-free.
+
+    Integer numerators accumulate over a running lcm ``den`` of the pairs'
+    denominator products; each exponent is reduced once, by Fraction(num, den).
+    """
+    den = 1
+    acc: Dict[int, int] = {}
+    for a, b in pairs:
+        da, ta = a._integer_form()
+        db, tb = b._integer_form()
+        if not (ta and tb):
+            continue
+        p = da * db
+        up = p // math.gcd(den, p)
+        if up != 1:
+            for e in acc:
+                acc[e] *= up
+            den *= up
+        f = den // p
+        for e1, n1 in ta:
+            n1 *= f
+            for e2, n2 in tb:
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + n1 * n2
+    return SqrtPiPoly({e: Fraction(n, den) for e, n in acc.items() if n})
+
+
 # ---------------------------------------------------------------------------
 # High-precision pi.
 # ---------------------------------------------------------------------------
 
-_pi_lock = threading.Lock()
 _pi_cache: Tuple[int, Decimal] = (0, Decimal(0))
 
 
@@ -220,16 +250,12 @@ def pi_decimal(ndigits: int) -> Decimal:
     cached_digits, cached = _pi_cache
     if cached_digits >= ndigits:
         return cached
-    with _pi_lock:
-        cached_digits, cached = _pi_cache
-        if cached_digits >= ndigits:
-            return cached
-        prec = ndigits + 15
-        with localcontext() as ctx:
-            ctx.prec = prec
-            pi = 16 * _atan_inv(5, prec) - 4 * _atan_inv(239, prec)
-        _pi_cache = (ndigits, pi)
-        return pi
+    prec = ndigits + 15
+    with localcontext() as ctx:
+        ctx.prec = prec
+        pi = 16 * _atan_inv(5, prec) - 4 * _atan_inv(239, prec)
+    _pi_cache = (ndigits, pi)
+    return pi
 
 
 def _atan_inv(x: int, prec: int) -> Decimal:
@@ -434,7 +460,6 @@ def sp_parse(text: str) -> SqrtPiPoly:
 # Special-function constants.
 # ---------------------------------------------------------------------------
 
-_bern_lock = threading.Lock()
 _bern_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 
 
@@ -447,18 +472,15 @@ def bernoulli(two_n: int) -> Fraction:
     if two_n < 0 or two_n % 2 != 0:
         raise ValueError(f"bernoulli index must be even and >= 0, got {two_n}")
     k = two_n // 2
-    if k < len(_bern_even):
-        return _bern_even[k]
-    with _bern_lock:
-        while len(_bern_even) <= k:
-            m = len(_bern_even)
-            n = 2 * m
-            s = Fraction(0)
-            for j in range(m):
-                s += math.comb(n + 1, 2 * j) * _bern_even[j]
-            s += Fraction(n + 1) * Fraction(-1, 2)  # B_1 = -1/2 term
-            _bern_even.append(-s / (n + 1))
-        return _bern_even[k]
+    while len(_bern_even) <= k:
+        m = len(_bern_even)
+        n = 2 * m
+        s = Fraction(0)
+        for j in range(m):
+            s += math.comb(n + 1, 2 * j) * _bern_even[j]
+        s += Fraction(n + 1) * Fraction(-1, 2)  # B_1 = -1/2 term
+        _bern_even.append(-s / (n + 1))
+    return _bern_even[k]
 
 
 def gamma_half(two_j: int) -> SqrtPiPoly:

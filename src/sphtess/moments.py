@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, List, Literal, Optional, Sequence, Tuple, Union
 
 from .combinat import cells_count, coeff_A, coeff_B, faces_count
-from .exactnum import ONE, ZERO, SqrtPiPoly, gamma_half, sp_eval, sphere_surface
+from .exactnum import ONE, ZERO, SqrtPiPoly, gamma_half, sp_dot, sp_eval, sphere_surface
 
 __all__ = [
     "ExpectationQuery",
@@ -114,13 +114,10 @@ def _ba_series(M: int, cs: Iterable[int], L: int) -> SqrtPiPoly:
 
     The c = 0 summand, 0^2 B{M, 1} A[-1, -1], stands for 2/pi B{M, 1}.
     """
-    total = ZERO
-    for c in cs:
-        if c == 0:
-            total = total + coeff_B(M, 1) * SqrtPiPoly.pi_power(-1, 2)
-        else:
-            total = total + coeff_B(M, c + 1).scale(c * c) * coeff_A(c - 1, L)
-    return total
+    return sp_dot(
+        (coeff_B(M, c + 1), coeff_A(c - 1, L).scale(c * c) if c else SqrtPiPoly.pi_power(-1, 2))
+        for c in cs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +348,10 @@ def isect_prob_weighted(n: int, m: int, d: int) -> SqrtPiPoly:
     pref = SqrtPiPoly.pi_power(
         -(n + m), Fraction(math.factorial(n) * math.factorial(m), 2)
     )
-    total = ZERO
-    for k, i in _kinematic_pairs(d):
-        total = total + (
-            coeff_B(n + d - i + 2 * k, d)
-            * coeff_B(m + i, d)
-            * coeff_A(d, d - i + 2 * k)
-            * coeff_A(d, i)
-        )
+    total = sp_dot(
+        (coeff_B(n + d - i + 2 * k, d) * coeff_A(d, d - i + 2 * k), coeff_B(m + i, d) * coeff_A(d, i))
+        for k, i in _kinematic_pairs(d)
+    )
     return pref * total
 
 
@@ -392,9 +385,9 @@ def isect_prob_fixed(v: Sequence[SqrtPiPoly], n: int, d: int) -> SqrtPiPoly:
     if n < d + 1:
         raise ValueError(f"need n >= d+1, got n={n}")
     pref = SqrtPiPoly.pi_power(-n, math.factorial(n))
-    total = ZERO
-    for k, i in _kinematic_pairs(d):
-        total = total + coeff_B(n + d - i + 2 * k, d) * coeff_A(d, d - i + 2 * k) * v[i]
+    total = sp_dot(
+        (coeff_B(n + d - i + 2 * k, d) * coeff_A(d, d - i + 2 * k), v[i]) for k, i in _kinematic_pairs(d)
+    )
     return pref * total
 
 
@@ -430,7 +423,7 @@ def identity_suite(
 
         # (i) Efron-type: E f_{k-l}(W_{n,d}^{(k)}) = 2 binom(n-d+k, l) E U_l(W_{n-l,d}^{(k)})
         if l >= 1 and n - l >= d + 1:
-            lhs = ef_weighted(n, d, k, k - l) if l >= 1 else ONE
+            lhs = ef_weighted(n, d, k, k - l)
             rhs = u_weighted(n - l, d, k, l).scale(2 * math.comb(n - d + k, l))
             out.append(IdentityCheck("efron", (n, d, k, l), ok=lhs == rhs))
         else:

@@ -111,9 +111,11 @@ def test_coeff_B_oracle_examples():
 
 
 def test_coeff_B_equals_oracle():
-    for m in range(1, 13):
-        for l in range(1, m + 1):
-            assert coeff_B(m, l) == coeff_B_oracle(m, l), (m, l)
+    cases = [(m, l) for m in range(1, 13) for l in range(1, m + 1)]
+    # rows as deep as Fig. 3 at d = 30 reads them (m up to 230, l up to 31)
+    cases += [(m, l) for m in (40, 101, 131, 230) for l in (2, 3, 16, 30, 31)]
+    for m, l in cases:
+        assert coeff_B(m, l) == coeff_B_oracle(m, l), (m, l)
 
 
 def test_b_closed_forms():

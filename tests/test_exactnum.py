@@ -16,6 +16,7 @@ from sphtess.exactnum import (
     bernoulli,
     gamma_half,
     pi_decimal,
+    sp_dot,
     sp_eval,
     sp_format,
     sp_parse,
@@ -44,6 +45,36 @@ def test_ring_laws(a, b, c):
     assert a + ZERO == a
     assert a * ONE == a
     assert a - a == ZERO
+
+
+monomials = st.builds(lambda e, c: SqrtPiPoly({e: c}), st.integers(min_value=-12, max_value=12), rationals)
+factors = st.one_of(st.just(ZERO), monomials, polys)
+
+
+def _dot_reference(pairs):
+    """The sum of a*b over pairs, one Fraction product and sum per term pair."""
+    out = {}
+    for a, b in pairs:
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return SqrtPiPoly(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(factors, factors), max_size=6), st.booleans())
+@example([], False)
+@example([(ZERO, ONE), (SqrtPiPoly({-3: Fraction(5, 6)}), ZERO)], False)
+@example([(SqrtPiPoly({-3: Fraction(5, 6)}), SqrtPiPoly({1: Fraction(-2, 9)}))], True)
+def test_sp_dot_matches_fraction_reference(pairs, cancel):
+    if cancel:  # every product reappears negated, so the sum is ZERO
+        pairs = pairs + [(-a, b) for a, b in pairs]
+    got = sp_dot(pairs)
+    assert got == _dot_reference(pairs)
+    canon = SqrtPiPoly(dict(got.terms))
+    assert got == canon and hash(got) == hash(canon)
+    if cancel:
+        assert got == ZERO and got.is_zero()
 
 
 @settings(max_examples=60, deadline=None)

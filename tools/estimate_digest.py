@@ -1,26 +1,31 @@
-"""Print every Monte Carlo estimate of the benchmark's workloads, d = 4 tests and kappa cells, one line each.
+"""Print one line per Monte Carlo estimate and per exact output of the benchmark's workloads, d = 4 tests and kappa cells.
 
     python3 tools/estimate_digest.py --root DIR --seeds 9101 9102 9103
 
 Imports the package from ``DIR/src`` and the workloads from ``DIR/sphbench``,
 builds the operations of ``acceptance-mc`` and ``large-arrangements`` for each
-seed and runs them in order.  Then it runs the d = 4 comparisons of
-``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
-seed 3), which reach the kernels at dim 5 that the workloads do not, and
-two typical cells with k < d at pole:4 (reps 4096, seed 3), which reach the
-cutter path of the kappa sampler that no workload runs.  Each line holds the
-workload (``d4`` or ``kappa`` for those), the seed, the operation's label,
-``repr`` of the mean and of the stderr, the reps and the redraws,
-tab-separated; an operation that raises prints its error instead.
+seed and runs them in order.  Then it runs every operation of
+``exact-reproduction`` once (none of its inputs depends on the seed).  Then it
+runs the d = 4 comparisons of ``test_compare_isect_d4`` and ``test_compare_d4``
+(cells in R^5, reps 4096, seed 3), which reach the kernels at dim 5 that the
+workloads do not, and two typical cells with k < d at pole:4 (reps 4096,
+seed 3), which reach the cutter path of the kappa sampler that no workload
+runs.  Each Monte Carlo line holds the workload (``d4`` or ``kappa`` for
+those), the seed, the operation's label, ``repr`` of the mean and of the
+stderr, the reps and the redraws, tab-separated.  Each ``exact`` line holds
+the operation's label and the sha256 of ``repr`` of its output (tables,
+figure CSV text, identity-suite results, limit-sweep gaps).  An operation
+that raises prints its error instead.
 
-A change meant to keep every estimate bit-identical is checked by running
-this on a checkout of the parent commit (``git worktree add``) and on the
-change, and diffing the two outputs.
+A change meant to keep every estimate and every exact output bit-identical
+is checked by running this on a checkout of the parent commit (``git
+clone``) and on the change, and diffing the two outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -41,12 +46,20 @@ D4_CELLS = [
 KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, None)]
 
 
-def _fields(run):
+def _estimate(out):
+    return [repr(out["mean"]), repr(out["stderr"]), str(out["reps"]), str(out["redraws"])]
+
+
+def _sha256(out):
+    return [hashlib.sha256(repr(out).encode()).hexdigest()]
+
+
+def _fields(run, show=_estimate):
     try:
         out = run()
     except Exception as exc:  # a failing operation is part of the digest
         return [f"error {type(exc).__name__}: {exc}"]
-    return [repr(out["mean"]), repr(out["stderr"]), str(out["reps"]), str(out["redraws"])]
+    return show(out)
 
 
 def _compare(cell, beta=0.0):
@@ -73,6 +86,8 @@ def main(argv=None) -> int:
             for op in workloads.build_ops(workload, seed):
                 fields = _fields(lambda: workloads.run_op(op))
                 print("\t".join([workload, str(seed), op.label] + fields), flush=True)
+    for op in workloads.build_ops("exact-reproduction", args.seeds[0]):
+        print("\t".join(["exact", op.label] + _fields(lambda: workloads.run_op(op), _sha256)), flush=True)
     for name, cells, beta in (("d4", D4_CELLS, 0.0), ("kappa", KAPPA_CELLS, 4.0)):
         for cell in cells:
             label = "{}-{}-n{}-d{}-k{}-l{}-m{}".format(*cell)
