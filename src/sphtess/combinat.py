@@ -9,8 +9,8 @@ recurrence for A, recurrence vs. symbolic integral vs. printed closed forms
 for B).
 
 Everything here is a pure function over immutable memo tables.  The B
-recurrence climbs on integer forms (one denominator, integer numerators,
-one content gcd per entry) and converts to SqrtPiPoly only in ``coeff_B``.
+recurrence climbs on ``coeff_B``'s own memo table, one subtraction and one
+scale per entry.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Literal, Tuple
+from typing import Dict, Literal
 
-from .exactnum import ZERO, SqrtPiPoly
+from .exactnum import ZERO, SqrtPiPoly, sp_dot
 
 __all__ = [
     "cells_count",
@@ -100,9 +100,8 @@ class LaurentSeriesX:
     """Laurent series in x with SqrtPiPoly coefficients, exact above a floor.
 
     A truncated expansion around x = infinity is missing terms below some
-    exponent; multiplying by a degree-D polynomial in x^2 shifts that
-    pollution up by D.  ``min_exact`` tracks the lowest exponent whose
-    coefficient is still exact; extraction below it raises.
+    exponent.  ``min_exact`` is the lowest exponent whose coefficient is
+    still exact; extraction below it raises.
     """
 
     def __init__(self, terms: Dict[int, SqrtPiPoly], min_exact: int):
@@ -115,17 +114,6 @@ class LaurentSeriesX:
         if l < self.min_exact:
             raise ValueError(f"exponent {l} below exact floor {self.min_exact}")
         return self.terms.get(l, ZERO)
-
-    def times_x2_poly(self, poly: Dict[int, Fraction]) -> "LaurentSeriesX":
-        """Multiply by a polynomial in x^2; the exact floor rises by its degree."""
-        deg = max(poly, default=0)
-        out: Dict[int, SqrtPiPoly] = {}
-        for e, c in self.terms.items():
-            for pe, pc in poly.items():
-                ne = e + pe
-                cur = out.get(ne, ZERO) + c.scale(pc)
-                out[ne] = cur
-        return LaurentSeriesX(out, self.min_exact + deg)
 
 
 def hyp_series(kind: Literal["tanh", "coth"], window: int) -> LaurentSeriesX:
@@ -168,9 +156,11 @@ def hyp_series(kind: Literal["tanh", "coth"], window: int) -> LaurentSeriesX:
 def coeff_A(m: int, l: int) -> SqrtPiPoly:
     """A[m, l]: the x^l coefficient of Q_m, tanh(pi/2x) Q_m, or cotanh(pi/2x) Q_m.
 
-    Even l reads Q_m directly; odd l multiplies by tanh (m even) or cotanh
-    (m odd).  Zero whenever l > m.  The sentinel product 0^2 * A[-1,-1] that
-    appears in the face-number formulas is handled by the callers, never here.
+    Even l reads Q_m directly; odd l sums Q_m's terms against the tanh
+    (m even) or cotanh (m odd) series coefficients that land on x^l, and
+    raises if one of them lies below the series' exact floor.  Zero whenever
+    l > m.  The sentinel product 0^2 * A[-1,-1] that appears in the
+    face-number formulas is handled by the callers, never here.
     """
     if m < 0:
         raise ValueError(f"coeff_A row index must be >= 0, got {m}")
@@ -182,7 +172,7 @@ def coeff_A(m: int, l: int) -> SqrtPiPoly:
     if l % 2 == 0:
         return SqrtPiPoly.rational(q[l]) if l in q else ZERO
     series = hyp_series("tanh" if m % 2 == 0 else "coth", max(m, abs(l)) + 2)
-    return series.times_x2_poly(q).coefficient(l)
+    return sp_dot((series.coefficient(l - e), SqrtPiPoly.rational(c)) for e, c in q.items())
 
 
 def coeff_A_dd_closed(d: int) -> SqrtPiPoly:
@@ -224,39 +214,17 @@ def coeff_B(m: int, l: int) -> SqrtPiPoly:
         raise ValueError(f"coeff_B indices must be >= 0, got ({m}, {l})")
     if l >= 1 and m < 1:
         raise ValueError("coeff_B requires m >= 1 when l >= 1")
-    den, nums = _coeff_B_int(m, l)
-    return SqrtPiPoly({e: Fraction(num, den) for e, num in nums.items()})
-
-
-def _reduced(den: int, nums: Dict[int, int]) -> Tuple[int, Dict[int, int]]:
-    """Divide out the content gcd(den, numerators) and drop zero numerators."""
-    g = math.gcd(den, *nums.values())
-    return den // g, {e: num // g for e, num in nums.items() if num}
-
-
-@lru_cache(maxsize=None)
-def _coeff_B_int(m: int, l: int) -> Tuple[int, Dict[int, int]]:
-    """B{m, l} as (den, {s-exponent: numerator}), in lowest terms; see coeff_B."""
     if l > m:
-        return 1, {}
+        return ZERO
     if l <= 1:
         # integral of x^{m-1} over [0, pi] / (m-1)! = pi^m / m!
-        return math.factorial(m), {2 * m: 1}
+        return SqrtPiPoly.pi_power(m, Fraction(1, math.factorial(m)))
     if m == l:
-        r = _wallis(l - 1) / math.factorial(l - 1)
-        return r.denominator, {2 if l % 2 else 0: r.numerator}
+        return SqrtPiPoly.pi_power(l % 2, _wallis(l - 1) / math.factorial(l - 1))
     if m == l + 1:
-        den, nums = _coeff_B_int(l, l)  # times pi/2
-        return _reduced(2 * den, {e + 2: num for e, num in nums.items()})
+        return coeff_B(l, l) * SqrtPiPoly.pi_power(1, Fraction(1, 2))
     # climb two steps down in m with matching parity
-    d1, n1 = _coeff_B_int(m - 2, l - 2)
-    d2, n2 = _coeff_B_int(m - 2, l)
-    g = math.gcd(d1, d2)
-    f1, f2 = d2 // g, d1 // g
-    nums = {e: num * f1 for e, num in n1.items()}
-    for e, num in n2.items():
-        nums[e] = nums.get(e, 0) - num * f2
-    return _reduced(d1 * f1 * (l - 1) ** 2, nums)
+    return (coeff_B(m - 2, l - 2) - coeff_B(m - 2, l)).scale(Fraction(1, (l - 1) ** 2))
 
 
 def coeff_B_oracle(m: int, l: int) -> SqrtPiPoly:

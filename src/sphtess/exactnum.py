@@ -6,12 +6,14 @@ even s-exponents, and the Euclidean-limit formulas need odd exponents.
 Numeric evaluation goes through ``decimal`` with guard digits, never through
 hardware floats, so values can be compared both symbolically and numerically.
 
-All values are immutable.  Each value builds, on first use in a product, an
-integer form: one common denominator and the integer numerators over it.
-:func:`sp_dot`, the sum of products a*b over a sequence of pairs, works on
-these forms alone: it accumulates integer numerators over a running lcm of
-the denominators and reduces each exponent's coefficient once at the end.
-Every product (``*``) is an ``sp_dot`` of one pair.
+All values are immutable and stored in one form: a positive integer
+denominator and the nonzero integer numerators over it, in lowest terms.
+Arithmetic works on that form and divides out the content gcd once per
+result.  :func:`sp_dot`, the sum of products a*b over a sequence of pairs,
+accumulates integer numerators over a running lcm of the denominators and
+reduces once at the end; every product (``*``) is an ``sp_dot`` of one pair.
+Reduced Fraction coefficients are built on demand, by ``terms``,
+:func:`sp_format` and :func:`sp_eval`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import re
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 __all__ = [
     "SqrtPiPoly",
@@ -38,8 +40,6 @@ __all__ = [
 ]
 
 RationalLike = Union[int, Fraction]
-# (den, [(s-exponent, numerator)]): the coefficients over one common denominator
-IntegerForm = Tuple[int, List[Tuple[int, int]]]
 
 
 class ParseError(ValueError):
@@ -57,90 +57,96 @@ def _as_fraction(x: RationalLike) -> Fraction:
 class SqrtPiPoly:
     """Element of Q[s, s^-1] with s = sqrt(pi), in canonical form.
 
-    ``terms`` maps the integer exponent of s to a nonzero Fraction
-    coefficient.  The exponent of pi is half the s-exponent, so rational
-    multiples of integer powers of pi occupy the even exponents.
+    The value is sum(num * s**e) / den over ``_nums`` = {s-exponent e: num},
+    with ``_den`` > 0, every num nonzero and gcd(den, *nums) = 1, so equal
+    values store equal forms.  ``terms`` gives the same value as a map of
+    s-exponents to reduced Fraction coefficients.  The exponent of pi is
+    half the s-exponent, so rational multiples of integer powers of pi
+    occupy the even exponents.
     """
 
-    __slots__ = ("_terms", "_hash", "_int")
+    __slots__ = ("_den", "_nums", "_hash")
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
-        canon: Dict[int, Fraction] = {}
+        fracs: Dict[int, Fraction] = {}
         if terms:
             for e, c in terms.items():
                 c = _as_fraction(c)
                 if c != 0:
-                    canon[int(e)] = c
-        self._terms = canon
+                    fracs[int(e)] = c
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        self._den = den
+        self._nums = {e: c.numerator * (den // c.denominator) for e, c in fracs.items()}
         self._hash: int | None = None
-        self._int: IntegerForm | None = None
+
+    @classmethod
+    def _canonical(cls, den: int, nums: Dict[int, int]) -> "SqrtPiPoly":
+        """sum(num * s**e) / den for den > 0: drops zero numerators, divides out the content gcd."""
+        nums = {e: n for e, n in nums.items() if n}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
+        out = object.__new__(cls)
+        out._den = den
+        out._nums = nums
+        out._hash = None
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, x: RationalLike) -> "SqrtPiPoly":
-        return cls({0: _as_fraction(x)})
+        return cls.sqrtpi_power(0, x)
 
     @classmethod
     def pi_power(cls, j: int, coeff: RationalLike = 1) -> "SqrtPiPoly":
         """coeff * pi**j  (j may be negative)."""
-        return cls({2 * j: _as_fraction(coeff)})
+        return cls.sqrtpi_power(2 * j, coeff)
 
     @classmethod
     def sqrtpi_power(cls, e: int, coeff: RationalLike = 1) -> "SqrtPiPoly":
         """coeff * s**e with s = sqrt(pi)."""
-        return cls({e: _as_fraction(coeff)})
+        c = _as_fraction(coeff)
+        return cls._canonical(c.denominator, {e: c.numerator})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> Dict[int, Fraction]:
-        return dict(self._terms)
+        """{s-exponent: reduced Fraction coefficient}, built on each call."""
+        return {e: Fraction(n, self._den) for e, n in self._nums.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def is_rational(self) -> bool:
-        return set(self._terms) <= {0}
+        return set(self._nums) <= {0}
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
-    def _integer_form(self) -> IntegerForm:
-        """(den, [(e, num)]) with coefficient num/den at s-exponent e; cached."""
-        if self._int is None:
-            den = math.lcm(*(c.denominator for c in self._terms.values()))
-            self._int = (den, [(e, c.numerator * (den // c.denominator)) for e, c in self._terms.items()])
-        return self._int
+        return len(self._nums) == 1
 
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
-        other = _coerce(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SqrtPiPoly(out)
+        return _combine(self, _coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SqrtPiPoly":
-        return SqrtPiPoly({e: -c for e, c in self._terms.items()})
+        return SqrtPiPoly._canonical(self._den, {e: -n for e, n in self._nums.items()})
 
     def __sub__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
-        return self + (-_coerce(other))
+        return _combine(self, _coerce(other), -1)
 
     def __rsub__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
-        return _coerce(other) + (-self)
+        return _combine(_coerce(other), self, -1)
 
     def __mul__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
         return sp_dot(((self, _coerce(other)),))
@@ -149,7 +155,7 @@ class SqrtPiPoly:
 
     def scale(self, x: RationalLike) -> "SqrtPiPoly":
         x = _as_fraction(x)
-        return SqrtPiPoly({e: c * x for e, c in self._terms.items()})
+        return SqrtPiPoly._canonical(self._den * x.denominator, {e: n * x.numerator for e, n in self._nums.items()})
 
     def __truediv__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
         """Division by a rational or by a monomial (the only invertibles)."""
@@ -158,8 +164,9 @@ class SqrtPiPoly:
             raise ZeroDivisionError("division by zero SqrtPiPoly")
         if not other.is_monomial():
             raise ValueError("SqrtPiPoly division only defined for monomials")
-        ((e, c),) = other._terms.items()
-        return SqrtPiPoly({e1 - e: c1 / c for e1, c1 in self._terms.items()})
+        ((e, c),) = other._nums.items()
+        f = other._den if c > 0 else -other._den  # self / (c / den) = self * den / c
+        return SqrtPiPoly._canonical(self._den * abs(c), {e1 - e: n * f for e1, n in self._nums.items()})
 
     def __pow__(self, n: int) -> "SqrtPiPoly":
         if not isinstance(n, int):
@@ -167,8 +174,10 @@ class SqrtPiPoly:
         if n < 0:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial")
-            ((e, c),) = self._terms.items()
-            return SqrtPiPoly({e * n: c**n})
+            ((e, c),) = self._nums.items()
+            # (c / den)**n = (den / c)**-n
+            num = self._den**-n if c > 0 or n % 2 == 0 else -(self._den**-n)
+            return SqrtPiPoly._canonical(abs(c) ** -n, {e * n: num})
         result = ONE
         base = self
         while n:
@@ -183,11 +192,11 @@ class SqrtPiPoly:
             other = SqrtPiPoly.rational(other)
         if not isinstance(other, SqrtPiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._nums.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -205,6 +214,16 @@ def _coerce(x: "SqrtPiPoly | RationalLike") -> SqrtPiPoly:
     return SqrtPiPoly.rational(x)
 
 
+def _combine(a: SqrtPiPoly, b: SqrtPiPoly, sign: int) -> SqrtPiPoly:
+    """a + sign * b over the lcm of the two denominators."""
+    g = math.gcd(a._den, b._den)
+    fa, fb = b._den // g, sign * (a._den // g)
+    nums = {e: n * fa for e, n in a._nums.items()}
+    for e, n in b._nums.items():
+        nums[e] = nums.get(e, 0) + n * fb
+    return SqrtPiPoly._canonical(a._den * fa, nums)
+
+
 ZERO = SqrtPiPoly()
 ONE = SqrtPiPoly.rational(1)
 
@@ -213,28 +232,27 @@ def sp_dot(pairs: Iterable[Tuple[SqrtPiPoly, SqrtPiPoly]]) -> SqrtPiPoly:
     """The sum of a*b over ``pairs``, fraction-free.
 
     Integer numerators accumulate over a running lcm ``den`` of the pairs'
-    denominator products; each exponent is reduced once, by Fraction(num, den).
+    denominator products; the sum is reduced once, at the end.
     """
     den = 1
     acc: Dict[int, int] = {}
     for a, b in pairs:
-        da, ta = a._integer_form()
-        db, tb = b._integer_form()
+        ta, tb = a._nums, b._nums
         if not (ta and tb):
             continue
-        p = da * db
+        p = a._den * b._den
         up = p // math.gcd(den, p)
         if up != 1:
             for e in acc:
                 acc[e] *= up
             den *= up
         f = den // p
-        for e1, n1 in ta:
+        for e1, n1 in ta.items():
             n1 *= f
-            for e2, n2 in tb:
+            for e2, n2 in tb.items():
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + n1 * n2
-    return SqrtPiPoly({e: Fraction(n, den) for e, n in acc.items() if n})
+    return SqrtPiPoly._canonical(den, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +309,15 @@ def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
         raise ValueError("digits must be >= 1")
     if a.is_zero():
         return Decimal(0)
-    max_mag = max(0, math.ceil(max(_term_log10(e, c) for e, c in a._terms.items())))
+    terms = a.terms
+    max_mag = max(0, math.ceil(max(_term_log10(e, c) for e, c in terms.items())))
     prec = digits + 20 + max_mag
     pi = pi_decimal(prec)
     with localcontext() as ctx:
         ctx.prec = prec
         s = pi.sqrt()
         total = Decimal(0)
-        for e, c in sorted(a._terms.items()):
+        for e, c in sorted(terms.items()):
             coeff = Decimal(c.numerator) / Decimal(c.denominator)
             if e == 0:
                 pw = Decimal(1)
@@ -329,8 +348,9 @@ def sp_format(a: SqrtPiPoly) -> str:
     if a.is_zero():
         return "0"
     parts = []
-    for e in sorted(a._terms, reverse=True):
-        c = a._terms[e]
+    terms = a.terms
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
         mag = abs(c)
         if e == 0:
             body = _fmt_rational(mag)

@@ -359,9 +359,7 @@ def isect_prob_typical(n: int, m: int, d: int) -> SqrtPiPoly:
     """Same intersection probability for typical cells, via the kinematic sum."""
     if d < 1 or n <= d or m <= d:
         raise ValueError(f"need n, m > d >= 1, got n={n}, m={m}, d={d}")
-    total = ZERO
-    for k, i in _kinematic_pairs(d):
-        total = total + v_typical(n, d, d, d - i + 2 * k) * v_typical(m, d, d, i)
+    total = sp_dot((v_typical(n, d, d, d - i + 2 * k), v_typical(m, d, d, i)) for k, i in _kinematic_pairs(d))
     return total.scale(2)
 
 

@@ -80,7 +80,7 @@ class ComparisonReport:
     exact_float: float
     estimate: MCEstimate
     z_score: float
-    verdict: str  # pass | fail | known-discrepancy
+    verdict: str  # pass | fail (known-discrepancy comes only from table rows)
 
     @classmethod
     def build(cls, query, exact, estimate, z_fail=6.0) -> "ComparisonReport":

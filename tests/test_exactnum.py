@@ -77,6 +77,45 @@ def test_sp_dot_matches_fraction_reference(pairs, cancel):
         assert got == ZERO and got.is_zero()
 
 
+units = st.builds(
+    lambda e, c: SqrtPiPoly({e: c}), st.integers(min_value=-12, max_value=12), rationals.filter(lambda c: c != 0)
+)
+
+
+def _fraction_terms(terms):
+    """{s-exponent: Fraction} with the zero coefficients dropped."""
+    return {e: c for e, c in terms.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors, factors, units, rationals, st.integers(min_value=0, max_value=4), st.integers(min_value=-4, max_value=-1))
+@example(ZERO, ZERO, SqrtPiPoly({3: Fraction(-2, 3)}), Fraction(0), 0, -3)
+def test_operators_match_fraction_reference(a, b, unit, x, n, neg):
+    """Each operator against Fraction-by-Fraction arithmetic on ``terms``; each result is canonical."""
+    ta, tb = a.terms, b.terms
+    ((eu, cu),) = unit.terms.items()
+    power = {0: Fraction(1)}
+    for _ in range(n):
+        nxt = {}
+        for e1, c1 in power.items():
+            for e2, c2 in ta.items():
+                nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
+        power = nxt
+    cases = [
+        (a + b, {e: ta.get(e, 0) + tb.get(e, 0) for e in ta.keys() | tb.keys()}),
+        (a - b, {e: ta.get(e, 0) - tb.get(e, 0) for e in ta.keys() | tb.keys()}),
+        (-a, {e: -c for e, c in ta.items()}),
+        (a.scale(x), {e: c * x for e, c in ta.items()}),
+        (a / unit, {e - eu: c / cu for e, c in ta.items()}),
+        (a**n, power),
+        (unit**neg, {eu * neg: cu**neg}),
+    ]
+    for got, want in cases:
+        assert got.terms == _fraction_terms(want)
+        canon = SqrtPiPoly(got.terms)
+        assert got == canon and hash(got) == hash(canon)
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys, polys)
 def test_eval_is_ring_homomorphism(a, b):

@@ -5,17 +5,23 @@
 Imports the package from ``DIR/src`` and the workloads from ``DIR/sphbench``,
 builds the operations of ``acceptance-mc`` and ``large-arrangements`` for each
 seed and runs them in order.  Then it runs every operation of
-``exact-reproduction`` once (none of its inputs depends on the seed).  Then it
-runs the d = 4 comparisons of ``test_compare_isect_d4`` and ``test_compare_d4``
-(cells in R^5, reps 4096, seed 3), which reach the kernels at dim 5 that the
-workloads do not, and two typical cells with k < d at pole:4 (reps 4096,
-seed 3), which reach the cutter path of the kappa sampler that no workload
-runs.  Each Monte Carlo line holds the workload (``d4`` or ``kappa`` for
-those), the seed, the operation's label, ``repr`` of the mean and of the
-stderr, the reps and the redraws, tab-separated.  Each ``exact`` line holds
+``exact-reproduction`` once (none of its inputs depends on the seed), dumps
+the A and B tables of ``sphtess coeffs --max-m 60``, and formats
+(``sp_format``) the weighted ef, U, v, v_{-1} and statdim at every d <= 8,
+d < n <= d + 7, k and l, which reach A and B entries and weighted sums that
+the workloads do not.  Then it runs the d = 4 comparisons of
+``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
+seed 3), which reach the kernels at dim 5 that the workloads do not, and two
+typical cells with k < d at pole:4 (reps 4096, seed 3), which reach the
+cutter path of the kappa sampler that no workload runs.  Each Monte Carlo
+line holds the workload (``d4`` or ``kappa`` for those), the seed, the
+operation's label, ``repr`` of the mean and of the stderr, the reps and the
+redraws, tab-separated.  Each ``exact`` line holds
 the operation's label and the sha256 of ``repr`` of its output (tables,
-figure CSV text, identity-suite results, limit-sweep gaps).  An operation
-that raises prints its error instead.
+figure CSV text, identity-suite results, limit-sweep gaps; one coefficient
+family's CSV lines; one weighted formula's strings at one d, with the
+message of each call that raises).  An operation that raises prints its
+error instead.
 
 A change meant to keep every estimate and every exact output bit-identical
 is checked by running this on a checkout of the parent commit (``git
@@ -44,6 +50,8 @@ D4_CELLS = [
 ] + [("f", flavor, 6, 4, 4, l, None) for flavor in ("weighted", "typical") for l in range(4)]
 # typical cells with k < d under the pole-concentrated law, beta = 4
 KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, None)]
+COEFFS_MAX_M = 60
+WEIGHTED_MAX_D = 8
 
 
 def _estimate(out):
@@ -72,6 +80,46 @@ def _compare(cell, beta=0.0):
     return {"mean": est.mean, "stderr": est.stderr, "reps": est.reps, "redraws": est.degenerate_redraws}
 
 
+def _coeff_tables():
+    """{family: its CSV lines} of ``sphtess coeffs --max-m COEFFS_MAX_M``."""
+    import contextlib
+    import io
+
+    from sphtess import cli
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(["coeffs", "--max-m", str(COEFFS_MAX_M)])
+    tables = {}
+    for line in buf.getvalue().splitlines()[1:]:
+        tables.setdefault(line.split(",", 1)[0], []).append(line)
+    return tables
+
+
+def _weighted_formats(name, d):
+    """``sp_format`` of one weighted formula at every n, k (and l) for this d."""
+    from sphtess import moments as mo
+    from sphtess.exactnum import sp_format
+
+    fn, takes_l = {
+        "ef": (mo.ef_weighted, True),
+        "U": (mo.u_weighted, True),
+        "v": (mo.v_weighted, True),
+        "vminus1": (mo.v_minus1_weighted, False),
+        "statdim": (lambda n, d, k: mo.statdim("weighted", n, d, k), False),
+    }[name]
+    out = []
+    for n in range(d + 1, d + 8):
+        for k in range(d + 1):
+            for args in [(n, d, k, l) for l in range(k + 1)] if takes_l else [(n, d, k)]:
+                try:
+                    text = sp_format(fn(*args))
+                except ValueError as exc:
+                    text = f"error {exc}"
+                out.append(f"{args}: {text}")
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--root", required=True, help="root of the source tree to digest")
@@ -88,6 +136,12 @@ def main(argv=None) -> int:
                 print("\t".join([workload, str(seed), op.label] + fields), flush=True)
     for op in workloads.build_ops("exact-reproduction", args.seeds[0]):
         print("\t".join(["exact", op.label] + _fields(lambda: workloads.run_op(op), _sha256)), flush=True)
+    for family, lines in _coeff_tables().items():
+        print("\t".join(["exact", f"coeffs-{family}-max-m{COEFFS_MAX_M}"] + _sha256(lines)), flush=True)
+    for name in ("ef", "U", "v", "vminus1", "statdim"):
+        for d in range(1, WEIGHTED_MAX_D + 1):
+            label = f"weighted-{name}-d{d}"
+            print("\t".join(["exact", label] + _fields(lambda: _weighted_formats(name, d), _sha256)), flush=True)
     for name, cells, beta in (("d4", D4_CELLS, 0.0), ("kappa", KAPPA_CELLS, 4.0)):
         for cell in cells:
             label = "{}-{}-n{}-d{}-k{}-l{}-m{}".format(*cell)
