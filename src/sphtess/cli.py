@@ -155,6 +155,18 @@ def _req(v, name):
     return v
 
 
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout if ``out`` is not given."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out!r}: {exc.strerror}") from exc
+
+
 def _cmd_table(args) -> int:
     n_range = None
     if args.n_min is not None or args.n_max is not None:
@@ -163,11 +175,7 @@ def _cmd_table(args) -> int:
         n_range = (args.n_min, args.n_max)
     rows = render_table(TableSpec(which=args.which, n_range=n_range))
     csv = rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _emit(csv, args.out)
     n_disc = sum(1 for r in rows if r.verdict == "known-discrepancy")
     n_fail = sum(1 for r in rows if r.verdict == "fail")
     if n_disc:
@@ -310,11 +318,7 @@ def _cmd_figure(args) -> int:
 
     ns = [int(x) for x in args.n.split(",")] if args.n else None
     csv = figures.figure_csv(args.which, d=args.d, k=args.k, ns=ns)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _emit(csv, args.out)
     return 0
 
 
@@ -330,12 +334,7 @@ def _cmd_coeffs(args) -> int:
         for l in range(0, m + 1):
             b = coeff_B(m, l)
             lines.append(f'B,{m},{l},"{sp_format(b)}",{format_float15(b)}')
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

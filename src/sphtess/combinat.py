@@ -2,11 +2,12 @@
 
 ``cells_count``/``faces_count`` are the almost-sure cell and face counts of a
 tessellation by random great hyperspheres in general position.  The A family
-extracts Laurent coefficients from tanh/cotanh series products; the B family
-is a table of sine-moment integrals.  Both are computed by one route and
-checked against an independent route in the test suite (series product vs.
-recurrence for A, recurrence vs. symbolic integral vs. printed closed forms
-for B).
+reads Laurent coefficients of the integer polynomials Q_m times tanh/cotanh,
+each tanh/cotanh coefficient in its Bernoulli closed form; the B family is a
+table of sine-moment integrals.  Both are computed by one route and checked
+against an independent route in the test suite (closed-form series
+coefficients vs. power-series division and recurrence for A, recurrence vs.
+symbolic integral vs. printed closed forms for B).
 
 Everything here is a pure function over immutable memo tables.  The B
 recurrence climbs on ``coeff_B``'s own memo table, one subtraction and one
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Literal
 
-from .exactnum import ZERO, SqrtPiPoly, sp_dot
+from .exactnum import ZERO, SqrtPiPoly, bernoulli, sp_dot
 
 __all__ = [
     "cells_count",
@@ -32,7 +33,6 @@ __all__ = [
     "coeff_B",
     "coeff_B_oracle",
     "b_closed_form",
-    "LaurentSeriesX",
 ]
 
 
@@ -73,82 +73,50 @@ def faces_count(n: int, d: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def qpoly(m: int) -> Dict[int, Fraction]:
-    """Q_m as a map {even x-exponent: coefficient}.
+def qpoly(m: int) -> Dict[int, int]:
+    """Q_m as a map {even x-exponent: integer coefficient}.
 
     Q_0 = Q_1 = 1 and Q_m = prod of (1 + (m-1-2j)^2 x^2) with the last factor
     1 + x^2 (m even) or 1 + 4 x^2 (m odd).
     """
     if m < 0:
         raise ValueError(f"qpoly index must be >= 0, got {m}")
-    if m <= 1:
-        return {0: Fraction(1)}
-    poly: Dict[int, Fraction] = {0: Fraction(1)}
-    j = m - 1
-    while j >= 1:
-        sq = Fraction(j * j)
-        nxt: Dict[int, Fraction] = {}
+    poly: Dict[int, int] = {0: 1}
+    for j in range(m - 1, 0, -2):
+        nxt: Dict[int, int] = {}
         for e, c in poly.items():
-            nxt[e] = nxt.get(e, Fraction(0)) + c
-            nxt[e + 2] = nxt.get(e + 2, Fraction(0)) + c * sq
+            nxt[e] = nxt.get(e, 0) + c
+            nxt[e + 2] = nxt.get(e + 2, 0) + c * j * j
         poly = nxt
-        j -= 2
     return poly
 
 
-class LaurentSeriesX:
-    """Laurent series in x with SqrtPiPoly coefficients, exact above a floor.
-
-    A truncated expansion around x = infinity is missing terms below some
-    exponent.  ``min_exact`` is the lowest exponent whose coefficient is
-    still exact; extraction below it raises.
-    """
-
-    def __init__(self, terms: Dict[int, SqrtPiPoly], min_exact: int):
-        self.min_exact = min_exact
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        self.min_exp = min(self.terms, default=0)
-        self.max_exp = max(self.terms, default=0)
-
-    def coefficient(self, l: int) -> SqrtPiPoly:
-        if l < self.min_exact:
-            raise ValueError(f"exponent {l} below exact floor {self.min_exact}")
-        return self.terms.get(l, ZERO)
-
-
-def hyp_series(kind: Literal["tanh", "coth"], window: int) -> LaurentSeriesX:
-    """Laurent expansion of tanh(pi/(2x)) or cotanh(pi/(2x)) around x = inf.
+@lru_cache(maxsize=None)
+def hyp_series(kind: Literal["tanh", "coth"], e: int) -> SqrtPiPoly:
+    """The x^e coefficient of tanh(pi/(2x)) or cotanh(pi/(2x)) around x = inf.
 
     With u = pi/(2x):
       tanh u = sum_{n>=1} 2^{2n}(2^{2n}-1) B_{2n} u^{2n-1} / (2n)!
       coth u = 1/u + sum_{n>=1} 2^{2n} B_{2n} u^{2n-1} / (2n)!
-    so tanh contributes only negative odd x-exponents and coth adds (2/pi) x.
-    Coefficients are exact through |exponent| <= window.
+    so at odd e <= -1, with n = (1 - e)/2, tanh gives
+    2 (4^n - 1) B_{2n} / (2n)! * pi^(2n-1) and coth gives 2 B_{2n} / (2n)! *
+    pi^(2n-1); coth adds 2/pi at e = 1, and every other exponent is zero.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    from .exactnum import bernoulli
-
-    terms: Dict[int, SqrtPiPoly] = {}
-    if kind == "coth":
-        terms[1] = SqrtPiPoly.pi_power(-1, 2)
-    elif kind != "tanh":
+    if kind not in ("tanh", "coth"):
         raise ValueError(f"kind must be 'tanh' or 'coth', got {kind!r}")
-    n = 1
-    while 2 * n - 1 <= window:
-        b = bernoulli(2 * n)
-        fac = Fraction(2 ** (2 * n), math.factorial(2 * n))
-        if kind == "tanh":
-            fac *= 2 ** (2 * n) - 1
-        # u^{2n-1} = (pi/2)^{2n-1} x^{-(2n-1)}
-        coeff = fac * Fraction(1, 2 ** (2 * n - 1))
-        terms[-(2 * n - 1)] = SqrtPiPoly.pi_power(2 * n - 1, coeff * b)
-        n += 1
-    return LaurentSeriesX(terms, -window)
+    if e == 1 and kind == "coth":
+        return SqrtPiPoly.pi_power(-1, 2)
+    if e > -1 or e % 2 == 0:
+        return ZERO
+    n = (1 - e) // 2
+    coeff = Fraction(2, math.factorial(2 * n)) * bernoulli(2 * n)
+    if kind == "tanh":
+        coeff *= 4**n - 1
+    return SqrtPiPoly.pi_power(2 * n - 1, coeff)
 
 
 # ---------------------------------------------------------------------------
-# A[m, l] by exact series product.
+# A[m, l] from Q_m and the closed-form series coefficients.
 # ---------------------------------------------------------------------------
 
 
@@ -157,10 +125,10 @@ def coeff_A(m: int, l: int) -> SqrtPiPoly:
     """A[m, l]: the x^l coefficient of Q_m, tanh(pi/2x) Q_m, or cotanh(pi/2x) Q_m.
 
     Even l reads Q_m directly; odd l sums Q_m's terms against the tanh
-    (m even) or cotanh (m odd) series coefficients that land on x^l, and
-    raises if one of them lies below the series' exact floor.  Zero whenever
-    l > m.  The sentinel product 0^2 * A[-1,-1] that appears in the
-    face-number formulas is handled by the callers, never here.
+    (m even) or cotanh (m odd) series coefficients that land on x^l, each
+    read in closed form by :func:`hyp_series`.  Zero whenever l > m.  The
+    sentinel product 0^2 * A[-1,-1] that appears in the face-number formulas
+    is handled by the callers, never here.
     """
     if m < 0:
         raise ValueError(f"coeff_A row index must be >= 0, got {m}")
@@ -171,8 +139,8 @@ def coeff_A(m: int, l: int) -> SqrtPiPoly:
     q = qpoly(m)
     if l % 2 == 0:
         return SqrtPiPoly.rational(q[l]) if l in q else ZERO
-    series = hyp_series("tanh" if m % 2 == 0 else "coth", max(m, abs(l)) + 2)
-    return sp_dot((series.coefficient(l - e), SqrtPiPoly.rational(c)) for e, c in q.items())
+    kind = "tanh" if m % 2 == 0 else "coth"
+    return sp_dot((hyp_series(kind, l - e), SqrtPiPoly.rational(c)) for e, c in q.items())
 
 
 def coeff_A_dd_closed(d: int) -> SqrtPiPoly:

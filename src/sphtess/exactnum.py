@@ -12,8 +12,8 @@ Arithmetic works on that form and divides out the content gcd once per
 result.  :func:`sp_dot`, the sum of products a*b over a sequence of pairs,
 accumulates integer numerators over a running lcm of the denominators and
 reduces once at the end; every product (``*``) is an ``sp_dot`` of one pair.
-Reduced Fraction coefficients are built on demand, by ``terms``,
-:func:`sp_format` and :func:`sp_eval`.
+Reduced Fraction coefficients are built on demand, by ``terms`` and
+:func:`sp_format`; :func:`sp_eval` reads the stored form.
 """
 
 from __future__ import annotations
@@ -292,33 +292,32 @@ def _atan_inv(x: int, prec: int) -> Decimal:
     return total
 
 
-def _term_log10(e: int, c: Fraction) -> float:
-    """Rough log10 magnitude of c * pi**(e/2); only used to size guard digits."""
-    num, den = abs(c.numerator), c.denominator
-    mag = (num.bit_length() - den.bit_length()) * math.log10(2)
-    return mag + 0.24857 * e  # log10(sqrt(pi)) = 0.24857...
-
-
 def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
     """Evaluate ``a`` to an absolute error below 10**(1 - digits).
 
-    The working precision is padded by the largest term magnitude so that
-    heavy cancellation (e.g. n! / pi**n sums) cannot eat the answer.
+    Each stored numerator is divided by the common denominator in
+    ``Decimal``.  The working precision is padded by the largest term
+    magnitude, read roughly from the bit lengths, so that heavy cancellation
+    (e.g. n! / pi**n sums) cannot eat the answer.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if a.is_zero():
         return Decimal(0)
-    terms = a.terms
-    max_mag = max(0, math.ceil(max(_term_log10(e, c) for e, c in terms.items())))
+    den_bits = a._den.bit_length()
+    # log10 magnitude of each term: log10(2) per bit, log10(sqrt(pi)) = 0.24857... per s-power
+    max_mag = max(0, math.ceil(max(
+        (abs(n).bit_length() - den_bits) * math.log10(2) + 0.24857 * e for e, n in a._nums.items()
+    )))
     prec = digits + 20 + max_mag
     pi = pi_decimal(prec)
     with localcontext() as ctx:
         ctx.prec = prec
         s = pi.sqrt()
+        den = Decimal(a._den)
         total = Decimal(0)
-        for e, c in sorted(terms.items()):
-            coeff = Decimal(c.numerator) / Decimal(c.denominator)
+        for e, n in sorted(a._nums.items()):
+            coeff = Decimal(n) / den
             if e == 0:
                 pw = Decimal(1)
             elif e % 2 == 0:

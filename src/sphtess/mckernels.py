@@ -75,7 +75,7 @@ from .combinat import cells_count, faces_count
 from .exactnum import sp_eval, sphere_surface
 from .geom import DegenerateInput, KappaFamily, sample_vmf_mixture
 from .moments import ExpectationQuery, ef_typical, ef_weighted, evaluate_query
-from .simulate import ComparisonReport, MCEstimate
+from .simulate import Z_FAIL, ComparisonReport, MCEstimate
 
 BATCH = 1024
 _TOL = 1e-9
@@ -946,7 +946,7 @@ def _sizebias_report(n, d, k, config, omega):
         exact_float=float(sp_eval(exact, 20)),
         estimate=est,
         z_score=z,
-        verdict="pass" if abs(z) <= config.z_fail else "fail",
+        verdict="pass" if abs(z) <= Z_FAIL else "fail",
     )
 
 
@@ -957,7 +957,7 @@ def _kappa_invariance_report(n, d, k, config):
     q = ExpectationQuery("f", "typical", n, d, k, 0)
     est_pole = run_estimate(q, cfg_pole)
     exact_t = ef_typical(n, d, k, 0)
-    return ComparisonReport.build(q, exact_t, est_pole, cfg_pole.z_fail)
+    return ComparisonReport.build(q, exact_t, est_pole)
 
 
 def _skeleton_report(n, d, k, config):
@@ -967,4 +967,4 @@ def _skeleton_report(n, d, k, config):
     est = run_estimate(query, config)
     faces = float(faces_count(n, d, k))
     scaled = replace(est, mean=faces * est.mean, stderr=faces * est.stderr)
-    return ComparisonReport.build(query, sphere_surface(k).scale(math.comb(n, d - k)), scaled, config.z_fail)
+    return ComparisonReport.build(query, sphere_surface(k).scale(math.comb(n, d - k)), scaled)

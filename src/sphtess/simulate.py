@@ -37,6 +37,9 @@ __all__ = [
 # the same rate.
 REDRAW_RATE_LIMIT = 1e-3
 
+# |z| above which a comparison of an estimate with its exact value fails.
+Z_FAIL = 6.0
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -61,7 +64,6 @@ class ExperimentConfig:
     # Estimates run in one thread; the field remains only for callers that
     # still pass threads=1, and any other value is rejected.
     threads: int = 1
-    z_fail: float = 6.0
 
     def validate(self) -> None:
         if self.reps < 100:
@@ -83,10 +85,10 @@ class ComparisonReport:
     verdict: str  # pass | fail (known-discrepancy comes only from table rows)
 
     @classmethod
-    def build(cls, query, exact, estimate, z_fail=6.0) -> "ComparisonReport":
+    def build(cls, query, exact, estimate) -> "ComparisonReport":
         exact_float = float(sp_eval(exact, 20))
         z = estimate.z_score(exact_float)
-        verdict = "pass" if abs(z) <= z_fail else "fail"
+        verdict = "pass" if abs(z) <= Z_FAIL else "fail"
         return cls(query, exact, exact_float, estimate, z, verdict)
 
     def to_dict(self) -> dict:
@@ -143,7 +145,7 @@ def compare(query: ExpectationQuery, config: ExperimentConfig) -> ComparisonRepo
         est = estimate_isect(query.flavor, query.n, query.m, query.d, config)
     else:
         est = estimate(query, config)
-    return ComparisonReport.build(query, exact, est, config.z_fail)
+    return ComparisonReport.build(query, exact, est)
 
 
 # ---------------------------------------------------------------------------

@@ -43,20 +43,39 @@ def test_qpoly():
     assert qpoly(2) == {0: Fraction(1), 2: Fraction(1)}
     assert qpoly(3) == {0: Fraction(1), 2: Fraction(4)}
     assert qpoly(4) == {0: Fraction(1), 2: Fraction(10), 4: Fraction(9)}
+    for m in range(13):
+        assert all(type(c) is int for c in qpoly(m).values()), m
+
+
+def _series_quotient(a, b):
+    """Coefficients of the power series a / b by long division (b[0] != 0)."""
+    q = []
+    for j in range(len(a)):
+        q.append((a[j] - sum(b[i] * q[j - i] for i in range(1, j + 1))) / b[0])
+    return q
 
 
 def test_hyp_series_coefficients():
-    t = hyp_series("tanh", 8)
-    c = hyp_series("coth", 8)
-    assert t.coefficient(-1) == sp_parse("1/2*pi^1")
-    assert t.coefficient(-3) == sp_parse("-1/24*pi^3")
-    assert c.coefficient(1) == sp_parse("2*pi^-1")
-    assert c.coefficient(0).is_zero()
-    assert c.coefficient(-1) == sp_parse("1/6*pi^1")
+    # independent route: tanh u = sinh u / cosh u and u coth u = cosh u / (sinh u / u)
+    # as Fraction power series in u, mapped through u = pi/(2x), u^j = (pi/2)^j x^-j
+    top = 42
+    sinh = [Fraction(j % 2, math.factorial(j)) for j in range(top + 2)]
+    cosh = [Fraction(1 - j % 2, math.factorial(j)) for j in range(top + 1)]
+    tanh = _series_quotient(sinh[: top + 1], cosh)
+    u_coth = _series_quotient(cosh, sinh[1:])
+    for e in range(1, -42, -1):
+        # x^e takes u^-e from tanh u and u^(1-e) from u coth u
+        t = SqrtPiPoly.pi_power(-e, tanh[-e] / Fraction(2) ** -e) if e <= 0 else SqrtPiPoly()
+        c = SqrtPiPoly.pi_power(-e, u_coth[1 - e] / Fraction(2) ** -e)
+        assert hyp_series("tanh", e) == t, e
+        assert hyp_series("coth", e) == c, e
+    assert hyp_series("tanh", -1) == sp_parse("1/2*pi^1")
+    assert hyp_series("tanh", -3) == sp_parse("-1/24*pi^3")
+    assert hyp_series("coth", 1) == sp_parse("2*pi^-1")
+    assert hyp_series("coth", 0).is_zero()
+    assert hyp_series("coth", -1) == sp_parse("1/6*pi^1")
     with pytest.raises(ValueError):
-        hyp_series("tanh", 0)
-    with pytest.raises(ValueError):
-        t.coefficient(-20)
+        hyp_series("sinh", -1)
 
 
 def test_coeff_A_values():

@@ -242,6 +242,17 @@ def test_cli_config_missing_file(tmp_path):
     assert res.stderr.startswith("error: config file ") and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("table", "--which", "appE_d2"), ("figure", "--which", "statdim_fig6"), ("coeffs", "--max-m", "2")],
+    ids=["table", "figure", "coeffs"],
+)
+def test_cli_unwritable_out_is_an_error_line(tmp_path, args):
+    res = run_cli(*args, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: cannot write ") and "Traceback" not in res.stderr
+
+
 def test_cli_warns_on_high_redraw_rate():
     for command in ("simulate", "compare"):
         res = run_cli(command, "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
