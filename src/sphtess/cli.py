@@ -124,7 +124,10 @@ def _dispatch(args) -> int:
 def _parse_gamma(text: str):
     if text in ("star", "gamma_star"):
         return GAMMA_STAR
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"gamma {text!r} has a zero denominator") from None
 
 
 def _cmd_eval(args) -> int:

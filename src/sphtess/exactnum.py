@@ -14,6 +14,11 @@ accumulates integer numerators over a running lcm of the denominators and
 reduces once at the end; every product (``*``) is an ``sp_dot`` of one pair.
 Reduced Fraction coefficients are built on demand, by ``terms`` and
 :func:`sp_format`; :func:`sp_eval` reads the stored form.
+
+Values are printed and read in a small text grammar (see the comment above
+:func:`sp_format`).  :func:`sp_parse` reads it with one compiled pattern per
+term, matched from the start of the text to its end; a :class:`ParseError`
+names the first character that no term can read.
 """
 
 from __future__ import annotations
@@ -120,14 +125,6 @@ class SqrtPiPoly:
 
     def is_zero(self) -> bool:
         return not self._nums
-
-    def is_rational(self) -> bool:
-        return set(self._nums) <= {0}
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self._nums.get(0, 0), self._den)
 
     def is_monomial(self) -> bool:
         return len(self._nums) == 1
@@ -333,13 +330,16 @@ def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
 
 
 # ---------------------------------------------------------------------------
-# Formatting / parsing.  Grammar (ASCII, whitespace insignificant):
-#   expr     := term (('+'|'-') term)*
-#   term     := rational ('*' atom)? | atom
-#   atom     := 'pi' '^' signed-int | 'sqrtpi' '^' signed-int
-#   rational := int ('/' posint)?
-# 'pi^t' carries s-exponent 2*t; odd s-exponents are emitted as 'sqrtpi^e'.
-# Terms are emitted in descending s-exponent order.
+# Formatting / parsing.  Grammar (ASCII; whitespace is allowed between
+# tokens, a signed-int is one token):
+#   expr       := ('+'|'-')? term (('+'|'-') term)*
+#   term       := rational ('*' atom)? | atom
+#   atom       := 'pi' '^' signed-int | 'sqrtpi' '^' signed-int
+#   rational   := digits ('/' digits)?        (nonzero denominator)
+#   signed-int := ('+'|'-')? digits
+# Every term after the first carries exactly one sign: '3 + -4' and '- -1'
+# are errors.  'pi^t' carries s-exponent 2*t; odd s-exponents are emitted as
+# 'sqrtpi^e'.  Terms are emitted in descending s-exponent order.
 # ---------------------------------------------------------------------------
 
 
@@ -352,10 +352,10 @@ def sp_format(a: SqrtPiPoly) -> str:
         c = terms[e]
         mag = abs(c)
         if e == 0:
-            body = _fmt_rational(mag)
+            body = str(mag)
         else:
             atom = f"pi^{e // 2}" if e % 2 == 0 else f"sqrtpi^{e}"
-            body = atom if mag == 1 else f"{_fmt_rational(mag)}*{atom}"
+            body = atom if mag == 1 else f"{mag}*{atom}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -363,116 +363,33 @@ def sp_format(a: SqrtPiPoly) -> str:
     return " ".join(parts)
 
 
-def _fmt_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>[+-]?\d+)|(?P<name>pi|sqrtpi)|(?P<op>[*^/+-]))"
+# one term with its sign and the whitespace around it; '*' is read only
+# between a rational and an atom, so '2*' and '2 pi^1' stop after the '2'
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*"
+    r"(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+)\s*)?)?"
+    r"(?:(?(num)\*\s*)(?P<atom>sqrtpi|pi)\s*\^\s*(?P<exp>[+-]?\d+)\s*)?"
 )
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character at position {pos}: {text[pos:pos+8]!r}")
-        if m.lastgroup is None:
-            pos = m.end()
-            continue
-        out.append((m.lastgroup, m.group(m.lastgroup), pos))
-        pos = m.end()
-    return out
-
-
 def sp_parse(text: str) -> SqrtPiPoly:
-    """Parse the exact-expression grammar; raises ParseError with a position."""
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty expression")
-    i = 0
+    """Parse the grammar above; a ParseError names the first position it cannot read."""
     total: Dict[int, Fraction] = {}
-
-    def fail(msg: str) -> None:
-        pos = toks[i][2] if i < len(toks) else len(text)
-        raise ParseError(f"{msg} at position {pos}")
-
-    def take_int() -> int:
-        nonlocal i
-        if i < len(toks) and toks[i][0] == "int":
-            v = int(toks[i][1])
-            i += 1
-            return v
-        # allow a sign token followed by digits, e.g. '^' '-' '5' never splits
-        fail("expected integer")
-        raise AssertionError
-
-    def take_atom_exp() -> int:
-        nonlocal i
-        if i >= len(toks) or toks[i][1] != "^":
-            fail("expected '^'")
-        i += 1
-        return take_int()
-
-    sign = 1
-    first = True
-    while i < len(toks):
-        kind, val, _ = toks[i]
-        # a sign token leads every later term, and may lead the first one
-        # ('-pi^1'; a signed integer such as '-3' is a single token)
-        if not first or (kind == "op" and val in "+-"):
-            if kind != "op" or val not in "+-":
-                fail("expected '+' or '-'")
-            sign = 1 if val == "+" else -1
-            i += 1
-            if i >= len(toks):
-                fail("dangling operator")
-            kind, val, _ = toks[i]
-        first = False
-
-        coeff = Fraction(1)
-        have_coeff = False
-        if kind == "int":
-            num = int(val)
-            i += 1
-            den = 1
-            if i < len(toks) and toks[i][1] == "/":
-                i += 1
-                if i >= len(toks) or toks[i][0] != "int":
-                    fail("expected denominator")
-                den = int(toks[i][1])
-                if den <= 0:
-                    fail("denominator must be positive")
-                i += 1
-            coeff = Fraction(num, den)
-            have_coeff = True
-            if i < len(toks) and toks[i][1] == "*":
-                i += 1
-                if i >= len(toks) or toks[i][0] != "name":
-                    fail("expected 'pi' or 'sqrtpi' after '*'")
-                kind, val, _ = toks[i]
-            else:
-                e = 0
-                c = sign * coeff
-                total[e] = total.get(e, Fraction(0)) + c
-                continue
-        if kind == "name":
-            name = val
-            i += 1
-            t = take_atom_exp()
-            e = 2 * t if name == "pi" else t
-            c = sign * coeff
-            total[e] = total.get(e, Fraction(0)) + c
-            continue
-        if not have_coeff:
-            fail("expected term")
-    return SqrtPiPoly(total)
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if pos and not m["sign"]:
+            raise ParseError(f"expected '+' or '-' at position {pos}")
+        if not (m["num"] or m["atom"]):
+            raise ParseError(f"expected a term at position {m.end()}")
+        if m["den"] and not int(m["den"]):
+            raise ParseError(f"zero denominator at position {m.start('den')}")
+        c = Fraction(int(m["num"] or 1), int(m["den"] or 1))
+        e = int(m["exp"]) * (2 if m["atom"] == "pi" else 1) if m["atom"] else 0
+        total[e] = total.get(e, 0) + (-c if m["sign"] == "-" else c)
+        pos = m.end()
+        if pos == len(text):
+            return SqrtPiPoly(total)
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,9 @@ class KappaFamily:
     def validate(self) -> None:
         if self.name not in ("isotropic", "pole_concentrated"):
             raise ValueError(f"unknown kappa family {self.name!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        # a NaN beta would pass a plain 'beta < 0' and stall Wood's loop
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def sample_vmf_mixture(rng: np.random.Generator, dim: int, beta: float, size: int) -> np.ndarray:

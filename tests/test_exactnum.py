@@ -241,9 +241,18 @@ def test_format_order_and_style():
 
 
 def test_parse_errors_have_positions():
-    for bad in ("3 +", "pi", "2**pi^1", "1/0", "3/4 - spam"):
-        with pytest.raises(ParseError):
+    # the position is the first character the scanner cannot read
+    cases = [("3 4", 2), ("3/4 - spam", 6), ("1/0", 2), ("3 +", 3), ("pi", 0), ("2**pi^1", 1),
+             ("2 pi^1", 2), ("1/+2", 1), ("3 + -4", 4), ("- -1", 2), ("", 0), ("2*", 1)]
+    for bad, pos in cases:
+        with pytest.raises(ParseError, match=rf" at position {pos}$"):
             sp_parse(bad)
+
+
+def test_parse_reads_signs_next_to_digits():
+    # whitespace is optional between tokens, also between a sign and digits
+    assert sp_parse("1-3") == sp_parse("1 - 3") == SqrtPiPoly.rational(-2)
+    assert sp_parse("pi^1+2") == SqrtPiPoly({2: 1, 0: 2})
 
 
 def test_pi_decimal_known_digits():

@@ -20,7 +20,7 @@ from lp_oracle import (
 from scipy.optimize import linprog
 
 from sphtess.combinat import cells_count, faces_count
-from sphtess.geom import DegenerateInput, sample_vmf_mixture
+from sphtess.geom import DegenerateInput, KappaFamily, sample_vmf_mixture
 from sphtess.mckernels import CellBatch, _sample_unit, batch_rng, solid_fractions
 
 rng = np.random.default_rng(20240607)
@@ -124,6 +124,13 @@ def test_vmf_mixture_at_large_beta(dim, beta):
         # 1 - w^2 = |tangent part|^2 has mean (p-1)/beta + O(beta^-2)
         q = np.sum(x[:, :-1] ** 2, axis=1) * beta / dim
         assert abs(q.mean() - 1) <= 4 * q.std() / math.sqrt(q.size)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+def test_kappa_family_rejects_bad_beta(beta):
+    # a NaN beta once passed and left Wood's loop waiting for an accepted draw
+    with pytest.raises(ValueError, match="beta must be finite"):
+        KappaFamily("pole_concentrated", beta).validate()
 
 
 def test_intersect_to_subsphere():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from sphtess import mckernels
 from sphtess.combinat import cells_count
-from sphtess.geom import KappaFamily
+from sphtess.geom import KappaFamily, sample_vmf_mixture
 from sphtess.mckernels import (
     CellBatch,
     SampleAssertionError,
@@ -436,6 +436,33 @@ def test_ivol_vector_matches_sampled_routes(m, dim, beta):
     diff, var = sq.mean(axis=1) - vec @ np.arange(dim + 1), sq.var(axis=1, ddof=1) / G
     assert np.all(np.abs(diff) <= 5 * np.sqrt(var)), diff / np.sqrt(var)
     assert abs(diff.sum()) <= 4 * math.sqrt(var.sum())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("beta", [None, 4.0], ids=["iso", "pole4"])
+def test_ivol_vector_sums_over_an_arrangement(dim, beta):
+    # Klivans & Swartz (2011): over all cells of m generic central
+    # hyperplanes in R^dim, v_j sums to C(m, dim-j) for j >= 1 and v_0 to
+    # C(m-1, dim-1).  At dim 4, v_0 and v_4 are sampled, but their sum
+    # 1/2 - v_2 is closed form.
+    m = dim + 3
+    rng = np.random.default_rng(118 + dim)
+    if beta is None:
+        normals = rng.standard_normal((m, dim))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    else:
+        normals = sample_vmf_mixture(rng, dim - 1, beta, m)
+    masks = sorted(lp_oracle.build_arrangement(normals, dim - 1))
+    signed = np.stack([lp_oracle.signed_rows(normals, mask) for mask in masks])
+    combos = _combos(m, dim - 1)
+    rays, margins, null = _extreme_rays(signed, combos)
+    sel, hinged = _sign_classes(margins, m - dim + 1)
+    assert not (null | hinged).any()
+    sums = ivol_vector(CellBatch(signed, rays, sel, combos), batch_rng(45, m, dim), 64).sum(axis=0)
+    want = [math.comb(m - 1, dim - 1)] + [math.comb(m, dim - j) for j in range(1, dim + 1)]
+    if dim == 4:
+        sums, want = [sums[0] + sums[4]] + list(sums[1:4]), [want[0] + want[4]] + want[1:4]
+    assert np.allclose(sums, want, rtol=0, atol=1e-12), np.subtract(sums, want)
 
 
 def _share_var(p, draws):

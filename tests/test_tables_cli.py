@@ -124,6 +124,24 @@ def test_cli_eval_euclid():
     assert res.stdout.splitlines()[0] == "4*pi^1"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--quantity", "euclid-v", "--d", "2", "--k", "1", "--l", "0", "--gamma", "1/0"),
+        ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l", "0", "--reps", "200",
+         "--kappa", "pole:nan"),
+        ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l", "0", "--reps", "200",
+         "--kappa", "pole:inf"),
+    ],
+    ids=["gamma-zero-denominator", "beta-nan", "beta-inf"],
+)
+def test_cli_bad_numbers_are_error_lines(args):
+    # a bad number is an error line, never a traceback or an endless sampling loop
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
 def test_cli_table_exit_codes(tmp_path):
     out = tmp_path / "e2.csv"
     res = run_cli("table", "--which", "appE_d2", "--out", str(out))

@@ -6,21 +6,23 @@ Imports the package from ``DIR/src`` and the workloads from ``DIR/sphbench``,
 builds the operations of ``acceptance-mc`` and ``large-arrangements`` for each
 seed and runs them in order.  Then it runs every operation of
 ``exact-reproduction`` once (none of its inputs depends on the seed), dumps
-the A and B tables of ``sphtess coeffs --max-m 60``, and formats
-(``sp_format``) the weighted ef, U, v, v_{-1} and statdim at every d <= 8,
-d < n <= d + 7, k and l, which reach A and B entries and weighted sums that
-the workloads do not.  Then it runs the d = 4 comparisons of
+the A and B tables of ``sphtess coeffs --max-m 60``, parses and formats
+again (``sp_format(sp_parse(s))``) every printed value in
+``appendix_data``, in name order, which checks the text grammar directly and
+not only through table verdicts, and formats the weighted ef, U, v, v_{-1}
+and statdim at every d <= 8, d < n <= d + 7, k and l, which reach A and B
+entries and weighted sums that the workloads do not.  Then it runs the d = 4 comparisons of
 ``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
 seed 3), which reach the kernels at dim 5 that the workloads do not, and two
 typical cells with k < d at pole:4 (reps 4096, seed 3), which reach the
 cutter path of the kappa sampler that no workload runs.  Each Monte Carlo
 line holds the workload (``d4`` or ``kappa`` for those), the seed, the
 operation's label, ``repr`` of the mean and of the stderr, the reps and the
-redraws, tab-separated.  Each ``exact`` line holds
-the operation's label and the sha256 of ``repr`` of its output (tables,
-figure CSV text, identity-suite results, limit-sweep gaps; one coefficient
-family's CSV lines; one weighted formula's strings at one d, with the
-message of each call that raises).  An operation that raises prints its
+redraws, tab-separated.  Each ``exact`` line holds the operation's label
+and the sha256 of ``repr`` of its output (tables, figure CSV text,
+identity-suite results, limit-sweep gaps; one coefficient family's CSV
+lines; the appendix values, each with its table name and key; one weighted
+formula's strings at one d, with the message of each call that raises).  An operation that raises prints its
 error instead.
 
 A change meant to keep every estimate and every exact output bit-identical
@@ -120,6 +122,19 @@ def _weighted_formats(name, d):
     return out
 
 
+def _appendix_round_trips():
+    """``sp_format(sp_parse(s))`` of every printed value in ``appendix_data``, in name order."""
+    from sphtess import appendix_data
+    from sphtess.exactnum import sp_format, sp_parse
+
+    out = []
+    for name in sorted(n for n in vars(appendix_data) if n.startswith("APP_")):
+        table = getattr(appendix_data, name)
+        for key, text in table.items() if isinstance(table, dict) else enumerate(table):
+            out.append(f"{name}[{key!r}]: {sp_format(sp_parse(text))}")
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--root", required=True, help="root of the source tree to digest")
@@ -138,6 +153,7 @@ def main(argv=None) -> int:
         print("\t".join(["exact", op.label] + _fields(lambda: workloads.run_op(op), _sha256)), flush=True)
     for family, lines in _coeff_tables().items():
         print("\t".join(["exact", f"coeffs-{family}-max-m{COEFFS_MAX_M}"] + _sha256(lines)), flush=True)
+    print("\t".join(["exact", "appendix-parse-format"] + _fields(_appendix_round_trips, _sha256)), flush=True)
     for name in ("ef", "U", "v", "vminus1", "statdim"):
         for d in range(1, WEIGHTED_MAX_D + 1):
             label = f"weighted-{name}-d{d}"
