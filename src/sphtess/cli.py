@@ -70,7 +70,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--kappa", default=None, help="iso or pole:BETA")
         p.add_argument("--subspace-reps", type=int)
         p.add_argument("--config", help="JSON object with any of reps, seed, kappa, subspace_reps")
-        p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON (compare)")
+        if name == "compare":
+            p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
 
     p_limit = sub.add_parser("limit", help="Euclidean-limit sweep")
     p_limit.add_argument("--d", type=int, required=True)
@@ -135,6 +136,8 @@ def _cmd_eval(args) -> int:
         q = EuclidQuery(d=args.d, k=_req(args.k, "k"), l=_req(args.l, "l"), gamma=_parse_gamma(args.gamma))
         value = euclid_v(args.flavor, q)
     elif args.quantity == "euclid-f":
+        if args.flavor != "weighted":
+            raise ValueError("euclid-f is only provided for weighted faces (--flavor weighted)")
         value = euclid_f_weighted(_req(args.k, "k"), _req(args.l, "l"))
     else:
         q = ExpectationQuery(

@@ -31,8 +31,10 @@ def figure_csv(
     k: Optional[int] = None,
     ns: Optional[List[int]] = None,
 ) -> str:
+    if d is not None and d < 1:
+        raise ValueError(f"figure {which!r} needs d >= 1, got d={d}")
     if which == "fvec_fig3":
-        d = d or 19
+        d = 19 if d is None else d
         ns = ns or [40, 60, 80]
         lines = ["figure,flavor,d,n,l,exact,float64,normalized_1e7"]
         for flavor, fn in (("Z", ef_typical), ("W", ef_weighted)):
@@ -44,7 +46,7 @@ def figure_csv(
                     lines.append(f'{which},{flavor},{d},{n},{l},"{sp_format(val)}",{f},{norm!r}')
         return "\n".join(lines) + "\n"
     if which in ("quermass_fig4", "intvol_fig5"):
-        d = d or 19
+        d = 19 if d is None else d
         ns = ns or [20, 40, 60]
         pair = (
             (("Z", u_typical), ("W", u_weighted))
@@ -59,7 +61,7 @@ def figure_csv(
                     lines.append(f'{which},{flavor},{d},{n},{l},"{sp_format(val)}",{format_float15(val)}')
         return "\n".join(lines) + "\n"
     if which == "statdim_fig6":
-        d = d or 2
+        d = 2 if d is None else d
         k = k if k is not None else d
         ns = ns or list(range(d + 1, d + 21))
         lines = ["figure,flavor,d,k,n,exact,float64"]
@@ -69,7 +71,7 @@ def figure_csv(
                 lines.append(f'{which},{flavor},{d},{k},{n},"{sp_format(val)}",{format_float15(val)}')
         return "\n".join(lines) + "\n"
     if which == "isect_fig8":
-        d = d or 5
+        d = 5 if d is None else d
         ns = ns or list(range(d + 1, d + 21))
         lines = ["figure,flavor,d,n,exact,float64"]
         for flavor, fn in (("typical", isect_prob_typical), ("weighted", isect_prob_weighted)):

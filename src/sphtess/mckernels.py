@@ -27,14 +27,18 @@ form, vectorized over replication batches:
   pole-concentrated draw with nearly dependent cutters, all through one
   loop (``_redraw``) of at most MAX_REDRAW_ROUNDS rounds, past which it
   raises DegenerateInput;
+* both per-cell functionals read faces from one table: cells are simple,
+  so the face on r facets, keyed by (cell, r-subset of the normals), holds
+  the vertices whose facet sets contain the subset (``_faces``).  f_l
+  counts the distinct keys at r = k - l (``fvec_values``);
 * U, v, v_{-1}, statdim and H^k are rows of coefficients applied to each
   cell's conic intrinsic volumes (v_0, ..., v_dim), one functional
   (``ivol_values``) at every dim; U_0 = 1/2 (and v_0 at k = 1) is
   returned as an exact constant without sampling.  At dim <= 4
-  (IVOL_MAX_DIM) the row multiplies ``ivol_vector``, which takes the
-  vector from closed-form angles at the cell's vertices and 2-faces and
-  the Gauss-Bonnet relations, with v_4 the only sampled entry (a solid
-  fraction);
+  (IVOL_MAX_DIM) the row multiplies ``ivol_vector``: each j-face, j = 1, 2,
+  adds the share of its span that the cone of its vertex rays covers
+  times that of the cone of its facet normals (``_cone_angle``), the
+  Gauss-Bonnet relations give the rest, and v_4 is the only sampled entry;
 * at dim >= 5 the row is rewritten onto the Quermass integrals through
   v_j = U_{j-1} - U_{j+1}, and each U_l it needs is half a subspace-hit
   fraction (nested hits from one Gaussian frame) or, for U_{dim-1} = v_dim,
@@ -51,7 +55,7 @@ constraints), each a small Gram solve vectorized over the batch.
 Every kernel is equivalence-tested against an independent LP route that
 lives with the tests (``tests/lp_oracle.py``) or against the sampled
 functionals, and the per-sample structural assertions (cell count = C(m,k),
-Euler relation, two vertices per 2-face and the Gauss-Bonnet bounds, and
+Euler relation, j vertices per j-face and the Gauss-Bonnet bounds, and
 Moreau orthogonality in the projections) are enforced on every replication.
 
 Determinism: every estimate runs its batches in order in one thread; batch
@@ -461,31 +465,44 @@ def sample_typical_cells(
 
 
 @lru_cache(maxsize=None)
-def _face_codes(m: int, k: int, r: int) -> np.ndarray:
-    """Bitmasks of the r-subsets of each k-subset of range(m): (C(m,k), C(k,r))."""
-    bits = 1 << _combos(m, k).astype(np.int64)
-    out = bits[:, _combos(k, r)].sum(axis=2)
+def _subset_rows(m: int, k: int, r: int) -> np.ndarray:
+    """Row in _combos(m, r) of each r-subset of each k-subset of range(m): read-only (C(m,k), C(k,r))."""
+    row = {c: i for i, c in enumerate(itertools.combinations(range(m), r))}
+    out = [[row[s] for s in itertools.combinations(c, r)] for c in itertools.combinations(range(m), k)]
+    out = np.array(out, dtype=np.intp).reshape(math.comb(m, k), math.comb(k, r))
     out.flags.writeable = False
     return out
+
+
+def _faces(bi: np.ndarray, ci: np.ndarray, m: int, k: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted (cell, r-subset) keys of the vertex incidences, and the vertex behind each key.
+
+    (bi, ci) = np.nonzero(vert_sel): vertex v, ray ci[v] of cell bi[v], lies on
+    the k facets of k-subset ci[v].  Cells are simple, so the face on r of them
+    is the set of vertices whose facet sets hold all r, and its key bi * C(m, r)
+    + (the r-subset's row in _combos(m, r)) repeats once per vertex.  The sort
+    is stable; at r = k the keys are bi * C(m, k) + ci, sorted already.
+    """
+    keys = (bi[:, None] * math.comb(m, r) + _subset_rows(m, k, r)[ci]).ravel()
+    if r == k:
+        return keys, np.arange(keys.size)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order // math.comb(k, r)
 
 
 def fvec_values(cells: CellBatch, l: int) -> np.ndarray:
     """f_l of each cell from its vertices' facet sets, with the Euler hard check.
 
-    Cells are simple almost surely, so the l-faces through a vertex are cut
-    out by the (k-l)-subsets of its k facets, and f_l is the number of
-    distinct (k-l)-subsets of the vertices' facet sets.
+    Cells are simple almost surely: f_i counts a cell's distinct keys on k-i facets.
     """
-    k = cells.dim - 1
-    m = cells.normals.shape[1]
-    vertex = cells.vert_sel != 0
+    B, m, dim = cells.normals.shape
+    k = dim - 1
+    bi, ci = np.nonzero(cells.vert_sel)
     f = []
     for i in range(k + 1):
-        codes = np.where(vertex[..., None], _face_codes(m, k, k - i), -1).reshape(cells.B, -1)
-        codes.sort(axis=1)
-        new = np.ones_like(codes, dtype=bool)
-        new[:, 1:] = codes[:, 1:] != codes[:, :-1]
-        f.append(np.count_nonzero(new & (codes >= 0), axis=1))
+        keys, _ = _faces(bi, ci, m, k, k - i)
+        distinct = keys[np.diff(keys, prepend=-1) != 0]
+        f.append(np.bincount(distinct // math.comb(m, k - i), minlength=B))
     if np.any(f[0] < k):
         raise SampleAssertionError("pointed cell with fewer than k vertices")
     if np.any(sum((-1) ** i * f[i] for i in range(k)) != 1 - (-1) ** k):
@@ -514,22 +531,33 @@ def polar_fractions(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.
 IVOL_MAX_DIM = 4
 
 
-@lru_cache(maxsize=None)
-def _subfaces(m: int, r: int) -> np.ndarray:
-    """Row in _combos(m, r-1) of each (r-1)-subset of each r-subset: read-only (C(m,r), r)."""
-    row = {c: i for i, c in enumerate(map(tuple, _combos(m, r - 1)))}
-    out = np.array(
-        [[row[s] for s in itertools.combinations(c, r - 1)] for c in map(tuple, _combos(m, r))],
-        dtype=np.intp,
-    ).reshape(math.comb(m, r), r)
-    out.flags.writeable = False
-    return out
-
-
 def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angle between unit vectors along the last axis, 2 atan2(|a-b|, |a+b|):
     accurate near 0 and pi, where arccos(a.b) loses half the digits."""
     return 2 * np.arctan2(np.linalg.norm(a - b, axis=-1), np.linalg.norm(a + b, axis=-1))
+
+
+def _cone_angle(points: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Share of its span that the cone of each row's unit generators covers: (F,).
+
+    The generators of row f are ``points[index[f]]``, points (P, n) and
+    index (F, r), r <= 3: 1 for r = 0 and 1/2 for one ray; angle(a, b)/2pi
+    for two; for three, in R^4, the solid angle Omega/4pi with
+    Omega = 2 atan2(|det(a,b,c)|, 1 + ab + bc + ca) (Van Oosterom &
+    Strackee 1983), |det| the norm of the generalized cross product.  Only
+    r >= 2 reads the points.
+    """
+    (F, r), n = index.shape, points.shape[1]
+    if r <= 1:
+        return np.full(F, 0.5 if r else 1.0)
+    if r == 2:
+        return _angle(points.take(index[:, 0], axis=0), points.take(index[:, 1], axis=0)) / (2 * np.pi)
+    if r > 3 or n != 4:
+        raise ValueError(f"cone angles need r <= 3 generators, three in R^4; got r = {r}, n = {n}")
+    V = points.take(index, axis=0)  # (F, 3, 4)
+    volume = np.sqrt(sum(c * c for c in _nullspace_rays(np.moveaxis(V, 0, -1))))
+    dots = np.einsum("vid,vid->v", V, np.roll(V, 1, axis=1))  # ab + bc + ca
+    return np.arctan2(volume, 1.0 + dots) / (2 * np.pi)
 
 
 def ivol_vector(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndarray:
@@ -537,24 +565,14 @@ def ivol_vector(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndar
 
     v_j is the sum over the j-faces F of the internal angle of F times the
     external angle at F, the share of its span that the normal cone of F
-    covers (Schneider & Weil 2008, sec. 6.5).  Cells are simple, so a vertex
-    ray lies on dim-1 facets and a 2-face, spanned by two vertex rays u and
-    w, on the dim-2 facets those vertices share.  Normal cones are spanned
-    by facet normals:
+    covers (Schneider & Weil 2008, sec. 6.5).  For j = 1, 2 a j-face on
+    r = dim - j facets (``_faces``) adds _cone_angle(its j vertex rays) x
+    _cone_angle(its r facet normals).  The Gauss-Bonnet relations
+    sum_{j even} v_j = sum_{j odd} v_j = 1/2 give v_3 = 1/2 - v_1 and
+    v_0 = 1/2 - v_2 - v_4, where v_4 at dim 4 has no elementary form and is
+    the solid fraction of ``pts`` uniform points.
 
-    * v_1: each vertex adds 1/2 x the angle of its dim-1 normals: 1/2 at
-      dim 2, angle(a, b)/2pi at dim 3, and at dim 4 the solid angle
-      Omega/4pi, Omega = 2 atan2(|det(a,b,c)|, 1 + ab + bc + ca) (Van
-      Oosterom & Strackee 1983), |det| the norm of the generalized cross
-      product;
-    * v_2: each 2-face adds angle(u, w)/2pi x the angle of its dim-2
-      normals: 1 at dim 2, 1/2 at dim 3, angle(a, b)/2pi at dim 4;
-    * the Gauss-Bonnet relations sum_{j even} v_j = sum_{j odd} v_j = 1/2
-      give v_3 = 1/2 - v_1 and v_0 = 1/2 - v_2 - v_4, where v_4 at dim 4
-      has no elementary form and is the solid fraction of ``pts`` uniform
-      points.
-
-    Raises SampleAssertionError where a 2-face has other than two vertices
+    Raises SampleAssertionError where a j-face has other than j vertices
     or where v_3 or 1/2 - v_2 falls below -1e-12.
     """
     B, m, dim = cells.normals.shape
@@ -562,41 +580,22 @@ def ivol_vector(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndar
         raise ValueError(f"closed-form intrinsic volumes need dim <= {IVOL_MAX_DIM}")
     unit = cells.normals / np.linalg.norm(cells.normals, axis=2, keepdims=True)
     bi, ci = np.nonzero(cells.vert_sel)
-    normals = unit[bi[:, None], cells.combos[ci]]  # (V, dim-1, dim) per vertex
-    if dim == 2:
-        outer = np.full(bi.size, 0.5)
-    elif dim == 3:
-        outer = _angle(normals[:, 0], normals[:, 1]) / (2 * np.pi)
-    else:
-        volume = np.sqrt(sum(r * r for r in _nullspace_rays(np.moveaxis(normals, 0, -1))))
-        dots = np.einsum("vid,vid->v", normals, np.roll(normals, 1, axis=1))  # ab + bc + ca
-        outer = np.arctan2(volume, 1.0 + dots) / (2 * np.pi)
-    v1 = np.bincount(bi, weights=0.5 * outer, minlength=B)
-
-    # 2-faces: sorted (cell, (dim-2)-subset) keys of the vertices must come
-    # in runs of exactly two, the face's two vertex rays u and w
-    n_sub = math.comb(m, dim - 2)
-    keys = (bi[:, None] * n_sub + _subfaces(m, dim - 1)[ci]).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    if keys.size % 2 or (keys[0::2] != keys[1::2]).any() or (keys[1:-1:2] == keys[2::2]).any():
-        raise SampleAssertionError("a 2-face of a cell does not have exactly two vertices")
     verts = cells.rays[bi, ci] * cells.vert_sel[bi, ci, None]
-    pair = order.reshape(-1, 2) // (dim - 1)
-    arc = _angle(verts[pair[:, 0]], verts[pair[:, 1]])
-    fb, fs = np.divmod(keys[0::2], n_sub)
-    if dim == 4:
-        outer = _angle(*np.moveaxis(unit[fb[:, None], _combos(m, 2)[fs]], 1, 0)) / (2 * np.pi)
-    else:
-        outer = 1.0 if dim == 2 else 0.5
-    v2 = np.bincount(fb, weights=arc / (2 * np.pi) * outer, minlength=B)
-
-    if (dim >= 3 and (0.5 - v1 < -1e-12).any()) or (0.5 - v2 < -1e-12).any():
-        raise SampleAssertionError("Gauss-Bonnet: v_3 or 1/2 - v_2 below -1e-12")
     out = np.zeros((B, dim + 1))
-    out[:, 1], out[:, 2] = v1, v2
+    for j in (1, 2):
+        r = dim - j  # a j-face lies on r facets
+        keys, vertex = _faces(bi, ci, m, dim - 1, r)
+        runs_ok = not keys.size % j and (keys[j - 1 :: j] == keys[::j]).all()  # one run of j per face
+        if not runs_ok or (keys[j::j] == keys[j - 1 : -1 : j]).any():
+            raise SampleAssertionError(f"a {j}-face of a cell does not have exactly {j} vertices")
+        fb, fs = np.divmod(keys[::j], math.comb(m, r))
+        facets = fb[:, None] * m + _combos(m, r)[fs]
+        share = _cone_angle(verts, vertex.reshape(-1, j)) * _cone_angle(unit.reshape(-1, dim), facets)
+        out[:, j] = np.bincount(fb, weights=share, minlength=B)
+    if (dim >= 3 and (0.5 - out[:, 1] < -1e-12).any()) or (0.5 - out[:, 2] < -1e-12).any():
+        raise SampleAssertionError("Gauss-Bonnet: v_3 or 1/2 - v_2 below -1e-12")
     if dim >= 3:
-        out[:, 3] = 0.5 - v1
+        out[:, 3] = 0.5 - out[:, 1]
     if dim == 4:
         out[:, 4] = solid_fractions(cells, rng, pts)
     out[:, 0] = 0.5 - out[:, 2::2].sum(axis=1)

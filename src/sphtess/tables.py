@@ -49,6 +49,8 @@ class TableSpec:
     def validate(self) -> None:
         if self.which not in TABLE_NAMES:
             raise ValueError(f"unknown table {self.which!r}; choose from {TABLE_NAMES}")
+        if self.n_range is not None and self.n_range[0] > self.n_range[1]:
+            raise ValueError(f"empty n range: n_min {self.n_range[0]} > n_max {self.n_range[1]}")
 
 
 @dataclass

@@ -152,8 +152,16 @@ def test_vertices_match_cell_f_vector():
 
 
 def test_fvec_euler_assertion_enforced():
-    cells = _cell_batch(np.random.default_rng(104), 64, 6, 4)
-    fvec_values(cells, 0)  # must not raise on valid cells
+    rng = np.random.default_rng(104)
+    for m, dim in ((5, 3), (6, 4), (7, 5)):
+        cells = _cell_batch(rng, 64, m, dim)
+        fvec_values(cells, 0)  # must not raise on valid cells
+        # a cell that lost one of its f_0 > k vertices keeps every face
+        # above it and passes the f_0 >= k check, but breaks Euler
+        b = np.flatnonzero(np.count_nonzero(cells.vert_sel, axis=1) > dim - 1)[0]
+        cells.vert_sel[b, np.flatnonzero(cells.vert_sel[b])[0]] = 0
+        with pytest.raises(SampleAssertionError, match="Euler"):
+            fvec_values(cells, 0)
 
 
 # -- subspace hit predicates vs LP -------------------------------------------
@@ -509,6 +517,59 @@ def test_ivol_values_matches_sampled_routes_at_high_dim(m, dim, beta):
     diff, var = sq.mean(axis=1) - sd, sq.var(axis=1, ddof=1) / G + own**2
     assert np.all(np.abs(diff) <= 5 * np.sqrt(var)), diff / np.sqrt(var)
     assert abs(diff.sum()) <= 4 * math.sqrt(var.sum())
+
+
+def _cone_share(V):
+    # _cone_angle of each cone's generators V (F, r, n), one row per cone;
+    # three generators in R^3 get a zero fourth coordinate, as in R^4
+    F, r, n = V.shape
+    if r == 3 and n == 3:
+        V, n = np.pad(V, ((0, 0), (0, 0), (0, 1))), 4
+    return mckernels._cone_angle(V.reshape(-1, n), np.arange(F * r).reshape(F, r))
+
+
+def test_cone_angle_exact_values():
+    e = np.eye(4)
+    assert _cone_share(np.empty((2, 0, 3))).tolist() == [1.0, 1.0]
+    assert _cone_share(e[None, :1, :3]).tolist() == [0.5]
+    assert np.allclose(_cone_share(e[None, :2, :3]), 0.25, rtol=0, atol=1e-15)
+    assert np.allclose(_cone_share(e[None, 1:3, :]), 0.25, rtol=0, atol=1e-15)
+    assert np.allclose(_cone_share(e[None, :3, :3]), 0.125, rtol=0, atol=1e-15)
+    assert np.allclose(_cone_share(e[None, 1:, :]), 0.125, rtol=0, atol=1e-15)
+    for bad in (e[None, :, :], e[None, :3, :2]):
+        with pytest.raises(ValueError):
+            mckernels._cone_angle(bad[0], np.arange(len(bad[0]))[None])
+
+
+def _dihedral(a, b, c):
+    # angle at edge a between the planes span(a, b) and span(a, c)
+    pb, pc = b - (a @ b) * a, c - (a @ c) * a
+    return math.acos(np.clip(pb @ pc / np.linalg.norm(pb) / np.linalg.norm(pc), -1, 1))
+
+
+def test_cone_angle_obtuse_triple_girard():
+    # three rays 120 degrees apart just above the equator span nearly a
+    # half-space: 1 + ab + bc + ca < 0, so the solid angle passes pi and
+    # only the atan2 branch reads it; Girard gives Omega = A + B + C - pi
+    for h in (0.05, 0.2, 0.3):
+        t = 2 * np.pi * np.arange(3) / 3 + 0.4
+        V = np.stack([math.sqrt(1 - h * h) * np.cos(t), math.sqrt(1 - h * h) * np.sin(t), np.full(3, h)], axis=1)
+        assert 1 + V[0] @ V[1] + V[1] @ V[2] + V[2] @ V[0] < 0
+        omega = sum(_dihedral(*np.roll(V, -i, axis=0)) for i in range(3)) - np.pi
+        assert abs(_cone_share(V[None])[0] - omega / (4 * np.pi)) < 1e-12, h
+        assert _cone_share(V[None])[0] > 0.25
+
+
+def test_cone_angle_random_triples_against_gaussian_share():
+    # x lies in the cone of the rows of V iff V^-T x >= 0
+    rng = np.random.default_rng(119)
+    V = rng.standard_normal((24, 3, 3))
+    V /= np.linalg.norm(V, axis=2, keepdims=True)
+    N = 20000
+    x = rng.standard_normal((24, 3, N))
+    share = (np.linalg.solve(np.swapaxes(V, 1, 2), x) >= 0).all(axis=1).mean(axis=1)
+    got = _cone_share(V)
+    assert np.all(np.abs(share - got) <= 4 * np.sqrt(got * (1 - got) / N)), share - got
 
 
 def test_ivol_vector_duplicated_vertex_raises():

@@ -122,6 +122,9 @@ def test_cli_eval_euclid():
     res = run_cli("eval", "--quantity", "euclid-v", "--flavor", "typical", "--d", "2", "--k", "2", "--l", "2", "--gamma", "1/2")
     assert res.returncode == 0
     assert res.stdout.splitlines()[0] == "4*pi^1"
+    res = run_cli("eval", "--quantity", "euclid-f", "--flavor", "weighted", "--d", "2", "--k", "2", "--l", "1")
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[0] == "1/2*pi^2"
 
 
 @pytest.mark.parametrize(
@@ -140,6 +143,34 @@ def test_cli_bad_numbers_are_error_lines(args):
     res = run_cli(*args)
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("figure", "--which", "statdim_fig6", "--d", "0", "--n", "3"),
+        ("figure", "--which", "isect_fig8", "--d", "0", "--n", "6"),
+        ("eval", "--quantity", "euclid-f", "--flavor", "typical", "--d", "2", "--k", "2", "--l", "1"),
+        ("eval", "--quantity", "euclid-f", "--d", "2", "--k", "2", "--l", "1"),
+        ("table", "--which", "appA_d2", "--n-min", "5", "--n-max", "3"),
+    ],
+    ids=["fig6-d0", "fig8-d0", "euclid-f-typical", "euclid-f-default-flavor", "table-empty-n-range"],
+)
+def test_cli_inputs_it_would_ignore_are_error_lines(args):
+    # each of these once printed output for other inputs than asked, with exit 0
+    res = run_cli(*args)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def test_cli_csv_is_a_compare_option():
+    args = ("--quantity", "U", "--n", "3", "--d", "2", "--k", "2", "--l", "1", "--reps", "200", "--csv")
+    res = run_cli("simulate", *args)
+    assert res.returncode == 2 and "unrecognized arguments: --csv" in res.stderr
+    res = run_cli("compare", *args)
+    assert res.returncode == 0
+    header, row = res.stdout.splitlines()
+    assert header.startswith("quantity,flavor,n,d,k,l,m,exact,") and row.startswith("U,typical,3,2,2,1,")
 
 
 def test_cli_table_exit_codes(tmp_path):
