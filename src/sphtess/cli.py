@@ -24,6 +24,7 @@ from .geom import DegenerateInput, KappaFamily
 from .mckernels import SampleAssertionError
 from .moments import (
     GAMMA_STAR,
+    QUANTITIES,
     EuclidQuery,
     ExpectationQuery,
     euclid_f_weighted,
@@ -33,22 +34,19 @@ from .moments import (
 )
 from .tables import TableSpec, format_float15, render_table, rows_to_csv
 
-QUANTITIES = ["f", "U", "v", "vminus1", "statdim", "hk", "isect", "euclid-v", "euclid-f"]
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="sphtess", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="exact evaluation of one expectation")
-    p_eval.add_argument("--quantity", required=True, choices=QUANTITIES)
+    p_eval.add_argument("--quantity", required=True, choices=[*QUANTITIES, "euclid-v", "euclid-f"])
     p_eval.add_argument("--flavor", default="typical", choices=["typical", "weighted"])
     p_eval.add_argument("--n", type=int)
     p_eval.add_argument("--m", type=int)
     p_eval.add_argument("--d", type=int, required=True)
     p_eval.add_argument("--k", type=int)
     p_eval.add_argument("--l", type=int)
-    p_eval.add_argument("--gamma", default="star", help="positive rational p/q or 'star'")
+    p_eval.add_argument("--gamma", help="positive rational p/q or 'star' (the default; euclid-v only)")
 
     p_table = sub.add_parser("table", help="reproduce an appendix table")
     p_table.add_argument("--which", required=True)
@@ -58,7 +56,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     for name in ("simulate", "compare"):
         p = sub.add_parser(name)
-        p.add_argument("--quantity", required=True, choices=QUANTITIES[:7])
+        p.add_argument("--quantity", required=True, choices=list(QUANTITIES))
         p.add_argument("--flavor", default="typical", choices=["typical", "weighted"])
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--m", type=int)
@@ -122,8 +120,8 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {args.command}")
 
 
-def _parse_gamma(text: str):
-    if text in ("star", "gamma_star"):
+def _parse_gamma(text: Optional[str]):
+    if text is None or text in ("star", "gamma_star"):
         return GAMMA_STAR
     try:
         return Fraction(text)
@@ -133,26 +131,31 @@ def _parse_gamma(text: str):
 
 def _cmd_eval(args) -> int:
     if args.quantity == "euclid-v":
+        _reject_unread(args, ("n", "m"))
         q = EuclidQuery(d=args.d, k=_req(args.k, "k"), l=_req(args.l, "l"), gamma=_parse_gamma(args.gamma))
         value = euclid_v(args.flavor, q)
     elif args.quantity == "euclid-f":
+        _reject_unread(args, ("n", "m", "gamma"))
         if args.flavor != "weighted":
             raise ValueError("euclid-f is only provided for weighted faces (--flavor weighted)")
         value = euclid_f_weighted(_req(args.k, "k"), _req(args.l, "l"))
     else:
-        q = ExpectationQuery(
-            quantity=args.quantity,
-            flavor=args.flavor,
-            n=_req(args.n, "n"),
-            d=args.d,
-            k=args.k if args.k is not None else args.d,
-            l=args.l,
-            m=args.m,
-        )
-        value = evaluate_query(q)
+        _reject_unread(args, ("gamma",))
+        value = evaluate_query(_query(args))
     print(sp_format(value))
     print(format_float15(value))
     return 0
+
+
+def _query(args) -> ExpectationQuery:
+    k = args.k if args.k is not None else args.d
+    return ExpectationQuery(args.quantity, args.flavor, _req(args.n, "n"), args.d, k, args.l, args.m)
+
+
+def _reject_unread(args, names) -> None:
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--quantity {args.quantity} does not read --{name}")
 
 
 def _req(v, name):
@@ -251,23 +254,12 @@ def _parse_kappa(text: str) -> KappaFamily:
 
 
 def _cmd_sim(args) -> int:
-    from .simulate import compare, estimate, estimate_isect
+    from .simulate import compare, estimate
 
     config = _load_config(args)
-    q = ExpectationQuery(
-        quantity=args.quantity,
-        flavor=args.flavor,
-        n=args.n,
-        d=args.d,
-        k=args.k if args.k is not None else args.d,
-        l=args.l,
-        m=args.m,
-    )
+    q = _query(args)
     if args.command == "simulate":
-        if q.quantity == "isect":
-            est = estimate_isect(q.flavor, q.n, _req(q.m, "m"), q.d, config)
-        else:
-            est = estimate(q, config)
+        est = estimate(q, config)
         _warn_redraws(est)
         print(
             json.dumps(

@@ -33,6 +33,8 @@ def figure_csv(
 ) -> str:
     if d is not None and d < 1:
         raise ValueError(f"figure {which!r} needs d >= 1, got d={d}")
+    if k is not None and which != "statdim_fig6":
+        raise ValueError(f"figure {which!r} does not read k; only statdim_fig6 does")
     if which == "fvec_fig3":
         d = 19 if d is None else d
         ns = ns or [40, 60, 80]

@@ -40,18 +40,18 @@ class KappaFamily:
     dependent cutters, or a hypersphere nearly containing the subsphere)
     and are redrawn, and an estimate ends in :class:`DegenerateInput` once
     the redraws run out.  With ``simulate --quantity f --flavor typical
-    --reps 200``, (n, d, k) = (5, 3, 1) redraws 1 draw at beta = 1e15, 347
-    at 1e18 and runs out at 1e19; (4, 2, 2) redraws 99 at 1e16 and 624 at
-    1e17.
+    --reps 200``, (n, d, k) = (5, 3, 1) redraws no draw at beta = 1e15 (2
+    at ``--reps 400``), 283 at 1e18 and runs out at 1e19; (4, 2, 2) redraws
+    100 at 1e16 and 596 at 1e17.
 
     Statdim, like every quantity but f, is a row on the cell's conic
     intrinsic volumes, and stays clean as long as the samplers do.  With
     ``simulate --quantity statdim --flavor typical --reps 1100 --seed 99``,
     (4, 2, 2) and (5, 3, 3), from closed-form angles, run clean at
-    beta = 1e8, and at 1e12 redraw 4 and 1308 draws.  (5, 4, 4), from
-    subspace hits and the solid fraction, runs clean at 1e7, redraws 174
-    draws at 1e8 and 3693 at 3e8, and runs out of redraw rounds at 1e9; f
-    at (5, 4, 4) redraws 196 at 1e8 and runs out at 1e9 too, so the
+    beta = 1e8, and at 1e12 redraw 4 and 1192 draws.  (5, 4, 4), from
+    subspace hits and the solid fraction, runs clean at 1e7, redraws 206
+    draws at 1e8 and 3985 at 3e8, and runs out of redraw rounds at 1e9; f
+    at (5, 4, 4) redraws 186 at 1e8 and runs out at 1e9 too, so the
     samplers set the limit there.
     """
 

@@ -69,7 +69,7 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
 from typing import Sequence, Tuple
 
@@ -848,19 +848,18 @@ def _ivol_row(quantity: str, l, dim: int, omega) -> np.ndarray:
 def run_estimate(query: ExpectationQuery, config) -> MCEstimate:
     n, d, k, l = query.n, query.d, query.k, query.l
     flavor, quantity = query.flavor, query.quantity
-    stream = stream_id(
-        quantity, flavor, n, d, k, l, config.kappa.name, config.kappa.beta,
-        config.subspace_reps,
-    )
-    if quantity != "isect" and (k == 0 or l == 0 and (quantity == "U" or quantity == "v" and k == 1)):
+    stream = stream_id(*astuple(query), config.kappa.name, config.kappa.beta)
+    if k == 0 or l == 0 and (quantity == "U" or quantity == "v" and k == 1):
         # a.s. constants: every functional of a point (k = 0), U_0 = 1/2
         # (Gauss-Bonnet) and v_0 = U_0 - U_2 = U_0 at k = 1
         value = float(sp_eval(evaluate_query(query), 20))
         return MCEstimate(mean=value, stderr=0.0, reps=config.reps, degenerate_redraws=0, seed=config.seed)
     m, dim = n - d + k, k + 1
     raw = _kappa_sampler(config.kappa, n, d, k)
-    if flavor == "weighted" and raw is not None:
-        raise ValueError("weighted sampler is isotropic only")
+    if raw is not None and (flavor == "weighted" or quantity == "isect"):
+        raise ValueError(f"the {flavor} {quantity} sampler takes isotropic kappa only")
+    if quantity == "isect":
+        return run_isect(flavor, n, query.m, d, config, stream)
     S = config.subspace_reps
 
     omega = float(sp_eval(sphere_surface(k), 20)) if quantity == "hk" else None
@@ -880,11 +879,8 @@ def run_estimate(query: ExpectationQuery, config) -> MCEstimate:
     return finalize(_batches(config.reps, config.seed, stream, worker), config.seed)
 
 
-def run_isect(flavor: str, n: int, m: int, d: int, config) -> MCEstimate:
-    stream = stream_id("isect", flavor, n, m, d)
+def run_isect(flavor: str, n: int, m: int, d: int, config, stream: int) -> MCEstimate:
     dim = d + 1
-    if flavor not in ("typical", "weighted"):
-        raise ValueError(f"unknown flavor {flavor!r}")
     sample = sample_typical_cells if flavor == "typical" else sample_weighted_cells
 
     def worker(rng, nb):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, List, Literal, Optional, Sequence, Tuple, Union
 
 from .combinat import cells_count, coeff_A, coeff_B, faces_count
@@ -31,10 +32,12 @@ __all__ = [
     "ef_typical",
     "ef_weighted",
     "hk_typical_mean",
+    "hk_weighted_mean",
     "u_typical",
     "u_weighted",
     "v_typical",
     "v_weighted",
+    "v_minus1_typical",
     "v_minus1_weighted",
     "statdim",
     "statdim_closed",
@@ -52,7 +55,9 @@ __all__ = [
 
 Flavor = Literal["typical", "weighted"]
 
-QUANTITIES = ("f", "U", "v", "vminus1", "statdim", "hk", "isect")
+# The optional ExpectationQuery fields each quantity reads; every quantity
+# reads n, d and k and has an exact value for both flavors.
+QUANTITIES = {"f": ("l",), "U": ("l",), "v": ("l",), "vminus1": (), "statdim": (), "hk": (), "isect": ("m",)}
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,17 @@ class ExpectationQuery:
         if self.flavor not in ("typical", "weighted"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         _check_face_indices(self.n, self.d, self.k, weighted=self.flavor == "weighted")
-        if self.quantity in ("f", "U", "v"):
-            if self.l is None:
-                raise ValueError(f"quantity {self.quantity!r} needs l")
+        reads = QUANTITIES[self.quantity]
+        for name in ("l", "m"):
+            if (getattr(self, name) is None) == (name in reads):
+                verb = "needs" if name in reads else "does not read"
+                raise ValueError(f"quantity {self.quantity!r} {verb} {name}")
+        if self.l is not None:
             top = self.k - 1 if self.quantity == "f" else self.k
             if not 0 <= self.l <= top:
                 raise ValueError(f"quantity {self.quantity!r} needs 0 <= l <= {top} at k={self.k}, got l={self.l}")
+        if "m" in reads and not self.k == self.d < min(self.n, self.m):
+            raise ValueError(f"quantity {self.quantity!r} needs k = d and n, m > d, got {self}")
 
 
 GAMMA_STAR = "gamma_star"
@@ -157,6 +167,11 @@ def hk_typical_mean(n: int, d: int, k: int) -> SqrtPiPoly:
     return sphere_surface(k).scale(scale)
 
 
+def hk_weighted_mean(n: int, d: int, k: int) -> SqrtPiPoly:
+    """Expected k-content of the weighted typical k-face: omega_{k+1} E v_k(W)."""
+    return sphere_surface(k) * v_weighted(n, d, k, k)
+
+
 # ---------------------------------------------------------------------------
 # Spherical Quermass integrals.
 # ---------------------------------------------------------------------------
@@ -198,6 +213,13 @@ def v_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
         raise ValueError(f"need 0 <= l <= k, got l={l}, k={k}")
     pref = SqrtPiPoly.pi_power(-N, Fraction(math.factorial(N), 2))
     return pref * coeff_B(N + l, k) * coeff_A(k, l)
+
+
+def v_minus1_typical(n: int, d: int, k: int) -> SqrtPiPoly:
+    """E v_{-1}(Z) = binom(N-1, k) / C(N, k): content of the polar of the typical face."""
+    N = _check_face_indices(n, d, k, weighted=False)
+    # at N = 0 the face is the whole S^k, whose polar is {0}
+    return SqrtPiPoly.rational(Fraction(math.comb(N - 1, k) if N else 0) / cells_count(N, k))
 
 
 def v_minus1_weighted(n: int, d: int, k: int) -> SqrtPiPoly:
@@ -461,15 +483,11 @@ def identity_suite(
             total = total + v_weighted(n, d, k, j)
         out.append(IdentityCheck("v_closure_weighted", (n, d, k), ok=total == ONE))
 
-        # (v) sum_l E v_l(Z) = 1 - binom(N-1, k)/C(N, k)
-        N = n - d + k
-        tz = ZERO
+        # (v) sum_{i=-1}^{k} E v_i(Z) = 1
+        total = v_minus1_typical(n, d, k)
         for j in range(k + 1):
-            tz = tz + v_typical(n, d, k, j)
-        expected = ONE - SqrtPiPoly.rational(
-            Fraction(math.comb(N - 1, k)) / cells_count(N, k)
-        )
-        out.append(IdentityCheck("v_closure_typical", (n, d, k), ok=tz == expected))
+            total = total + v_typical(n, d, k, j)
+        out.append(IdentityCheck("v_closure_typical", (n, d, k), ok=total == ONE))
     return out
 
 
@@ -478,28 +496,23 @@ def identity_suite(
 # ---------------------------------------------------------------------------
 
 
+# Per quantity, its exact value for typical and for weighted faces, each
+# called with n, d, k and the fields QUANTITIES says it reads.
+_EXACT = {
+    "f": (ef_typical, ef_weighted),
+    "U": (u_typical, u_weighted),
+    "v": (v_typical, v_weighted),
+    "vminus1": (v_minus1_typical, v_minus1_weighted),
+    "statdim": (partial(statdim, "typical"), partial(statdim, "weighted")),
+    "hk": (hk_typical_mean, hk_weighted_mean),
+    "isect": (
+        lambda n, d, k, m: isect_prob_typical(n, m, d),
+        lambda n, d, k, m: isect_prob_weighted(n, m, d),
+    ),
+}
+
+
 def evaluate_query(q: ExpectationQuery) -> SqrtPiPoly:
     q.validate()
-    typ = q.flavor == "typical"
-    if q.quantity == "f":
-        return (ef_typical if typ else ef_weighted)(q.n, q.d, q.k, q.l)
-    if q.quantity == "U":
-        return (u_typical if typ else u_weighted)(q.n, q.d, q.k, q.l)
-    if q.quantity == "v":
-        return (v_typical if typ else v_weighted)(q.n, q.d, q.k, q.l)
-    if q.quantity == "vminus1":
-        if typ:
-            raise ValueError("vminus1 is only provided for weighted faces")
-        return v_minus1_weighted(q.n, q.d, q.k)
-    if q.quantity == "statdim":
-        return statdim(q.flavor, q.n, q.d, q.k)
-    if q.quantity == "hk":
-        if not typ:
-            raise ValueError("hk mean is only provided for typical faces")
-        return hk_typical_mean(q.n, q.d, q.k)
-    if q.quantity == "isect":
-        if q.m is None:
-            raise ValueError("quantity 'isect' needs m")
-        fn = isect_prob_typical if typ else isect_prob_weighted
-        return fn(q.n, q.m, q.d)
-    raise ValueError(f"unknown quantity {q.quantity!r}")
+    exact = _EXACT[q.quantity][q.flavor == "weighted"]
+    return exact(q.n, q.d, q.k, *(getattr(q, name) for name in QUANTITIES[q.quantity]))

@@ -3,12 +3,16 @@
 The public surface is the estimate and report types and the entry points
 :func:`estimate`, :func:`estimate_isect`, :func:`compare` and
 :func:`consistency_checks`, all run by the batched samplers and kernels in
-:mod:`sphtess.mckernels`.
+:mod:`sphtess.mckernels`.  :func:`estimate` takes every quantity of
+:data:`sphtess.moments.QUANTITIES`, isect included; :func:`estimate_isect`
+only builds the isect query for it.
 
 Determinism contract: estimates are reproducible bit-for-bit from
 (seed, reps, config).  Replications are grouped in fixed-size batches that
 run in order in one thread; batch j draws from a Philox stream advanced to
-a fixed offset, and partial sums are combined in batch order.
+a fixed offset, and partial sums are combined in batch order.  The stream
+hashes the validated query and the kappa family, and not ``subspace_reps``,
+so an estimate that draws no points does not change with it.
 """
 
 from __future__ import annotations
@@ -131,21 +135,11 @@ def estimate_isect(
 ) -> MCEstimate:
     """Estimate of the cell-intersection probability (cells of two independent
     isotropic tessellations; weighted = point-containing, typical = uniform)."""
-    from . import mckernels
-
-    config.validate()
-    if n <= d or m <= d:
-        raise ValueError("need n, m > d")
-    return mckernels.run_isect(flavor, n, m, d, config)
+    return estimate(ExpectationQuery("isect", flavor, n, d, d, m=m), config)
 
 
 def compare(query: ExpectationQuery, config: ExperimentConfig) -> ComparisonReport:
-    exact = evaluate_query(query)
-    if query.quantity == "isect":
-        est = estimate_isect(query.flavor, query.n, query.m, query.d, config)
-    else:
-        est = estimate(query, config)
-    return ComparisonReport.build(query, exact, est)
+    return ComparisonReport.build(query, evaluate_query(query), estimate(query, config))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from sphtess.moments import (
     euclid_v,
     evaluate_query,
     hk_typical_mean,
+    hk_weighted_mean,
     identity_suite,
     isect_prob_fixed,
     isect_prob_typical,
@@ -27,6 +28,7 @@ from sphtess.moments import (
     statdim_closed,
     u_typical,
     u_weighted,
+    v_minus1_typical,
     v_minus1_weighted,
     v_typical,
     v_weighted,
@@ -90,6 +92,10 @@ def test_v_minus1():
     for j in range(3):
         total = total + v_weighted(5, 2, 2, j)
     assert total == ONE
+    # typical faces: binom(N-1, k) / C(N, k), and 0 when no hypersphere cuts S^k
+    assert v_minus1_typical(4, 2, 2) == sp_parse("3/14")
+    assert v_minus1_typical(6, 3, 2) == sp_parse("3/11")
+    assert v_minus1_typical(2, 2, 0) == ZERO and v_typical(2, 2, 0, 0) == ONE
 
 
 def test_statdim():
@@ -258,7 +264,20 @@ def test_evaluate_query_dispatch():
     assert evaluate_query(q) == sp_parse("13/8 - 9*pi^-2")
     with pytest.raises(ValueError):
         evaluate_query(ExpectationQuery("f", "typical", 4, 2, 2))  # missing l
-    with pytest.raises(ValueError):
-        evaluate_query(ExpectationQuery("hk", "weighted", 4, 2, 2))
+    # every quantity has both flavors: E H^k(W) = omega_{k+1} E v_k(W)
+    q = ExpectationQuery("hk", "weighted", 6, 3, 2)
+    assert evaluate_query(q) == hk_weighted_mean(6, 3, 2) == sp_parse("2*pi^1 - 40*pi^-1 + 240*pi^-3")
+    assert evaluate_query(ExpectationQuery("vminus1", "typical", 6, 3, 2)) == sp_parse("3/11")
     with pytest.raises(ValueError):
         evaluate_query(ExpectationQuery("nope", "typical", 4, 2, 2, 0))
+    # a field the quantity does not read is an error, as is isect off k = d
+    for bad, match in (
+        (ExpectationQuery("statdim", "typical", 5, 2, 2, l=1), "does not read l"),
+        (ExpectationQuery("f", "typical", 5, 2, 2, 1, m=9), "does not read m"),
+        (ExpectationQuery("isect", "typical", 4, 2, 2, l=0, m=4), "does not read l"),
+        (ExpectationQuery("isect", "weighted", 4, 2, 2), "needs m"),
+        (ExpectationQuery("isect", "weighted", 4, 2, 1, m=4), "needs k = d"),
+        (ExpectationQuery("isect", "typical", 4, 2, 2, m=2), "needs k = d and n, m > d"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            evaluate_query(bad)

@@ -172,6 +172,39 @@ def test_estimate_u0_is_exact_without_draws(monkeypatch):
         assert est.mean == 0.5 and est.stderr == 0.0 and est.degenerate_redraws == 0, q
 
 
+def test_estimate_runs_isect_through_one_route():
+    # estimate takes the isect query itself; estimate_isect and compare only reach it
+    q = ExpectationQuery("isect", "weighted", 4, 2, 2, m=4)
+    est = estimate(q, FAST)
+    assert est == estimate_isect("weighted", 4, 4, 2, FAST) == compare(q, FAST).estimate
+
+
+@pytest.mark.parametrize(
+    "query",
+    [ExpectationQuery("f", "typical", 5, 2, 2, 1), ExpectationQuery("v", "weighted", 5, 2, 2, 1)],
+    ids=["f", "v-dim3"],
+)
+def test_estimates_that_draw_no_points_ignore_subspace_reps(query):
+    # no stream hashes subspace_reps, so only estimates that draw points move with it
+    assert estimate(query, replace(FAST, subspace_reps=3)) == estimate(query, replace(FAST, subspace_reps=16))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ExpectationQuery("vminus1", "typical", 6, 3, 2),
+        ExpectationQuery("vminus1", "typical", 5, 3, 3),
+        ExpectationQuery("hk", "weighted", 6, 3, 2),
+        ExpectationQuery("hk", "weighted", 5, 3, 3),
+    ],
+    ids=lambda q: f"{q.quantity}-{q.flavor}-{q.n}{q.d}{q.k}",
+)
+def test_compare_vminus1_typical_and_hk_weighted(query):
+    rep = compare(query, ExperimentConfig(reps=4096, seed=3))
+    assert abs(rep.z_score) <= 4, rep.to_dict()
+    assert rep.estimate.degenerate_redraws <= 4096 * 1e-3
+
+
 def test_estimate_isect():
     est = estimate_isect("weighted", 3, 3, 2, FAST)
     exact = 13 / 8 - 9 / math.pi**2
@@ -194,8 +227,10 @@ def test_estimate_rejects_bad_config():
 
 def test_weighted_sampler_rejects_nonisotropic_queries():
     cfg = ExperimentConfig(reps=200, kappa=KappaFamily("pole_concentrated", 2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="isotropic kappa only"):
         estimate(ExpectationQuery("f", "weighted", 4, 2, 2, 0), cfg)
+    with pytest.raises(ValueError, match="isotropic kappa only"):
+        estimate(ExpectationQuery("isect", "typical", 4, 2, 2, m=4), cfg)
 
 
 def test_consistency_checks_small():

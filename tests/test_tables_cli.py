@@ -153,14 +153,47 @@ def test_cli_bad_numbers_are_error_lines(args):
         ("eval", "--quantity", "euclid-f", "--flavor", "typical", "--d", "2", "--k", "2", "--l", "1"),
         ("eval", "--quantity", "euclid-f", "--d", "2", "--k", "2", "--l", "1"),
         ("table", "--which", "appA_d2", "--n-min", "5", "--n-max", "3"),
+        ("figure", "--which", "quermass_fig4", "--d", "2", "--n", "4", "--k", "7"),
     ],
-    ids=["fig6-d0", "fig8-d0", "euclid-f-typical", "euclid-f-default-flavor", "table-empty-n-range"],
+    ids=["fig6-d0", "fig8-d0", "euclid-f-typical", "euclid-f-default-flavor", "table-empty-n-range",
+         "figure-k-unread"],
 )
 def test_cli_inputs_it_would_ignore_are_error_lines(args):
     # each of these once printed output for other inputs than asked, with exit 0
     res = run_cli(*args)
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+READS = {
+    "f": ("--n", "5", "--d", "2", "--k", "2", "--l", "1"),
+    "statdim": ("--n", "5", "--d", "2", "--k", "2"),
+    "hk": ("--flavor", "weighted", "--n", "5", "--d", "2", "--k", "2"),
+    "isect": ("--n", "4", "--m", "4", "--d", "2"),
+    "euclid-v": ("--d", "2", "--k", "2", "--l", "2"),
+    "euclid-f": ("--flavor", "weighted", "--d", "2", "--k", "2", "--l", "1"),
+}
+UNREAD = [("f", "--m", "9"), ("statdim", "--l", "1"), ("hk", "--l", "0"), ("isect", "--k", "1"),
+          ("isect", "--l", "0")]
+UNREAD_CASES = (
+    [("eval", *case) for case in UNREAD]
+    + [("eval", "f", "--gamma", "1/2"), ("eval", "euclid-v", "--n", "4"), ("eval", "euclid-v", "--m", "4"),
+       ("eval", "euclid-f", "--n", "4"), ("eval", "euclid-f", "--m", "4"), ("eval", "euclid-f", "--gamma", "1/2")]
+    + [(command, *case) for command in ("simulate", "compare")
+       for case in UNREAD + [("isect", "--kappa", "pole:50")]]
+)
+
+
+@pytest.mark.parametrize("command,quantity,option,value", UNREAD_CASES,
+                         ids=["-".join(case[:3]).replace("--", "") for case in UNREAD_CASES])
+def test_cli_unread_options_are_error_lines(capsys, command, quantity, option, value):
+    # every option is read or rejected: none is silently ignored
+    args = [command, "--quantity", quantity, *READS[quantity]] + (["--reps", "200"] if command != "eval" else [])
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    assert cli.main(args + [option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and option.lstrip("-") in err
 
 
 def test_cli_csv_is_a_compare_option():
@@ -219,11 +252,11 @@ def test_cli_kappa_at_large_beta():
                   "--k", "1", "--l", "0", "--kappa", "pole:1e20", "--reps", "200")
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "redraw rounds" in res.stderr
-    # a hypersphere that nearly contains the subsphere in one draw: that draw is redrawn
+    # a hypersphere that nearly contains the subsphere in two draws: those draws are redrawn
     res = run_cli("simulate", "--quantity", "f", "--flavor", "typical", "--n", "5", "--d", "3",
-                  "--k", "1", "--l", "0", "--kappa", "pole:1e15", "--reps", "200")
+                  "--k", "1", "--l", "0", "--kappa", "pole:1e15", "--reps", "400")
     assert res.returncode == 0
-    assert json.loads(res.stdout)["degenerate_redraws"] == 1
+    assert json.loads(res.stdout)["degenerate_redraws"] == 2
     # every draw grazes: the redraw rounds run out instead of looping forever
     res = run_cli("simulate", "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
                   "--k", "2", "--l", "0", "--kappa", "pole:1e20", "--reps", "200")
@@ -249,7 +282,7 @@ def test_cli_sample_assertion_is_an_error_line(monkeypatch, capsys):
     res = run_cli("simulate", "--quantity", "statdim", "--flavor", "typical", "--n", "5", "--d", "4",
                   "--k", "4", "--kappa", "pole:1e8", "--reps", "1100", "--seed", "99")
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["degenerate_redraws"] == 174
+    assert json.loads(res.stdout)["degenerate_redraws"] == 206
 
 
 @pytest.mark.parametrize(
@@ -307,8 +340,8 @@ def test_cli_warns_on_high_redraw_rate():
         res = run_cli(command, "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
                       "--k", "2", "--l", "0", "--kappa", "pole:1e17", "--reps", "200")
         assert res.returncode == 0
-        assert json.loads(res.stdout)["degenerate_redraws"] == 624
-        assert res.stderr.startswith("warning: 624 degenerate redraws")
+        assert json.loads(res.stdout)["degenerate_redraws"] == 596
+        assert res.stderr.startswith("warning: 596 degenerate redraws")
     res = run_cli("simulate", "--quantity", "f", "--flavor", "typical", "--n", "4", "--d", "2",
                   "--k", "2", "--l", "0", "--reps", "200")
     assert res.returncode == 0 and res.stderr == ""
