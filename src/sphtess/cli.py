@@ -19,10 +19,12 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+from . import figures
 from .exactnum import sp_eval, sp_format
 from .geom import DegenerateInput, KappaFamily
 from .mckernels import SampleAssertionError
 from .moments import (
+    FLAVORS,
     GAMMA_STAR,
     QUANTITIES,
     EuclidQuery,
@@ -40,7 +42,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_eval = sub.add_parser("eval", help="exact evaluation of one expectation")
     p_eval.add_argument("--quantity", required=True, choices=[*QUANTITIES, "euclid-v", "euclid-f"])
-    p_eval.add_argument("--flavor", default="typical", choices=["typical", "weighted"])
+    p_eval.add_argument("--flavor", default="typical", choices=FLAVORS)
     p_eval.add_argument("--n", type=int)
     p_eval.add_argument("--m", type=int)
     p_eval.add_argument("--d", type=int, required=True)
@@ -57,7 +59,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name in ("simulate", "compare"):
         p = sub.add_parser(name)
         p.add_argument("--quantity", required=True, choices=list(QUANTITIES))
-        p.add_argument("--flavor", default="typical", choices=["typical", "weighted"])
+        p.add_argument("--flavor", default="typical", choices=FLAVORS)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--m", type=int)
         p.add_argument("--d", type=int, required=True)
@@ -75,15 +77,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_limit.add_argument("--d", type=int, required=True)
     p_limit.add_argument("--k", type=int, required=True)
     p_limit.add_argument("--l", type=int, required=True)
-    p_limit.add_argument("--flavor", default="typical", choices=["typical", "weighted"])
+    p_limit.add_argument("--flavor", default="typical", choices=FLAVORS)
     p_limit.add_argument("--n", default="25,50,100,200", help="comma-separated intensities")
 
     p_fig = sub.add_parser("figure", help="emit plot-data CSV for one figure")
-    p_fig.add_argument(
-        "--which",
-        required=True,
-        choices=["fvec_fig3", "quermass_fig4", "intvol_fig5", "statdim_fig6", "isect_fig8"],
-    )
+    p_fig.add_argument("--which", required=True, choices=figures.FIGURES)
     p_fig.add_argument("--d", type=int)
     p_fig.add_argument("--k", type=int)
     p_fig.add_argument("--n", help="comma-separated intensities (figure default if omitted)")
@@ -297,24 +295,30 @@ def _warn_redraws(est) -> None:
         )
 
 
+def _n_list(text: str) -> List[int]:
+    """The intensities of a comma-separated ``--n`` list."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--n needs comma-separated integers, got {text!r}") from None
+
+
 def _cmd_limit(args) -> int:
-    ns = [int(x) for x in args.n.split(",")]
     limit = euclid_v(args.flavor, EuclidQuery(d=args.d, k=args.k, l=args.l))
-    print("n,prelimit_float,gap_exact,gap_float,rel_gap")
-    for n in ns:
+    lines = ["n,prelimit_float,gap_exact,gap_float,rel_gap"]
+    for n in _n_list(args.n):
         gap = euclid_limit_gap(args.d, args.k, args.l, args.flavor, n)
         pre = gap + limit
         gap_f = float(sp_eval(gap, 20))
         lim_f = float(sp_eval(limit, 20))
         rel = abs(gap_f) / abs(lim_f) if lim_f else 0.0
-        print(f'{n},{format_float15(pre)},"{sp_format(gap)}",{gap_f:.6e},{rel:.6e}')
+        lines.append(f'{n},{format_float15(pre)},"{sp_format(gap)}",{gap_f:.6e},{rel:.6e}')
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_figure(args) -> int:
-    from . import figures
-
-    ns = [int(x) for x in args.n.split(",")] if args.n else None
+    ns = _n_list(args.n) if args.n is not None else None
     csv = figures.figure_csv(args.which, d=args.d, k=args.k, ns=ns)
     _emit(csv, args.out)
     return 0

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 Flavor = Literal["typical", "weighted"]
+FLAVORS = ("typical", "weighted")
 
 # The optional ExpectationQuery fields each quantity reads; every quantity
 # reads n, d and k and has an exact value for both flavors.
@@ -75,20 +76,23 @@ class ExpectationQuery:
     def validate(self) -> None:
         if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown quantity {self.quantity!r}")
-        if self.flavor not in ("typical", "weighted"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        exact_function(self.quantity, self.flavor)  # rejects an unknown flavor
         _check_face_indices(self.n, self.d, self.k, weighted=self.flavor == "weighted")
         reads = QUANTITIES[self.quantity]
         for name in ("l", "m"):
             if (getattr(self, name) is None) == (name in reads):
                 verb = "needs" if name in reads else "does not read"
                 raise ValueError(f"quantity {self.quantity!r} {verb} {name}")
-        if self.l is not None:
-            top = self.k - 1 if self.quantity == "f" else self.k
-            if not 0 <= self.l <= top:
-                raise ValueError(f"quantity {self.quantity!r} needs 0 <= l <= {top} at k={self.k}, got l={self.l}")
+        ls = l_values(self.quantity, self.k)
+        if self.l is not None and self.l not in ls:
+            raise ValueError(f"quantity {self.quantity!r} needs 0 <= l <= {len(ls) - 1} at k={self.k}, got l={self.l}")
         if "m" in reads and not self.k == self.d < min(self.n, self.m):
             raise ValueError(f"quantity {self.quantity!r} needs k = d and n, m > d, got {self}")
+
+
+def l_values(quantity: str, k: int) -> range:
+    """The l a quantity that reads l takes at k: 0 <= l < k for f, 0 <= l <= k for U and v."""
+    return range(k if quantity == "f" else k + 1)
 
 
 GAMMA_STAR = "gamma_star"
@@ -239,7 +243,7 @@ def v_minus1_weighted(n: int, d: int, k: int) -> SqrtPiPoly:
 
 def statdim(flavor: Flavor, n: int, d: int, k: int) -> SqrtPiPoly:
     """Expected statistical dimension of the cone spanned by the k-face."""
-    vf = v_typical if flavor == "typical" else v_weighted
+    vf = exact_function("v", flavor)
     total = ZERO
     for j in range(k + 1):
         total = total + vf(n, d, k, j).scale(j + 1)
@@ -346,8 +350,7 @@ def euclid_f_weighted(k: int, l: int) -> SqrtPiPoly:
 
 def euclid_limit_gap(d: int, k: int, l: int, flavor: Flavor, n: int) -> SqrtPiPoly:
     """Exact prelimit gap n^l omega_{l+1} E v_l(face at n) minus the Euclidean value."""
-    vf = v_typical if flavor == "typical" else v_weighted
-    spherical = vf(n, d, k, l).scale(Fraction(n**l)) * sphere_surface(l)
+    spherical = exact_function("v", flavor)(n, d, k, l).scale(Fraction(n**l)) * sphere_surface(l)
     limit = euclid_v(flavor, EuclidQuery(d=d, k=k, l=l, gamma=GAMMA_STAR))
     return spherical - limit
 
@@ -512,7 +515,14 @@ _EXACT = {
 }
 
 
+def exact_function(quantity: str, flavor: Flavor):
+    """The exact function of ``quantity`` for ``flavor``, from ``_EXACT``."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return _EXACT[quantity][FLAVORS.index(flavor)]
+
+
 def evaluate_query(q: ExpectationQuery) -> SqrtPiPoly:
     q.validate()
-    exact = _EXACT[q.quantity][q.flavor == "weighted"]
+    exact = exact_function(q.quantity, q.flavor)
     return exact(q.n, q.d, q.k, *(getattr(q, name) for name in QUANTITIES[q.quantity]))

@@ -5,6 +5,10 @@ printed golden (when one exists) and a verdict: ``match`` for symbolic
 equality, ``known-discrepancy`` for the documented erroneous cells (both
 values are shown), ``fail`` for anything else, and ``computed`` when the
 requested range extends beyond the printed table.
+
+Each table is one entry of ``LAYOUTS`` (its quantity, and per block its d,
+default n range and printed values per flavor and l), rendered by one loop
+in which every value is one ``evaluate_query`` call.
 """
 
 from __future__ import annotations
@@ -15,30 +19,34 @@ from typing import List, Optional, Tuple
 
 from . import appendix_data as app
 from .exactnum import SqrtPiPoly, sp_eval, sp_format, sp_parse
-from .moments import (
-    ef_typical,
-    ef_weighted,
-    isect_prob_weighted,
-    statdim,
-    u_typical,
-    u_weighted,
-    v_typical,
-    v_weighted,
-)
+from .moments import QUANTITIES, ExpectationQuery, evaluate_query
 
 __all__ = ["TableSpec", "TableRow", "render_table", "rows_to_csv", "format_float15", "TABLE_NAMES"]
 
-TABLE_NAMES = (
-    "appA_d2",
-    "appA_d3",
-    "appB_d2",
-    "appB_d3",
-    "appC_d2",
-    "appC_d3",
-    "appD",
-    "appE_d2",
-    "appE_d3",
-)
+FLAVOR_NAMES = {"W": "weighted", "Z": "typical"}
+
+
+def _printed(name: str, ls) -> dict:
+    """{(flavor, l): the printed dict ``name`` names for it}, W before Z."""
+    return {(f, l): getattr(app, name.format(f=f, l=l)) for f in "WZ" for l in ls}
+
+
+# Per table, its quantity and its blocks: each block's d (= k), default n
+# range and, in row order, the printed dict of each (flavor, l), keyed by n,
+# or by (n, m) for isect, which runs over the n x m grid of the range.
+LAYOUTS = {
+    "appA_d2": ("f", [(2, (3, 10), {("W", 0): app.APP_A_D2_W, ("Z", 0): app.APP_A_D2_Z_PRINTED})]),
+    "appA_d3": ("f", [(3, (4, 10), _printed("APP_A_D3_{f}_l{l}", range(3)))]),
+    "appB_d2": ("U", [(2, (3, 9), _printed("APP_B_D2_{f}{l}", range(1, 3)))]),
+    "appB_d3": ("U", [(3, (4, 9), _printed("APP_B_D3_{f}{l}", range(1, 4)))]),
+    "appC_d2": ("v", [(2, (3, 9), _printed("APP_C_D2_{f}{l}", range(3)))]),
+    "appC_d3": ("v", [(3, (4, 9), _printed("APP_C_D3_{f}{l}", range(4)))]),
+    "appD": ("statdim", [(2, (3, 10), _printed("APP_D_D2_{f}", [None])),
+                         (3, (4, 10), _printed("APP_D_D3_{f}", [None]))]),
+    "appE_d2": ("isect", [(2, (3, 8), {("W", None): app.APP_E_D2})]),
+    "appE_d3": ("isect", [(3, (4, 8), {("W", None): app.APP_E_D3})]),
+}
+TABLE_NAMES = tuple(LAYOUTS)
 
 
 @dataclass(frozen=True)
@@ -87,81 +95,29 @@ def _verdict(table: str, key, exact: SqrtPiPoly, printed: Optional[str]) -> str:
     return "fail"
 
 
-def _row(table, quantity, flavor, d, n, m, l, value, printed) -> TableRow:
-    key = ((flavor, l, n) if m is None else (n, m))
+def _row(table: str, flavor: str, q: ExpectationQuery, printed_cells: dict) -> TableRow:
+    value = evaluate_query(q)
+    printed = printed_cells.get(q.n if q.m is None else (q.n, q.m))
+    key = (flavor, q.l, q.n) if q.m is None else (q.n, q.m)
     return TableRow(
-        table=table,
-        quantity=quantity,
-        flavor=flavor,
-        d=d,
-        n=n,
-        m=m,
-        l=l,
-        exact=sp_format(value),
-        float64=format_float15(value),
-        printed=printed,
+        table=table, quantity=q.quantity, flavor=flavor, d=q.d, n=q.n, m=q.m, l=q.l,
+        exact=sp_format(value), float64=format_float15(value), printed=printed,
         verdict=_verdict(table, key, value, printed),
     )
 
 
-def _rng(spec: TableSpec, default: Tuple[int, int]) -> range:
-    lo, hi = spec.n_range or default
-    return range(lo, hi + 1)
-
-
 def render_table(spec: TableSpec) -> List[TableRow]:
     spec.validate()
-    which = spec.which
+    quantity, blocks = LAYOUTS[spec.which]
     rows: List[TableRow] = []
-    if which == "appA_d2":
-        for n in _rng(spec, (3, 10)):
-            printed = app.APP_A_D2_W.get(n)
-            rows.append(_row(which, "f", "W", 2, n, None, 0, ef_weighted(n, 2, 2, 0), printed))
-        for n in _rng(spec, (3, 10)):
-            printed = app.APP_A_D2_Z_PRINTED.get(n)
-            rows.append(_row(which, "f", "Z", 2, n, None, 0, ef_typical(n, 2, 2, 0), printed))
-    elif which == "appA_d3":
-        for flavor, fn, data in (
-            ("W", ef_weighted, app.__dict__),
-            ("Z", ef_typical, app.__dict__),
-        ):
-            for l in (0, 1, 2):
-                table = data[f"APP_A_D3_{flavor}_l{l}"]
-                for n in _rng(spec, (4, 10)):
-                    rows.append(_row(which, "f", flavor, 3, n, None, l, fn(n, 3, 3, l), table.get(n)))
-    elif which in ("appB_d2", "appB_d3"):
-        d = 2 if which.endswith("d2") else 3
-        default = (3, 9) if d == 2 else (4, 9)
-        for flavor, fn in (("W", u_weighted), ("Z", u_typical)):
-            for l in range(1, d + 1):
-                table = getattr(app, f"APP_B_D{d}_{flavor}{l}")
-                for n in _rng(spec, default):
-                    rows.append(_row(which, "U", flavor, d, n, None, l, fn(n, d, d, l), table.get(n)))
-    elif which in ("appC_d2", "appC_d3"):
-        d = 2 if which.endswith("d2") else 3
-        default = (3, 9) if d == 2 else (4, 9)
-        for flavor, fn in (("W", v_weighted), ("Z", v_typical)):
-            for l in range(0, d + 1):
-                table = getattr(app, f"APP_C_D{d}_{flavor}{l}")
-                for n in _rng(spec, default):
-                    rows.append(_row(which, "v", flavor, d, n, None, l, fn(n, d, d, l), table.get(n)))
-    elif which == "appD":
-        for d, default in ((2, (3, 10)), (3, (4, 10))):
-            for flavor, flav_name in (("W", "weighted"), ("Z", "typical")):
-                table = getattr(app, f"APP_D_D{d}_{flavor}")
-                for n in _rng(spec, default):
-                    rows.append(
-                        _row(which, "statdim", flavor, d, n, None, None, statdim(flav_name, n, d, d), table.get(n))
-                    )
-    elif which in ("appE_d2", "appE_d3"):
-        d = 2 if which.endswith("d2") else 3
-        default = (3, 8) if d == 2 else (4, 8)
-        table = getattr(app, f"APP_E_D{d}")
-        for n in _rng(spec, default):
-            for m in _rng(spec, default):
-                rows.append(
-                    _row(which, "isect", "W", d, n, m, None, isect_prob_weighted(n, m, d), table.get((n, m)))
-                )
+    for d, default, printed in blocks:
+        lo, hi = spec.n_range or default
+        ns = range(lo, hi + 1)
+        for (flavor, l), printed_cells in printed.items():
+            for n in ns:
+                for m in ns if "m" in QUANTITIES[quantity] else [None]:
+                    q = ExpectationQuery(quantity, FLAVOR_NAMES[flavor], n, d, d, l, m)
+                    rows.append(_row(spec.which, flavor, q, printed_cells))
     return rows
 
 

@@ -104,6 +104,14 @@ def test_statdim():
     assert statdim("typical", 4, 3, 3) == sp_parse("2")
 
 
+def test_unknown_flavor_is_rejected():
+    # the weighted value was once returned for any flavor but "typical"
+    with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
+        statdim("bogus", 4, 2, 2)
+    with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
+        euclid_limit_gap(2, 2, 1, "bogus", 25)
+
+
 def test_statdim_closed_matches_sum():
     assert statdim_closed("typical", 2, 3) == sp_parse("3/2")
     assert statdim_closed("weighted", 2, 3) == sp_parse("3 - 12*pi^-2")

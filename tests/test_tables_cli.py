@@ -1,5 +1,6 @@
 """Appendix-table reproduction, figure CSVs, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from sphtess import appendix_data as app
 from sphtess import cli, mckernels
 from sphtess.exactnum import sp_parse
-from sphtess.figures import figure_csv
+from sphtess.figures import FIGURES, figure_csv
 from sphtess.moments import ef_typical
 from sphtess.tables import TABLE_NAMES, TableSpec, format_float15, render_table, rows_to_csv
 
@@ -57,6 +58,53 @@ def test_table_output_byte_stable():
 def test_table_range_extension_marks_computed():
     rows = render_table(TableSpec("appE_d2", n_range=(9, 10)))
     assert all(r.verdict == "computed" for r in rows)
+
+
+# sha256 of the CSV text of every table at its default range and at an
+# extended one, and of every figure at its defaults and at non-default
+# arguments; pins each layout's columns, row order and flavor labels.
+EXTENDED_N_RANGE = (4, 12)
+TABLE_SHA256 = {
+    ("appA_d2", None): "30fb56e1c0361717b8e61a552784178ad71e1883f263532b185649a6f7e41022",
+    ("appA_d2", EXTENDED_N_RANGE): "852a195efb51abc2c759b4cab4e3a87889c5b9f71da4eb68f6c79d206489e0bf",
+    ("appA_d3", None): "069d76756efca029c4f84a438376c9686b17e5bd678897f8b5f073aacf81a7f9",
+    ("appA_d3", EXTENDED_N_RANGE): "95ae40bfc6d90579142709d9055421aaabbfd8dcf3e49fd5f8c1a3802214d392",
+    ("appB_d2", None): "a2b6055760ef05bd6a21c8ce86a26a218be68ad63a96a917426fb2e4ecc5d217",
+    ("appB_d2", EXTENDED_N_RANGE): "07a5607f80482df8cf9fbac3322943ce96f63c2d5a6e38598c46663b087e250c",
+    ("appB_d3", None): "11db8a07a1ce009c2fc360042896163628bf5b8499cd4e17abcae2a8192fd862",
+    ("appB_d3", EXTENDED_N_RANGE): "ed8f63c75502f524dede3335fce7d39b2901e0953e74b4eed726a6763cf6df87",
+    ("appC_d2", None): "85e8d6ecc4d902085bb4d0aca8f592beb29741cf4796794ea2be51642ba15c83",
+    ("appC_d2", EXTENDED_N_RANGE): "d4f203a2cc1eba75e230d7bc2b68f33fcdc15e74a57b9fb1859364d6fd536234",
+    ("appC_d3", None): "5c8bb364dbfe59963d5f978e917509bacd3c5073a4551649cd16318e2d3f9e1e",
+    ("appC_d3", EXTENDED_N_RANGE): "0720b735702d32e8b9fc67a69f09919f8f3e73884db732526ac8fdf3da4a4c5c",
+    ("appD", None): "fde3b940e8abe8839129c6e030c60c07114de41387202e74d1773cb9124bb6df",
+    ("appD", EXTENDED_N_RANGE): "51c5c31fccc2f76447a44a6dcd43dc867c02f13dffa5d56d31e6f838b0acca48",
+    ("appE_d2", None): "fdca602192030c66c960a495f35f9555a84ab35ed41a608e8120857a92783cd7",
+    ("appE_d2", EXTENDED_N_RANGE): "ed69889c2de4b5c83d13f5a12313383328bdc62ac059a14936864e497d216869",
+    ("appE_d3", None): "2cb06cb1013067b50e6c68725ab24aa342969f549f4cde5aee0baac659328d43",
+    ("appE_d3", EXTENDED_N_RANGE): "9601458da0c0c8d979911185e40367b30875a9cf6e1e00b8c041ff2920ab2baf",
+}
+FIGURE_SHA256 = [
+    ("fvec_fig3", {}, "c962b2cf2f56f636c1685f813dab78be0a7e360edb4e468dfb907db393a69eb1"),
+    ("quermass_fig4", {}, "dbf3e6d525de64ee6cd1f148a6331dac965b91fe31841da1379f4f8acde98ee3"),
+    ("intvol_fig5", {}, "9d72aed2f682915d6aeeae0a0f8b9dfc0cd92953560f1711fc277382ac1381ea"),
+    ("statdim_fig6", {}, "87db7156db9c810036582cf4f75d3f7acb2bb28bc67efcb4808a58dd24f719b9"),
+    ("isect_fig8", {}, "3f49808debd96bdabda16267185f41557be2ee08242b13b4b616dfeae7f066e3"),
+    ("statdim_fig6", dict(d=3, k=1), "e6e851ae7348b8771f6d8dd77d0d9a50d58ee526daa2c0ef03980ac65373c769"),
+    ("fvec_fig3", dict(d=4, ns=[6, 9]), "690f4d80c516af4af9ad2a167a07958ba3cd9562655fd84579c0fdc7b43949e7"),
+    ("quermass_fig4", dict(d=4, ns=[6, 9]), "64c23bbd0282fa570d70e4e8a9f12a58e51eb8e5393620f0aa644c97271994b5"),
+    ("intvol_fig5", dict(d=4, ns=[6, 9]), "aefdc7934303c00453aaded69a061dc0d4271185f90b347cc2a68ebdf212b8c2"),
+]
+
+
+def test_table_and_figure_csv_bytes_are_pinned():
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert {spec[0] for spec in TABLE_SHA256} == set(TABLE_NAMES)
+    assert {which for which, _, _ in FIGURE_SHA256} == set(FIGURES)
+    for (which, n_range), digest in TABLE_SHA256.items():
+        assert sha(rows_to_csv(render_table(TableSpec(which, n_range)))) == digest, (which, n_range)
+    for which, kwargs, digest in FIGURE_SHA256:
+        assert sha(figure_csv(which, **kwargs)) == digest, (which, kwargs)
 
 
 def test_format_float15():
@@ -163,6 +211,25 @@ def test_cli_inputs_it_would_ignore_are_error_lines(args):
     res = run_cli(*args)
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+LIMIT = ("limit", "--d", "2", "--k", "2", "--l", "1", "--flavor", "weighted", "--n")
+FIG6 = ("figure", "--which", "statdim_fig6", "--n")
+
+
+@pytest.mark.parametrize(
+    "args,needle",
+    [(LIMIT + ("25,2",), "n >= d+1"), (LIMIT + ("40,x",), "--n"), (LIMIT + ("25,,50",), "--n"),
+     (FIG6 + ("40,x",), "--n"), (FIG6 + ("25,,50",), "--n"), (FIG6 + ("",), "--n")],
+    ids=["limit-fails-at-second-n", "limit-n-letter", "limit-n-empty-item", "figure-n-letter",
+         "figure-n-empty-item", "figure-n-empty"],
+)
+def test_cli_bad_n_lists_print_nothing(capsys, args, needle):
+    # limit once printed the rows before the failing n; a malformed --n list
+    # once gave an error that did not name the option, or the default figure
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and needle in err
 
 
 READS = {

@@ -5,10 +5,13 @@
 Imports the package from ``DIR/src`` and the workloads from ``DIR/sphbench``,
 builds the operations of ``acceptance-mc`` and ``large-arrangements`` for each
 seed and runs them in order.  Then it runs every operation of
-``exact-reproduction`` once (none of its inputs depends on the seed), dumps
-the A and B tables of ``sphtess coeffs --max-m 60``, parses and formats
-again (``sp_format(sp_parse(s))``) every printed value in
-``appendix_data``, in name order, which checks the text grammar directly and
+``exact-reproduction`` once (none of its inputs depends on the seed), renders
+every appendix table at n = 4..12, past every printed range, which reaches
+``computed`` verdicts and appE's n x m grid beyond the print, and the figures
+at arguments the workload does not use (``statdim_fig6`` at d = 3, k = 1, and
+each l-indexed figure at d = 4, n in {6, 9}), dumps the A and B tables
+of ``sphtess coeffs --max-m 60``, parses and formats again
+(``sp_format(sp_parse(s))``) every printed value in ``appendix_data``, in name order, which checks the text grammar directly and
 not only through table verdicts, and formats the weighted ef, U, v, v_{-1}
 and statdim at every d <= 8, d < n <= d + 7, k and l, which reach A and B
 entries and weighted sums that the workloads do not.  Then it runs the d = 4 comparisons of
@@ -20,7 +23,8 @@ line holds the workload (``d4`` or ``kappa`` for those), the seed, the
 operation's label, ``repr`` of the mean and of the stderr, the reps and the
 redraws, tab-separated.  Each ``exact`` line holds the operation's label
 and the sha256 of ``repr`` of its output (tables, figure CSV text,
-identity-suite results, limit-sweep gaps; one coefficient family's CSV
+identity-suite results, limit-sweep gaps; the CSV text of one table or
+figure at non-default arguments; one coefficient family's CSV
 lines; the appendix values, each with its table name and key; one weighted
 formula's strings at one d, with the message of each call that raises).  An operation that raises prints its
 error instead.
@@ -53,6 +57,12 @@ D4_CELLS = [
 # typical cells with k < d under the pole-concentrated law, beta = 4
 KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, None)]
 COEFFS_MAX_M = 60
+# a table range past every printed one: computed verdicts, and appE's n x m grid beyond the print
+TABLE_N_RANGE = (4, 12)
+# figures at non-default arguments: (which, keyword arguments of figure_csv)
+FIGURE_CASES = [("statdim_fig6", dict(d=3, k=1))] + [
+    (which, dict(d=4, ns=[6, 9])) for which in ("fvec_fig3", "quermass_fig4", "intvol_fig5")
+]
 WEIGHTED_MAX_D = 8
 
 
@@ -143,6 +153,7 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "sphbench")]
     import workloads
+    from sphtess import figures, tables
 
     for workload in WORKLOADS:
         for seed in args.seeds:
@@ -151,6 +162,14 @@ def main(argv=None) -> int:
                 print("\t".join([workload, str(seed), op.label] + fields), flush=True)
     for op in workloads.build_ops("exact-reproduction", args.seeds[0]):
         print("\t".join(["exact", op.label] + _fields(lambda: workloads.run_op(op), _sha256)), flush=True)
+    for which in tables.TABLE_NAMES:
+        label = "table {} n={}..{}".format(which, *TABLE_N_RANGE)
+        csv = lambda: tables.rows_to_csv(tables.render_table(tables.TableSpec(which, TABLE_N_RANGE)))
+        print("\t".join(["exact", label] + _fields(csv, _sha256)), flush=True)
+    for which, kwargs in FIGURE_CASES:
+        label = " ".join([f"figure {which}"] + [f"{k}={v}" for k, v in kwargs.items()])
+        csv = lambda: figures.figure_csv(which, **kwargs)
+        print("\t".join(["exact", label] + _fields(csv, _sha256)), flush=True)
     for family, lines in _coeff_tables().items():
         print("\t".join(["exact", f"coeffs-{family}-max-m{COEFFS_MAX_M}"] + _sha256(lines)), flush=True)
     print("\t".join(["exact", "appendix-parse-format"] + _fields(_appendix_round_trips, _sha256)), flush=True)
