@@ -216,7 +216,10 @@ def _load_config(args):
     seed = args.seed if args.seed is not None else base.get("seed", defaults.seed)
     env_seed = os.environ.get("SPHTESS_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"SPHTESS_SEED must be an integer, got {env_seed!r}") from None
     return ExperimentConfig(
         reps=args.reps if args.reps is not None else base.get("reps", defaults.reps),
         seed=seed,
@@ -247,8 +250,11 @@ def _parse_kappa(text: str) -> KappaFamily:
     if text in ("iso", "isotropic"):
         return KappaFamily()
     if text.startswith("pole:"):
-        return KappaFamily("pole_concentrated", float(text.split(":", 1)[1]))
-    raise ValueError(f"cannot parse kappa {text!r} (expected 'iso' or 'pole:BETA')")
+        try:
+            return KappaFamily("pole_concentrated", float(text.split(":", 1)[1]))
+        except ValueError:
+            pass
+    raise ValueError(f"--kappa (or config key 'kappa') must be 'iso' or 'pole:BETA', got {text!r}")
 
 
 def _cmd_sim(args) -> int:

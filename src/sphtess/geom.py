@@ -58,6 +58,11 @@ class KappaFamily:
     name: str = "isotropic"
     beta: float = 0.0
 
+    @property
+    def is_isotropic(self) -> bool:
+        """Uniform normals: the isotropic family, or the mixture at beta = 0."""
+        return self.name == "isotropic" or self.beta == 0.0
+
     def validate(self) -> None:
         if self.name not in ("isotropic", "pole_concentrated"):
             raise ValueError(f"unknown kappa family {self.name!r}")

@@ -86,8 +86,8 @@ class ExpectationQuery:
         ls = l_values(self.quantity, self.k)
         if self.l is not None and self.l not in ls:
             raise ValueError(f"quantity {self.quantity!r} needs 0 <= l <= {len(ls) - 1} at k={self.k}, got l={self.l}")
-        if "m" in reads and not self.k == self.d < min(self.n, self.m):
-            raise ValueError(f"quantity {self.quantity!r} needs k = d and n, m > d, got {self}")
+        if "m" in reads and not 1 <= self.k == self.d < min(self.n, self.m):
+            raise ValueError(f"quantity {self.quantity!r} needs k = d and n, m > d >= 1, got {self}")
 
 
 def l_values(quantity: str, k: int) -> range:
@@ -144,6 +144,8 @@ def ef_typical(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
     N = _check_face_indices(n, d, k, weighted=False)
     if not 0 <= l < k:
         raise ValueError(f"need 0 <= l < k, got l={l}, k={k}")
+    if n < d - l:
+        return ZERO  # an l-face lies on d - l of the n great hyperspheres
     val = (
         Fraction(2 ** (k - l))
         * math.comb(N, k - l)
@@ -229,11 +231,8 @@ def v_minus1_typical(n: int, d: int, k: int) -> SqrtPiPoly:
 def v_minus1_weighted(n: int, d: int, k: int) -> SqrtPiPoly:
     """E v_{-1}(W): content of the polar of the weighted face (isotropic)."""
     N = _check_face_indices(n, d, k, weighted=True)
-    cs = range(k + 1, N + 1, 2)
-    if not cs:
-        raise ValueError(f"v_minus1 needs n >= d+1 with a nonempty sum, got n={n}")
     pref = SqrtPiPoly.pi_power(-N, Fraction(math.factorial(N), 2))
-    return pref * _ba_series(N + 1, cs, -1)
+    return pref * _ba_series(N + 1, range(k + 1, N + 1, 2), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Monte Carlo estimators for typical and weighted faces.
+"""Monte Carlo estimators for typical and weighted faces, and their verdicts.
 
 The public surface is the estimate and report types and the entry points
 :func:`estimate`, :func:`estimate_isect`, :func:`compare` and
-:func:`consistency_checks`, all run by the batched samplers and kernels in
-:mod:`sphtess.mckernels`.  :func:`estimate` takes every quantity of
-:data:`sphtess.moments.QUANTITIES`, isect included; :func:`estimate_isect`
-only builds the isect query for it.
+:func:`consistency_checks`.  The kernels of :mod:`sphtess.mckernels` only
+draw and reduce; this module validates each query, returns the a.s.
+constants without drawing, and judges each z by one rule (``_verdict``).
+:func:`estimate` takes every quantity of :data:`sphtess.moments.QUANTITIES`,
+isect included; :func:`estimate_isect` only builds the isect query for it.
 
 Determinism contract: estimates are reproducible bit-for-bit from
 (seed, reps, config).  Replications are grouped in fixed-size batches that
@@ -18,10 +19,11 @@ so an estimate that draws no points does not change with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
-from .exactnum import SqrtPiPoly, sp_eval, sp_format
+from .combinat import faces_count
+from .exactnum import SqrtPiPoly, sp_eval, sp_format, sphere_surface
 from .geom import KappaFamily
 from .moments import ExpectationQuery, evaluate_query
 
@@ -43,6 +45,11 @@ REDRAW_RATE_LIMIT = 1e-3
 
 # |z| above which a comparison of an estimate with its exact value fails.
 Z_FAIL = 6.0
+
+
+def _verdict(z: float) -> str:
+    """The verdict on an estimate at z standard errors from its reference."""
+    return "pass" if abs(z) <= Z_FAIL else "fail"
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,7 @@ class ComparisonReport:
     def build(cls, query, exact, estimate) -> "ComparisonReport":
         exact_float = float(sp_eval(exact, 20))
         z = estimate.z_score(exact_float)
-        verdict = "pass" if abs(z) <= Z_FAIL else "fail"
-        return cls(query, exact, exact_float, estimate, z, verdict)
+        return cls(query, exact, exact_float, estimate, z, _verdict(z))
 
     def to_dict(self) -> dict:
         return {
@@ -127,6 +133,12 @@ def estimate(query: ExpectationQuery, config: ExperimentConfig) -> MCEstimate:
 
     query.validate()
     config.validate()
+    q, k, l = query.quantity, query.k, query.l
+    if k == 0 or l == 0 and (q == "U" or q == "v" and k == 1):
+        # a.s. constants: every functional of a point (k = 0), U_0 = 1/2
+        # (Gauss-Bonnet) and v_0 = U_0 - U_2 = U_0 at k = 1
+        value = float(sp_eval(evaluate_query(query), 20))
+        return MCEstimate(mean=value, stderr=0.0, reps=config.reps, degenerate_redraws=0, seed=config.seed)
     return mckernels.run_estimate(query, config)
 
 
@@ -150,19 +162,44 @@ def compare(query: ExpectationQuery, config: ExperimentConfig) -> ComparisonRepo
 def consistency_checks(
     n: int, d: int, k: int, config: ExperimentConfig, parts: Tuple[str, ...] = ("a", "b", "c")
 ) -> List[ComparisonReport]:
-    """The three structural Monte Carlo consistency checks at one instance:
+    """The three structural Monte Carlo consistency checks at one instance,
+    one report per part asked for, in the order a, b, c:
 
-    (a) size-bias: the H^k-weighted mean of f_0 over typical faces matches
-        the weighted-face mean of f_0;
-    (b) kappa invariance: E f_0 of the typical face under a concentrated
-        non-isotropic directional distribution matches the isotropic value;
+    (a) size-bias: the H^k-weighted mean of f_0 over typical faces (a joint
+        draw, isotropic only) matches the estimated weighted-face mean of f_0;
+    (b) kappa invariance: ``compare`` of E f_0 of the typical face, whose
+        exact value holds for every kappa, at the config's pole beta (else 4);
     (c) skeleton measure: every realization carries exactly binom(n, d-k)
         distinct k-subspheres, so H^k(skel_k) = binom(n, d-k) omega_{k+1};
-        C(n,d,k) times the estimated H^k of the typical k-face must match it.
+        C(n,d,k) times the ``estimate`` of H^k of the typical k-face must match it.
     """
     from . import mckernels
 
     config.validate()
     if not 1 <= k <= d or n < d + 1:
         raise ValueError("consistency checks need 1 <= k <= d and n >= d+1")
-    return mckernels.run_consistency(n, d, k, config, parts=parts)
+    unknown = sorted(set(parts) - {"a", "b", "c"})
+    if unknown:
+        raise ValueError(f"unknown consistency check parts {unknown}; expected some of ['a', 'b', 'c']")
+    reports = []
+    if "a" in parts:
+        if not config.kappa.is_isotropic:  # raised before any part draws
+            raise ValueError(f"the size-bias check (a) takes isotropic kappa only, got {config.kappa}")
+        query = ExpectationQuery("f", "weighted", n, d, k, 0)
+        ratio = mckernels.run_consistency(n, d, k, config)
+        west = estimate(query, config)
+        combined_se = math.sqrt(ratio.stderr**2 + west.stderr**2)
+        z = (ratio.mean - west.mean) / combined_se if combined_se else 0.0
+        exact = evaluate_query(query)
+        reports.append(ComparisonReport(query, exact, float(sp_eval(exact, 20)), ratio, z, _verdict(z)))
+    if "b" in parts:
+        beta = config.kappa.beta if config.kappa.name == "pole_concentrated" else 4.0
+        pole = replace(config, kappa=KappaFamily("pole_concentrated", beta))
+        reports.append(compare(ExpectationQuery("f", "typical", n, d, k, 0), pole))
+    if "c" in parts:
+        query = ExpectationQuery("hk", "typical", n, d, k)
+        est = estimate(query, config)
+        faces = float(faces_count(n, d, k))
+        scaled = replace(est, mean=faces * est.mean, stderr=faces * est.stderr)
+        reports.append(ComparisonReport.build(query, sphere_surface(k).scale(math.comb(n, d - k)), scaled))
+    return reports

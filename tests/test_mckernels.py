@@ -490,7 +490,7 @@ def test_ivol_values_matches_sampled_routes_at_high_dim(m, dim, beta):
     S = 1000
 
     def row(quantity, l=None):
-        return mckernels._ivol_row(quantity, l, dim, None)
+        return mckernels._ivol_row(quantity, l, dim)
 
     U = [ivol_values(cells, local, S, row("U", l)) for l in range(dim)]
     for l in range(dim):

@@ -1,5 +1,6 @@
 """Closed-form expectations against printed values and exact identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 from sphtess.combinat import cells_count
 from sphtess.exactnum import ONE, ZERO, SqrtPiPoly, sp_eval, sp_parse
 from sphtess.moments import (
+    FLAVORS,
     GAMMA_STAR,
+    QUANTITIES,
     EuclidQuery,
     ExpectationQuery,
     ef_typical,
@@ -286,6 +289,28 @@ def test_evaluate_query_dispatch():
         (ExpectationQuery("isect", "weighted", 4, 2, 2), "needs m"),
         (ExpectationQuery("isect", "weighted", 4, 2, 1, m=4), "needs k = d"),
         (ExpectationQuery("isect", "typical", 4, 2, 2, m=2), "needs k = d and n, m > d"),
+        (ExpectationQuery("isect", "typical", 2, 0, 0, m=2), "needs k = d and n, m > d >= 1"),
     ):
         with pytest.raises(ValueError, match=match):
             evaluate_query(bad)
+
+
+def test_every_validated_query_has_an_exact_value():
+    # validation decides the domain: a query it accepts never fails in its formula
+    checked = 0
+    for d in range(5):
+        for n, k, quantity, flavor in itertools.product(range(d + 4), range(d + 1), QUANTITIES, FLAVORS):
+            ls = range(-1, k + 2) if "l" in QUANTITIES[quantity] else [None]
+            ms = range(d + 4) if "m" in QUANTITIES[quantity] else [None]
+            for l, m in itertools.product(ls, ms):
+                query = ExpectationQuery(quantity, flavor, n, d, k, l, m)
+                try:
+                    query.validate()
+                except ValueError:
+                    continue
+                evaluate_query(query)
+                checked += 1
+    assert checked > 1000
+    # an l-face lies on d - l hyperspheres: 3 great 3-spheres in S^4 leave no vertex
+    fvec = [evaluate_query(ExpectationQuery("f", "typical", 3, 4, 4, l)) for l in range(4)]
+    assert fvec == [SqrtPiPoly.rational(x) for x in (0, 1, 3, 3)]

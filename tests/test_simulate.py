@@ -245,6 +245,23 @@ def test_consistency_checks_small():
     assert skeleton.exact_float == pytest.approx(4 * math.pi)  # binom(4, 0) omega_3
 
 
+def test_consistency_checks_reject_unknown_parts():
+    # a part asked for runs or is an error naming it, never silently nothing
+    with pytest.raises(ValueError, match=r"\['d', 'x'\]"):
+        consistency_checks(4, 2, 2, ExperimentConfig(reps=200), parts=("a", "x", "d"))
+
+
+def test_sizebias_check_rejects_a_pole_kappa_before_drawing(monkeypatch):
+    # the size-bias ratio is drawn from isotropic cells only
+    def no_draws(*args):
+        raise AssertionError("drew before rejecting")
+
+    monkeypatch.setattr(mckernels, "batch_rng", no_draws)
+    cfg = ExperimentConfig(reps=200, kappa=KappaFamily("pole_concentrated", 4.0))
+    with pytest.raises(ValueError, match="size-bias check"):
+        consistency_checks(4, 2, 2, cfg, parts=("a",))
+
+
 def test_sizebias_report_carries_the_exact_weighted_value():
     cfg = ExperimentConfig(reps=1024, seed=5, subspace_reps=8)
     (rep,) = consistency_checks(4, 2, 2, cfg, parts=("a",))

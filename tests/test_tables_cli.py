@@ -175,22 +175,27 @@ def test_cli_eval_euclid():
     assert res.stdout.splitlines()[0] == "1/2*pi^2"
 
 
+SIM_F = ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l", "0", "--reps", "200")
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args,env,needle",
     [
-        ("eval", "--quantity", "euclid-v", "--d", "2", "--k", "1", "--l", "0", "--gamma", "1/0"),
-        ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l", "0", "--reps", "200",
-         "--kappa", "pole:nan"),
-        ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l", "0", "--reps", "200",
-         "--kappa", "pole:inf"),
+        (("eval", "--quantity", "euclid-v", "--d", "2", "--k", "1", "--l", "0", "--gamma", "1/0"), None, "gamma"),
+        (SIM_F + ("--kappa", "pole:nan"), None, "beta"),
+        (SIM_F + ("--kappa", "pole:inf"), None, "beta"),
+        (SIM_F + ("--kappa", "pole:abc"), None, "--kappa"),
+        (SIM_F, {"SPHTESS_SEED": "x"}, "SPHTESS_SEED"),
     ],
-    ids=["gamma-zero-denominator", "beta-nan", "beta-inf"],
+    ids=["gamma-zero-denominator", "beta-nan", "beta-inf", "beta-not-a-number", "env-seed-not-a-number"],
 )
-def test_cli_bad_numbers_are_error_lines(args):
-    # a bad number is an error line, never a traceback or an endless sampling loop
-    res = run_cli(*args)
+def test_cli_bad_numbers_are_error_lines(args, env, needle):
+    # a bad number is an error line that names its source, never a
+    # traceback or an endless sampling loop
+    res = run_cli(*args, env=env)
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert needle in res.stderr
 
 
 @pytest.mark.parametrize(

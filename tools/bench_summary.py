@@ -6,7 +6,9 @@ Each record is one ``sphbench/run.py --trace 0`` run.  The summary holds, per
 workload and end-to-end metric, the runs of both sides with their median and
 quartiles, the change's median over the parent's, the seeds, the operations
 attempted and failed, and the machine facts of the records.  It is written
-to ``BENCH_<UTC date>.json`` at the root of the repository; traced records
+to ``BENCH_<UTC date>.json`` at the root of the repository, or, when that
+exists, to the first free ``BENCH_<UTC date>-<N>.json`` (N = 2, 3, ...), so
+no summary is overwritten; the path written is printed.  Traced records
 are skipped, since their wall times include the tracer.
 """
 
@@ -66,7 +68,9 @@ def main(argv=None) -> int:
         return [r for r in records if not r["trace"]]
 
     summary = summarize(load(args.parent), load(args.change))
-    path = ROOT / f"BENCH_{summary['date']}.json"
+    path, n = ROOT / f"BENCH_{summary['date']}.json", 2
+    while path.exists():
+        path, n = ROOT / f"BENCH_{summary['date']}-{n}.json", n + 1
     path.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     print(path)
     return 0

@@ -18,11 +18,16 @@ entries and weighted sums that the workloads do not.  Then it runs the d = 4 com
 ``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
 seed 3), which reach the kernels at dim 5 that the workloads do not, and two
 typical cells with k < d at pole:4 (reps 4096, seed 3), which reach the
-cutter path of the kappa sampler that no workload runs.  Each Monte Carlo
-line holds the workload (``d4`` or ``kappa`` for those), the seed, the
+cutter path of the kappa sampler that no workload runs.  Last come the
+three consistency checks, each part of ``consistency_checks`` on its own,
+at (n, d, k) = (4, 2, 2) and (5, 3, 3), isotropic and at pole:4 (same reps
+and seed): no workload runs parts (b) and (c), nor part (a) beyond
+``acceptance-mc``'s one size-bias cell.  Each Monte Carlo line holds the
+workload (``d4``, ``kappa`` or ``consistency`` for those), the seed, the
 operation's label, ``repr`` of the mean and of the stderr, the reps and the
-redraws, tab-separated.  Each ``exact`` line holds the operation's label
-and the sha256 of ``repr`` of its output (tables, figure CSV text,
+redraws, tab-separated; a ``consistency`` line adds ``repr`` of the
+report's z, its verdict and its exact value.  Each ``exact`` line holds
+the operation's label and the sha256 of ``repr`` of its output (tables, figure CSV text,
 identity-suite results, limit-sweep gaps; the CSV text of one table or
 figure at non-default arguments; one coefficient family's CSV
 lines; the appendix values, each with its table name and key; one weighted
@@ -56,6 +61,9 @@ D4_CELLS = [
 ] + [("f", flavor, 6, 4, 4, l, None) for flavor in ("weighted", "typical") for l in range(4)]
 # typical cells with k < d under the pole-concentrated law, beta = 4
 KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, None)]
+# (n, d, k) of the consistency checks, each run isotropic and at this pole beta
+CONSISTENCY_CELLS = [(4, 2, 2), (5, 3, 3)]
+CONSISTENCY_BETA = 4.0
 COEFFS_MAX_M = 60
 # a table range past every printed one: computed verdicts, and appE's n x m grid beyond the print
 TABLE_N_RANGE = (4, 12)
@@ -90,6 +98,18 @@ def _compare(cell, beta=0.0):
     kappa = KappaFamily("pole_concentrated", beta) if beta else KappaFamily()
     est = compare(ExpectationQuery(*cell), ExperimentConfig(reps=4096, seed=D4_SEED, kappa=kappa)).estimate
     return {"mean": est.mean, "stderr": est.stderr, "reps": est.reps, "redraws": est.degenerate_redraws}
+
+
+def _consistency(cell, part, beta):
+    from sphtess.exactnum import sp_format
+    from sphtess.geom import KappaFamily
+    from sphtess.simulate import ExperimentConfig, consistency_checks
+
+    kappa = KappaFamily("pole_concentrated", beta) if beta else KappaFamily()
+    (rep,) = consistency_checks(*cell, ExperimentConfig(reps=4096, seed=D4_SEED, kappa=kappa), parts=(part,))
+    est = rep.estimate
+    return {"mean": est.mean, "stderr": est.stderr, "reps": est.reps, "redraws": est.degenerate_redraws,
+            "report": [repr(rep.z_score), rep.verdict, sp_format(rep.exact)]}
 
 
 def _coeff_tables():
@@ -181,6 +201,13 @@ def main(argv=None) -> int:
         for cell in cells:
             label = "{}-{}-n{}-d{}-k{}-l{}-m{}".format(*cell)
             print("\t".join([name, str(D4_SEED), label] + _fields(lambda: _compare(cell, beta))), flush=True)
+    for cell in CONSISTENCY_CELLS:
+        for beta in (0.0, CONSISTENCY_BETA):
+            for part in "abc":
+                label = "{}-n{}-d{}-k{}-".format(part, *cell) + (f"pole{beta:g}" if beta else "iso")
+                run = lambda: _consistency(cell, part, beta)
+                fields = _fields(run, lambda out: _estimate(out) + out["report"])
+                print("\t".join(["consistency", str(D4_SEED), label] + fields), flush=True)
     return 0
 
 
