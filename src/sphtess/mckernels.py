@@ -19,15 +19,24 @@ form, vectorized over replication batches:
   drawn arrangement: the typical cell is picked from the enumeration masks
   of its margins, and either cell's vertices are the sign classes of the
   margins flipped to the cell's sides.  Every "does this cone meet ..."
-  question is one predicate on top of it (``_meets``): a cone meets a
-  uniform j-dim subspace, the span of a standard Gaussian (dim, j) frame,
-  iff the normals restricted to the frame leave an extreme ray; two cones
-  intersect iff their stacked normals do.  A ray whose class hinges on
-  margins within the band is grazing: the samplers and the intersection
-  test redraw that replication and count the redraw, as they do a
-  pole-concentrated draw with nearly dependent cutters, all through one
-  loop (``_redraw``) of at most MAX_REDRAW_ROUNDS rounds, past which it
-  raises DegenerateInput;
+  question that the vertices leave open is one predicate on top of it
+  (``_meets``): a cone meets a uniform j-dim subspace, the span of a
+  standard Gaussian (dim, j) frame, iff the normals restricted to the
+  frame leave an extreme ray; two cones intersect iff their stacked
+  normals do.  A ray whose class hinges on margins within the band is
+  grazing: the samplers and the intersection test redraw that replication
+  and count the redraw, as they do a pole-concentrated draw with nearly
+  dependent cutters, all through one loop (``_redraw``) of at most
+  MAX_REDRAW_ROUNDS rounds, past which it raises DegenerateInput;
+* two cells are first compared through their vertex tables
+  (``cells_intersect``): a vertex of one strictly inside the other is a
+  common ray, and a facet hyperplane of one with every vertex of the other
+  strictly beyond it separates them, since a pointed cone is the conic
+  hull of its vertices.  Only the pairs that neither certificate decides
+  pay for the C(n+m, dim-1) subsets of ``_meets`` on the stacked normals,
+  which alone flags a pair as grazing; ``cones_intersect_batch`` takes
+  plain normals, builds both vertex tables with one extreme-ray pass each
+  and goes the same way;
 * both per-cell functionals read faces from one table: cells are simple,
   so the face on r facets, keyed by (cell, r-subset of the normals), holds
   the vertices whose facet sets contain the subset (``_faces``).  f_l
@@ -767,13 +776,73 @@ def statdim_values(cells: CellBatch, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _certificates(ca: CellBatch, cb: CellBatch) -> Tuple[np.ndarray, np.ndarray]:
+    """(hit, miss) that cone ``ca`` certifies against cone ``cb``, batched.
+
+    A vertex of A strictly inside B (every margin against B's normals above
+    _TOL) is a common ray beyond the origin.  A normal of B with every vertex
+    of A strictly below -_TOL puts all of A, the conic hull of its vertices,
+    beyond that facet hyperplane but for the origin.  A cone with no vertex
+    certifies nothing, which keeps the second test from holding vacuously.
+    """
+    bi, ci = np.nonzero(ca.vert_sel)  # vertices, grouped by pair in order
+    verts = ca.rays[bi, ci] * ca.vert_sel[bi, ci, None]
+    margins = np.einsum("vd,vmd->vm", verts, cb.normals[bi])
+    hit = np.zeros(ca.B, dtype=bool)
+    hit[bi[(margins > _TOL).all(axis=1)]] = True
+    # per pair and normal of B, its vertices beyond: differences of running sums
+    beyond = np.zeros((len(bi) + 1, margins.shape[1]), dtype=np.intp)
+    np.cumsum(margins < -_TOL, axis=0, out=beyond[1:])
+    count = np.bincount(bi, minlength=ca.B)
+    end = np.cumsum(count)
+    miss = ((beyond[end] - beyond[end - count]) == count[:, None]).any(axis=1) & (count > 0)
+    return hit, miss
+
+
+def cells_intersect(ca: CellBatch, cb: CellBatch) -> Tuple[np.ndarray, np.ndarray]:
+    """Whether the cones of two cell batches meet beyond the origin: (hit (B,), near (B,)).
+
+    Pointed cones are the conic hulls of their vertices, so a vertex of one
+    strictly inside the other decides a hit, and a facet hyperplane of one
+    with every vertex of the other strictly beyond it decides a miss
+    (``_certificates``, both ways round).  The pairs that no certificate
+    decides, or that both kinds claim, go to ``_meets`` on the stacked rows,
+    which alone sets ``near``: grazing rays, whose replications the caller
+    redraws.
+    """
+    hit_ab, miss_ab = _certificates(ca, cb)
+    hit_ba, miss_ba = _certificates(cb, ca)
+    hit, miss = hit_ab | hit_ba, miss_ab | miss_ba
+    near = np.zeros(ca.B, dtype=bool)
+    undecided = np.flatnonzero(hit == miss)
+    if undecided.size:
+        stacked = np.concatenate([ca.normals[undecided], cb.normals[undecided]], axis=1)
+        hit[undecided], near[undecided] = _meets(stacked)
+    return hit, near
+
+
+def _vertex_table(normals: np.ndarray) -> CellBatch:
+    """The cones {x : A x >= 0} of rows ``normals`` (B, M, dim) with their vertices.
+
+    One extreme-ray pass, as the samplers make; a cone with a null ray or a
+    hinged class keeps no vertex, so that it certifies nothing.
+    """
+    B, M, dim = normals.shape
+    combos = _combos(M, dim - 1)
+    rays, margins, null = _extreme_rays(normals, combos)
+    sel, hinged = _sign_classes(margins, M - dim + 1)
+    sel[(null | hinged).any(axis=1)] = 0
+    return CellBatch(normals, rays, sel, combos)
+
+
 def cones_intersect_batch(normals_a: np.ndarray, normals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized {x != 0 : A x >= 0, B x >= 0} nonemptiness test.
 
-    The intersection is the cone of the stacked rows.  Returns (hit (B,),
-    near (B,)); near flags grazing rays (caller redraws those replications).
+    ``cells_intersect`` on the vertex tables of both cones.  Returns
+    (hit (B,), near (B,)); near flags grazing rays (caller redraws those
+    replications).
     """
-    return _meets(np.concatenate([normals_a, normals_b], axis=1))
+    return cells_intersect(_vertex_table(normals_a), _vertex_table(normals_b))
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +949,7 @@ def run_isect(flavor: str, n: int, m: int, d: int, config, stream: int) -> MCEst
     def worker(rng, nb):
         def draw(size):
             ca, cb = sample(rng, size, n, dim), sample(rng, size, m, dim)
-            hit, near = cones_intersect_batch(ca.normals, cb.normals)
+            hit, near = cells_intersect(ca, cb)
             return (hit,), near, ca.degenerate + cb.degenerate
 
         (hit,), redraws = _redraw(nb, draw)

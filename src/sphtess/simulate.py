@@ -139,6 +139,10 @@ def estimate(query: ExpectationQuery, config: ExperimentConfig) -> MCEstimate:
         # (Gauss-Bonnet) and v_0 = U_0 - U_2 = U_0 at k = 1
         value = float(sp_eval(evaluate_query(query), 20))
         return MCEstimate(mean=value, stderr=0.0, reps=config.reps, degenerate_redraws=0, seed=config.seed)
+    if query.flavor == "typical" and query.n < query.d + 1:
+        # the typical k-face lies in a cell of n - d + k normals in R^{k+1},
+        # which the samplers draw as a pointed cone
+        raise ValueError(f"Monte Carlo of typical faces needs n >= d+1 (pointed cells), got {query}")
     return mckernels.run_estimate(query, config)
 
 
@@ -168,7 +172,8 @@ def consistency_checks(
     (a) size-bias: the H^k-weighted mean of f_0 over typical faces (a joint
         draw, isotropic only) matches the estimated weighted-face mean of f_0;
     (b) kappa invariance: ``compare`` of E f_0 of the typical face, whose
-        exact value holds for every kappa, at the config's pole beta (else 4);
+        exact value holds for every kappa, at the config's pole beta, or at
+        beta = 4 when the config's normals are uniform (isotropic or pole:0);
     (c) skeleton measure: every realization carries exactly binom(n, d-k)
         distinct k-subspheres, so H^k(skel_k) = binom(n, d-k) omega_{k+1};
         C(n,d,k) times the ``estimate`` of H^k of the typical k-face must match it.
@@ -193,7 +198,7 @@ def consistency_checks(
         exact = evaluate_query(query)
         reports.append(ComparisonReport(query, exact, float(sp_eval(exact, 20)), ratio, z, _verdict(z)))
     if "b" in parts:
-        beta = config.kappa.beta if config.kappa.name == "pole_concentrated" else 4.0
+        beta = 4.0 if config.kappa.is_isotropic else config.kappa.beta
         pole = replace(config, kappa=KappaFamily("pole_concentrated", beta))
         reports.append(compare(ExpectationQuery("f", "typical", n, d, k, 0), pole))
     if "c" in parts:

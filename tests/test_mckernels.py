@@ -308,7 +308,8 @@ def test_statdim_values_moreau_assert():
 
 def test_cones_intersect_batch_matches_lp():
     rng = np.random.default_rng(116)
-    for dim, ma, mb in ((3, 4, 4), (4, 4, 4), (5, 5, 5), (3, 3, 6), (4, 7, 4), (5, 5, 8)):
+    shapes = ((2, 3, 5), (3, 4, 4), (4, 4, 4), (5, 5, 5), (3, 3, 6), (4, 7, 4), (5, 5, 8), (6, 7, 6))
+    for dim, ma, mb in shapes:
         a, _ = _random_signed(rng, 60, ma, dim)
         b, _ = _random_signed(rng, 60, mb, dim)
         hit, near = cones_intersect_batch(a, b)
@@ -316,6 +317,66 @@ def test_cones_intersect_batch_matches_lp():
             if near[i]:
                 continue
             assert bool(hit[i]) == lp_oracle.cones_intersect(a[i], b[i]), (dim, ma, mb, i)
+
+
+@pytest.mark.parametrize("dim,n,m", [(2, 3, 6), (3, 7, 4), (4, 5, 8), (4, 12, 12), (5, 6, 9), (6, 8, 7)])
+@pytest.mark.parametrize("flavor", ["typical", "weighted"])
+def test_cells_intersect_matches_the_stacked_enumeration(dim, n, m, flavor):
+    # the vertex certificates decide as _meets on the stacked rows does
+    # wherever that is not near, and flag near only where it does
+    rng = np.random.default_rng(117 + dim)
+    sample = sample_typical_cells if flavor == "typical" else sample_weighted_cells
+    ca, cb = sample(rng, 256, n, dim), sample(rng, 256, m, dim)
+    hit, near = mckernels.cells_intersect(ca, cb)
+    ref_hit, ref_near = mckernels._meets(np.concatenate([ca.normals, cb.normals], axis=1))
+    assert not (near & ~ref_near).any()
+    assert np.array_equal(hit[~ref_near], ref_hit[~ref_near])
+    assert 0 < hit.sum() < hit.size  # both answers occur
+
+
+def test_a_cone_without_vertices_certifies_nothing():
+    # a wedge {x : x_1 >= 0, x_2 >= 0} in R^3 holds the x_3 axis and has no
+    # vertex; a miss certified over its (empty) vertex set would be vacuous
+    rng = np.random.default_rng(118)
+    a = np.broadcast_to(np.eye(3)[:2], (60, 2, 3)).copy()
+    b, _ = _random_signed(rng, 60, 4, 3)
+    hit, near = cones_intersect_batch(a, b)
+    assert not near.any()
+    assert [bool(h) for h in hit] == [lp_oracle.cones_intersect(a[i], b[i]) for i in range(60)]
+
+
+def test_a_cone_with_a_hinged_vertex_certifies_nothing():
+    # x_3 is a vertex of A on three of its rows, so its class hinges and the
+    # pass lists only A's other two vertices; B holds x_3 inside, but has a
+    # facet with both listed vertices beyond, which would certify a miss
+    a = np.array([[[1.0, 0, 0], [0, 1, 0], [1, 1, 0], [-1, -1, 1]]])
+    b = np.array([[[-1.0, -1, 0.5], [1, -2, 1], [-2, 1, 1]]])
+    assert not mckernels._vertex_table(a).vert_sel.any()
+    hit, near = cones_intersect_batch(a, b)
+    assert lp_oracle.cones_intersect(a[0], b[0])
+    assert near[0] or hit[0]
+
+
+def test_certificates_leave_few_pairs_to_the_enumeration(monkeypatch):
+    # at 12 + 12 normals in R^4 the vertices decide nearly every pair, and
+    # only the rest reach the stacked-row enumeration
+    rows = []
+    meets = mckernels._meets
+
+    def counted(R):
+        rows.append(R.shape[0])
+        return meets(R)
+
+    monkeypatch.setattr(mckernels, "_meets", counted)
+    rng = np.random.default_rng(119)
+    for sample in (sample_typical_cells, sample_weighted_cells):
+        ca, cb = sample(rng, 1024, 12, 4), sample(rng, 1024, 12, 4)
+        rows.clear()
+        mckernels.cells_intersect(ca, cb)
+        assert sum(rows) < 0.1 * 1024, sample.__name__
+        rows.clear()
+        cones_intersect_batch(ca.normals, cb.normals)
+        assert sum(rows) < 0.1 * 1024, sample.__name__
 
 
 # -- grazing inputs: flagged and redrawn, never a silent hit --------------------
@@ -347,14 +408,28 @@ def test_grazing_cones_are_flagged_near(seed, dim, m_other):
     a, b = _touching_cones(local, dim, m_other)
     _, near = cones_intersect_batch(a[None], b[None])
     assert near[0]
-    # a row shared by two generic cones: its subsets are dependent for
-    # dim >= 3; either way the test flags the pair or decides it as the LP
+    # a row shared by two generic cones: its stacked subsets are dependent
+    # for dim >= 3, but a vertex certificate may decide the pair without
+    # them; either way the test flags the pair or decides it as the LP
     a, b = local.standard_normal((2, 1, dim + m_other, dim))
     b[0, 0] = a[0, 0]
     hit, near = cones_intersect_batch(a, b)
-    assert near[0] or dim == 2
-    if not near[0]:
-        assert bool(hit[0]) == lp_oracle.cones_intersect(a[0], b[0])
+    assert near[0] or bool(hit[0]) == lp_oracle.cones_intersect(a[0], b[0])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_touching_cones_are_never_certified(seed):
+    # the shared ray is a vertex of both on the other's boundary: no vertex
+    # lies strictly inside, and no facet has the other cone strictly beyond
+    local = np.random.default_rng(seed)
+    for dim in (2, 3, 4, 5):
+        for m_other in (1, 2, 3):
+            a, b = _touching_cones(local, dim, m_other)
+            ta, tb = mckernels._vertex_table(a[None]), mckernels._vertex_table(b[None])
+            for x, y in ((ta, tb), (tb, ta)):
+                hit, miss = mckernels._certificates(x, y)
+                assert not hit[0] and not miss[0], (dim, m_other)
+            assert mckernels.cells_intersect(ta, tb)[1][0]
 
 
 @settings(max_examples=40, deadline=None)

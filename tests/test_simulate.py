@@ -262,6 +262,24 @@ def test_sizebias_check_rejects_a_pole_kappa_before_drawing(monkeypatch):
         consistency_checks(4, 2, 2, cfg, parts=("a",))
 
 
+def test_kappa_check_at_pole_zero_runs_a_pole_law():
+    # pole:0 is uniform, so check (b) falls back to beta = 4 as it does for
+    # an isotropic config, and tests a non-isotropic law either way
+    cfg = ExperimentConfig(reps=200, seed=8)
+    at_zero = replace(cfg, kappa=KappaFamily("pole_concentrated", 0.0))
+    assert consistency_checks(4, 2, 2, at_zero, parts=("b",)) == consistency_checks(4, 2, 2, cfg, parts=("b",))
+
+
+def test_typical_queries_with_cells_that_are_not_pointed_are_rejected_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before rejecting")
+
+    monkeypatch.setattr(mckernels, "batch_rng", no_draws)
+    for query in (ExpectationQuery("f", "typical", 3, 4, 4, 1), ExpectationQuery("v", "typical", 4, 4, 4, 1)):
+        with pytest.raises(ValueError, match=r"typical faces needs n >= d\+1"):
+            estimate(query, FAST)
+
+
 def test_sizebias_report_carries_the_exact_weighted_value():
     cfg = ExperimentConfig(reps=1024, seed=5, subspace_reps=8)
     (rep,) = consistency_checks(4, 2, 2, cfg, parts=("a",))

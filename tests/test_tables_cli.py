@@ -186,8 +186,15 @@ SIM_F = ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l
         (SIM_F + ("--kappa", "pole:inf"), None, "beta"),
         (SIM_F + ("--kappa", "pole:abc"), None, "--kappa"),
         (SIM_F, {"SPHTESS_SEED": "x"}, "SPHTESS_SEED"),
+        (
+            ("simulate", "--quantity", "f", "--flavor", "typical", "--n", "3", "--d", "4", "--k", "4", "--l", "1",
+             "--reps", "200"),
+            None,
+            "typical faces needs n >= d+1",
+        ),
     ],
-    ids=["gamma-zero-denominator", "beta-nan", "beta-inf", "beta-not-a-number", "env-seed-not-a-number"],
+    ids=["gamma-zero-denominator", "beta-nan", "beta-inf", "beta-not-a-number", "env-seed-not-a-number",
+         "typical-cell-not-pointed"],
 )
 def test_cli_bad_numbers_are_error_lines(args, env, needle):
     # a bad number is an error line that names its source, never a

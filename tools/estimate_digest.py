@@ -16,14 +16,16 @@ not only through table verdicts, and formats the weighted ef, U, v, v_{-1}
 and statdim at every d <= 8, d < n <= d + 7, k and l, which reach A and B
 entries and weighted sums that the workloads do not.  Then it runs the d = 4 comparisons of
 ``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
-seed 3), which reach the kernels at dim 5 that the workloads do not, and two
+seed 3), which reach the kernels at dim 5 that the workloads do not, isect
+at d = 5, n = m = 6, both flavors (reps 2048, seed 3), which reaches the
+intersection certificates at dim 6, and two
 typical cells with k < d at pole:4 (reps 4096, seed 3), which reach the
 cutter path of the kappa sampler that no workload runs.  Last come the
 three consistency checks, each part of ``consistency_checks`` on its own,
 at (n, d, k) = (4, 2, 2) and (5, 3, 3), isotropic and at pole:4 (same reps
 and seed): no workload runs parts (b) and (c), nor part (a) beyond
 ``acceptance-mc``'s one size-bias cell.  Each Monte Carlo line holds the
-workload (``d4``, ``kappa`` or ``consistency`` for those), the seed, the
+workload (``d4``, ``d5``, ``kappa`` or ``consistency`` for those), the seed, the
 operation's label, ``repr`` of the mean and of the stderr, the reps and the
 redraws, tab-separated; a ``consistency`` line adds ``repr`` of the
 report's z, its verdict and its exact value.  Each ``exact`` line holds
@@ -59,6 +61,9 @@ D4_CELLS = [
     ("statdim", "typical", 7, 4, 4, None, None),
     ("U", "typical", 7, 4, 4, 2, None),
 ] + [("f", flavor, 6, 4, 4, l, None) for flavor in ("weighted", "typical") for l in range(4)]
+# isect at d = 5, whose cells in R^6 reach the vertex certificates at dim 6 (reps D5_REPS)
+D5_CELLS = [("isect", flavor, 6, 5, 5, None, 6) for flavor in ("weighted", "typical")]
+D5_REPS = 2048
 # typical cells with k < d under the pole-concentrated law, beta = 4
 KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, None)]
 # (n, d, k) of the consistency checks, each run isotropic and at this pole beta
@@ -90,13 +95,13 @@ def _fields(run, show=_estimate):
     return show(out)
 
 
-def _compare(cell, beta=0.0):
+def _compare(cell, beta=0.0, reps=4096):
     from sphtess.geom import KappaFamily
     from sphtess.moments import ExpectationQuery
     from sphtess.simulate import ExperimentConfig, compare
 
     kappa = KappaFamily("pole_concentrated", beta) if beta else KappaFamily()
-    est = compare(ExpectationQuery(*cell), ExperimentConfig(reps=4096, seed=D4_SEED, kappa=kappa)).estimate
+    est = compare(ExpectationQuery(*cell), ExperimentConfig(reps=reps, seed=D4_SEED, kappa=kappa)).estimate
     return {"mean": est.mean, "stderr": est.stderr, "reps": est.reps, "redraws": est.degenerate_redraws}
 
 
@@ -197,10 +202,12 @@ def main(argv=None) -> int:
         for d in range(1, WEIGHTED_MAX_D + 1):
             label = f"weighted-{name}-d{d}"
             print("\t".join(["exact", label] + _fields(lambda: _weighted_formats(name, d), _sha256)), flush=True)
-    for name, cells, beta in (("d4", D4_CELLS, 0.0), ("kappa", KAPPA_CELLS, 4.0)):
+    for name, cells, beta, reps in (
+        ("d4", D4_CELLS, 0.0, 4096), ("d5", D5_CELLS, 0.0, D5_REPS), ("kappa", KAPPA_CELLS, 4.0, 4096)
+    ):
         for cell in cells:
             label = "{}-{}-n{}-d{}-k{}-l{}-m{}".format(*cell)
-            print("\t".join([name, str(D4_SEED), label] + _fields(lambda: _compare(cell, beta))), flush=True)
+            print("\t".join([name, str(D4_SEED), label] + _fields(lambda: _compare(cell, beta, reps))), flush=True)
     for cell in CONSISTENCY_CELLS:
         for beta in (0.0, CONSISTENCY_BETA):
             for part in "abc":
