@@ -124,7 +124,9 @@ def _parse_gamma(text: Optional[str]):
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"gamma {text!r} has a zero denominator") from None
+        raise ValueError(f"--gamma {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--gamma must be a fraction p/q or 'star', got {text!r}") from None
 
 
 def _cmd_eval(args) -> int:
@@ -333,6 +335,8 @@ def _cmd_figure(args) -> int:
 def _cmd_coeffs(args) -> int:
     from .combinat import coeff_A, coeff_B
 
+    if args.max_m < 0:
+        raise ValueError(f"--max-m must be >= 0, got {args.max_m}")
     lines = ["family,m,l,exact,float64"]
     for m in range(0, args.max_m + 1):
         for l in range(-1, m + 1):

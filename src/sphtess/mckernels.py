@@ -67,10 +67,11 @@ functionals, and the per-sample structural assertions (cell count = C(m,k),
 Euler relation, j vertices per j-face and the Gauss-Bonnet bounds, and
 Moreau orthogonality in the projections) are enforced on every replication.
 
-Determinism: every estimate runs its batches in order in one thread; batch
-j of a (seed, stream) pair draws from an independently keyed Philox
-generator, and partial sums are reduced in batch order, so results are
-bit-identical from (seed, reps, config).
+Determinism: every estimate runs its batches in order in one thread
+(``_replicate``); batch j of a (seed, stream) pair draws from an
+independently keyed Philox generator, and all replications, concatenated
+in batch order, are reduced once as a ratio of means (``finalize``), so
+results are bit-identical from (seed, reps, config).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ import math
 import zlib
 from dataclasses import astuple, dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -119,48 +120,22 @@ def batch_rng(seed: int, stream: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-@dataclass
-class BatchSums:
-    """Count, mean and sum of squared deviations (M2) of one batch's values.
+def finalize(num: np.ndarray, den, redraws: int, seed: int) -> MCEstimate:
+    """The ratio of means sum(num) / sum(den) over all replications, in batch order.
 
-    Partial results are merged pairwise (Chan, Golub & LeVeque 1983), which
-    keeps the variance accurate when the mean is large against the spread,
-    where ``sum(x^2) - n*mean^2`` cancels.
+    ``den=None`` means all ones, so a plain mean is the ratio with a
+    denominator of 1.  The stderr is the delta method's,
+    sqrt(sum(resid^2) / (R-1) / R) / mean(den) from the residuals
+    resid = num - ratio * den, which do not cancel when the mean is large
+    against the spread or the ratio is (nearly) constant.
     """
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    degenerate: int = 0
-
-    def add_values(self, values: np.ndarray, degenerate: int = 0) -> None:
-        mean = float(np.mean(values)) if values.size else 0.0
-        m2 = float(np.sum((values - mean) ** 2))
-        self.merge(BatchSums(values.size, mean, m2, degenerate))
-
-    def merge(self, other: "BatchSums") -> None:
-        n = self.count + other.count
-        if n:
-            delta = other.mean - self.mean
-            self.mean += delta * other.count / n
-            self.m2 += other.m2 + delta * delta * self.count * other.count / n
-        self.count = n
-        self.degenerate += other.degenerate
-
-
-def finalize(sums: Sequence[BatchSums], seed: int) -> MCEstimate:
-    total = BatchSums()
-    for s in sums:  # fixed batch order: bit-stable reduction
-        total.merge(s)
-    count = total.count
-    var = total.m2 / max(count - 1, 1)
-    return MCEstimate(
-        mean=total.mean,
-        stderr=math.sqrt(var / count),
-        reps=count,
-        degenerate_redraws=total.degenerate,
-        seed=seed,
-    )
+    num = np.asarray(num, dtype=float)
+    R = num.size
+    den = np.ones(R) if den is None else np.asarray(den, dtype=float)
+    ratio = float(np.sum(num) / np.sum(den))
+    var = float(np.sum((num - ratio * den) ** 2)) / max(R - 1, 1)
+    stderr = math.sqrt(var / R) / float(np.mean(den))
+    return MCEstimate(mean=ratio, stderr=stderr, reps=R, degenerate_redraws=redraws, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -850,22 +825,19 @@ def cones_intersect_batch(normals_a: np.ndarray, normals_b: np.ndarray) -> Tuple
 # ---------------------------------------------------------------------------
 
 
-def _batches(reps: int, seed: int, stream: int, worker) -> list:
-    """``worker(rng, nb)`` over the batches of ``reps`` replications, in order.
+def _replicate(reps: int, seed: int, stream: int, draw) -> MCEstimate:
+    """``finalize`` of ``draw(rng, nb) -> (num, den or None, redraws)`` over ``reps`` replications.
 
     Batches hold BATCH replications, the last one the remainder; batch j
-    draws from ``batch_rng(seed, stream, j)``.
+    draws from ``batch_rng(seed, stream, j)``.  The replications of every
+    batch are concatenated in batch order and reduced once.
     """
-    return [
-        worker(batch_rng(seed, stream, j), min(BATCH, reps - start))
+    nums, dens, redraws = zip(*[
+        draw(batch_rng(seed, stream, j), min(BATCH, reps - start))
         for j, start in enumerate(range(0, reps, BATCH))
-    ]
-
-
-def _sums(values: np.ndarray, degenerate: int) -> BatchSums:
-    sums = BatchSums()
-    sums.add_values(values, degenerate)
-    return sums
+    ])
+    den = None if dens[0] is None else np.concatenate(dens)
+    return finalize(np.concatenate(nums), den, sum(redraws), seed)
 
 
 def _kappa_sampler(kappa: KappaFamily, n: int, d: int, k: int):
@@ -932,30 +904,30 @@ def run_estimate(query, config) -> MCEstimate:
         row = _ivol_row(quantity, l, dim)
         values = lambda cells, rng: ivol_values(cells, rng, S, row)
 
-    def worker(rng, nb):
+    def draw(rng, nb):
         if flavor == "typical":
             cells = sample_typical_cells(rng, nb, m, dim, raw_sampler=raw)
         else:
             cells = sample_weighted_cells(rng, nb, m, dim)
-        return _sums(values(cells, rng), cells.degenerate)
+        return values(cells, rng), None, cells.degenerate
 
-    return finalize(_batches(config.reps, config.seed, stream, worker), config.seed)
+    return _replicate(config.reps, config.seed, stream, draw)
 
 
 def run_isect(flavor: str, n: int, m: int, d: int, config, stream: int) -> MCEstimate:
     dim = d + 1
     sample = sample_typical_cells if flavor == "typical" else sample_weighted_cells
 
-    def worker(rng, nb):
-        def draw(size):
+    def draw(rng, nb):
+        def pair(size):
             ca, cb = sample(rng, size, n, dim), sample(rng, size, m, dim)
             hit, near = cells_intersect(ca, cb)
             return (hit,), near, ca.degenerate + cb.degenerate
 
-        (hit,), redraws = _redraw(nb, draw)
-        return _sums(hit.astype(float), redraws)
+        (hit,), redraws = _redraw(nb, pair)
+        return hit, None, redraws
 
-    return finalize(_batches(config.reps, config.seed, stream, worker), config.seed)
+    return _replicate(config.reps, config.seed, stream, draw)
 
 
 def run_consistency(n: int, d: int, k: int, config) -> MCEstimate:
@@ -968,16 +940,9 @@ def run_consistency(n: int, d: int, k: int, config) -> MCEstimate:
     stream = stream_id("sizebias", n, d, k)
     row = _ivol_row("hk", None, k + 1)
 
-    def worker(rng, nb):
+    def draw(rng, nb):
         cells = sample_typical_cells(rng, nb, n - d + k, k + 1)
         h = ivol_values(cells, rng, config.subspace_reps, row)
         return fvec_values(cells, 0) * h, h, cells.degenerate
 
-    fh, h, deg = zip(*_batches(config.reps, config.seed, stream, worker))
-    fh, h = np.concatenate(fh), np.concatenate(h)
-    R = h.size
-    ratio = float(fh.mean() / h.mean())
-    # delta method for a ratio of means, from the residuals fh - ratio * h:
-    # raw second moments cancel when the ratio is (nearly) constant
-    se_ratio = float(np.std(fh - ratio * h, ddof=1) / h.mean()) / math.sqrt(R)
-    return MCEstimate(mean=ratio, stderr=se_ratio, reps=R, degenerate_redraws=sum(deg), seed=config.seed)
+    return _replicate(config.reps, config.seed, stream, draw)

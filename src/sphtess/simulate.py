@@ -11,7 +11,8 @@ isect included; :func:`estimate_isect` only builds the isect query for it.
 Determinism contract: estimates are reproducible bit-for-bit from
 (seed, reps, config).  Replications are grouped in fixed-size batches that
 run in order in one thread; batch j draws from a Philox stream advanced to
-a fixed offset, and partial sums are combined in batch order.  The stream
+a fixed offset, and the replications of all batches are concatenated in
+batch order and reduced once, as a ratio of means.  The stream
 hashes the validated query and the kappa family, and not ``subspace_reps``,
 so an estimate that draws no points does not change with it.
 """

@@ -82,18 +82,62 @@ def test_raw_sampler_flags_are_redrawn():
 
 def test_finalize_variance_is_stable_at_large_mean():
     local = np.random.default_rng(5)
-    batches = [1e8 + local.standard_normal(1000) for _ in range(4)]
-    sums = []
-    for values in batches:
-        s = mckernels.BatchSums()
-        s.add_values(values)
-        sums.append(s)
-    est = mckernels.finalize(sums, seed=0)
-    values = np.concatenate(batches)
+    values = np.concatenate([1e8 + local.standard_normal(1000) for _ in range(4)])
+    est = mckernels.finalize(values, None, 0, seed=0)
     assert est.reps == values.size
     assert math.isclose(est.mean, values.mean(), rel_tol=1e-15)
     expected = values.std(ddof=1) / math.sqrt(values.size)
     assert math.isclose(est.stderr, expected, rel_tol=1e-6)
+    # a plain mean is the ratio of means with a denominator of 1, bit for bit
+    assert mckernels.finalize(values, np.ones_like(values), 0, seed=0) == est
+
+
+def test_finalize_of_a_ratio_is_the_delta_method():
+    local = np.random.default_rng(7)
+    den = local.uniform(0.5, 2.0, 3000)
+    num = 3 * den + local.standard_normal(3000)
+    est = mckernels.finalize(num, den, 0, seed=0)
+    assert math.isclose(est.mean, num.mean() / den.mean(), rel_tol=1e-14)
+    expected = np.std(num - est.mean * den, ddof=1) / den.mean() / math.sqrt(num.size)
+    assert math.isclose(est.stderr, expected, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "query", [ExpectationQuery("f", "typical", 6, 3, 3, 1), ExpectationQuery("isect", "weighted", 5, 3, 3, m=5)],
+    ids=["f", "isect"],
+)
+def test_a_short_last_batch_keeps_every_replication_and_redraw(monkeypatch, query):
+    # reps = 2 * BATCH + 452: the short last batch's replications join the
+    # others', and the estimate's redraws are the sum over all batches
+    cfg = ExperimentConfig(reps=2 * mckernels.BATCH + 452, seed=3, subspace_reps=8)
+    batches, redraws = [], []
+
+    def batch_rng(seed, stream, j, original=mckernels.batch_rng):
+        batches.append(j)
+        return original(seed, stream, j)
+
+    def counted(sample):
+        def wrapper(*args, **kwargs):
+            cells = sample(*args, **kwargs)
+            cells.degenerate += 1 + len(redraws) % 3  # tagged redraws, unequal per call
+            redraws.append(cells.degenerate)
+            return cells
+
+        return wrapper
+
+    def cells_intersect(ca, cb, original=mckernels.cells_intersect):
+        hit, near = original(ca, cb)
+        redraws.append(int(near.sum()))
+        return hit, near
+
+    monkeypatch.setattr(mckernels, "batch_rng", batch_rng)
+    monkeypatch.setattr(mckernels, "cells_intersect", cells_intersect)
+    for name in ("sample_typical_cells", "sample_weighted_cells"):
+        monkeypatch.setattr(mckernels, name, counted(getattr(mckernels, name)))
+    est = estimate(query, cfg)
+    assert batches == [0, 1, 2]
+    assert est.reps == cfg.reps == 2500
+    assert est.degenerate_redraws == sum(redraws) > 0
 
 
 def test_compare_isect_d4():

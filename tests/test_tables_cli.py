@@ -182,6 +182,7 @@ SIM_F = ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l
     "args,env,needle",
     [
         (("eval", "--quantity", "euclid-v", "--d", "2", "--k", "1", "--l", "0", "--gamma", "1/0"), None, "gamma"),
+        (("eval", "--quantity", "euclid-v", "--d", "2", "--k", "1", "--l", "0", "--gamma", "abc"), None, "--gamma"),
         (SIM_F + ("--kappa", "pole:nan"), None, "beta"),
         (SIM_F + ("--kappa", "pole:inf"), None, "beta"),
         (SIM_F + ("--kappa", "pole:abc"), None, "--kappa"),
@@ -193,7 +194,7 @@ SIM_F = ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l
             "typical faces needs n >= d+1",
         ),
     ],
-    ids=["gamma-zero-denominator", "beta-nan", "beta-inf", "beta-not-a-number", "env-seed-not-a-number",
+    ids=["gamma-zero-denominator", "gamma-not-a-number", "beta-nan", "beta-inf", "beta-not-a-number", "env-seed-not-a-number",
          "typical-cell-not-pointed"],
 )
 def test_cli_bad_numbers_are_error_lines(args, env, needle):
@@ -214,9 +215,10 @@ def test_cli_bad_numbers_are_error_lines(args, env, needle):
         ("eval", "--quantity", "euclid-f", "--d", "2", "--k", "2", "--l", "1"),
         ("table", "--which", "appA_d2", "--n-min", "5", "--n-max", "3"),
         ("figure", "--which", "quermass_fig4", "--d", "2", "--n", "4", "--k", "7"),
+        ("coeffs", "--max-m", "-1"),
     ],
     ids=["fig6-d0", "fig8-d0", "euclid-f-typical", "euclid-f-default-flavor", "table-empty-n-range",
-         "figure-k-unread"],
+         "figure-k-unread", "coeffs-negative-max-m"],
 )
 def test_cli_inputs_it_would_ignore_are_error_lines(args):
     # each of these once printed output for other inputs than asked, with exit 0

@@ -18,14 +18,17 @@ entries and weighted sums that the workloads do not.  Then it runs the d = 4 com
 ``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
 seed 3), which reach the kernels at dim 5 that the workloads do not, isect
 at d = 5, n = m = 6, both flavors (reps 2048, seed 3), which reaches the
-intersection certificates at dim 6, and two
+intersection certificates at dim 6, two
 typical cells with k < d at pole:4 (reps 4096, seed 3), which reach the
-cutter path of the kappa sampler that no workload runs.  Last come the
+cutter path of the kappa sampler that no workload runs, and one plain and
+one isect cell at reps 2500 (seed 3), whose last batch is short, so the
+concatenation of replications across it is compared too: the workloads
+run one batch per estimate.  Last come the
 three consistency checks, each part of ``consistency_checks`` on its own,
 at (n, d, k) = (4, 2, 2) and (5, 3, 3), isotropic and at pole:4 (same reps
 and seed): no workload runs parts (b) and (c), nor part (a) beyond
 ``acceptance-mc``'s one size-bias cell.  Each Monte Carlo line holds the
-workload (``d4``, ``d5``, ``kappa`` or ``consistency`` for those), the seed, the
+workload (``d4``, ``d5``, ``kappa``, ``remainder`` or ``consistency`` for those), the seed, the
 operation's label, ``repr`` of the mean and of the stderr, the reps and the
 redraws, tab-separated; a ``consistency`` line adds ``repr`` of the
 report's z, its verdict and its exact value.  Each ``exact`` line holds
@@ -64,6 +67,9 @@ D4_CELLS = [
 # isect at d = 5, whose cells in R^6 reach the vertex certificates at dim 6 (reps D5_REPS)
 D5_CELLS = [("isect", flavor, 6, 5, 5, None, 6) for flavor in ("weighted", "typical")]
 D5_REPS = 2048
+# a plain and an isect cell at reps REMAINDER_REPS = 2 * BATCH + 452: the last batch is short
+REMAINDER_CELLS = [("f", "typical", 6, 3, 3, 1, None), ("isect", "weighted", 5, 3, 3, None, 5)]
+REMAINDER_REPS = 2500
 # typical cells with k < d under the pole-concentrated law, beta = 4
 KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, None)]
 # (n, d, k) of the consistency checks, each run isotropic and at this pole beta
@@ -203,7 +209,8 @@ def main(argv=None) -> int:
             label = f"weighted-{name}-d{d}"
             print("\t".join(["exact", label] + _fields(lambda: _weighted_formats(name, d), _sha256)), flush=True)
     for name, cells, beta, reps in (
-        ("d4", D4_CELLS, 0.0, 4096), ("d5", D5_CELLS, 0.0, D5_REPS), ("kappa", KAPPA_CELLS, 4.0, 4096)
+        ("d4", D4_CELLS, 0.0, 4096), ("d5", D5_CELLS, 0.0, D5_REPS), ("kappa", KAPPA_CELLS, 4.0, 4096),
+        ("remainder", REMAINDER_CELLS, 0.0, REMAINDER_REPS),
     ):
         for cell in cells:
             label = "{}-{}-n{}-d{}-k{}-l{}-m{}".format(*cell)
