@@ -10,7 +10,8 @@ form, vectorized over replication batches:
   k-subsets, and each of the 2^k local sign resolutions around a ray belongs
   to exactly one cell; a subset's nullspace direction is one generalized
   cross product at every dim, its minors grown by Laplace expansion one
-  row at a time (``_nullspace_rays``);
+  row at a time (``_nullspace_rays``).  A batch of cells holds its normals
+  and a vertex table (``_table``): a row (cell, k-subset, signed ray) per vertex;
 * every cone question goes through one primitive: each (j-1)-subset of
   the rows of {y in R^j : R y >= 0} spans a candidate ray, which is an
   extreme ray iff every other margin lies beyond the tolerance band on one
@@ -37,10 +38,10 @@ form, vectorized over replication batches:
   which alone flags a pair as grazing; ``cones_intersect_batch`` takes
   plain normals, builds both vertex tables with one extreme-ray pass each
   and goes the same way;
-* both per-cell functionals read faces from one table: cells are simple,
-  so the face on r facets, keyed by (cell, r-subset of the normals), holds
-  the vertices whose facet sets contain the subset (``_faces``).  f_l
-  counts the distinct keys at r = k - l (``fvec_values``);
+* both per-cell functionals read faces from the vertex table: cells are
+  simple, so the face on r facets, keyed by (cell, r-subset of the
+  normals), holds the table rows whose k-subsets contain the r-subset
+  (``_faces``).  f_l counts the distinct keys at r = k - l (``fvec_values``);
 * U, v, v_{-1}, statdim and H^k are rows of coefficients applied to each
   cell's conic intrinsic volumes (v_0, ..., v_dim), one functional
   (``ivol_values``) at every dim.  At dim <= 4
@@ -270,18 +271,18 @@ def _sample_unit(rng: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass
 class CellBatch:
-    """A batch of sampled cells in reduced coordinates.
+    """A batch of cells in reduced coordinates with their vertex table.
 
-    ``normals``: (B, m, dim) sign-adjusted so each cell is {x: n_i.x >= 0};
-    ``vert_sel``: (B, nC) in {-1, 0, +1} selecting which of +-ray_c is a
-    vertex of the cell (0: not incident); ``rays``: (B, nC, dim) unit rays
-    of the (dim-1)-subsets ``combos`` (nC, dim-1) of the normals.
+    ``normals``: (B, m, dim) sign-adjusted so each cell is {x: n_i.x >= 0}.
+    One table row per vertex: ``cell`` (V,), ``subset`` (V,) the row in
+    _combos(m, dim-1) of the normals it lies on, and ``rays`` (V, dim) the
+    signed unit ray, grouped by cell and by strictly increasing subset.
     """
 
     normals: np.ndarray
+    cell: np.ndarray
+    subset: np.ndarray
     rays: np.ndarray
-    vert_sel: np.ndarray
-    combos: np.ndarray
     degenerate: int = 0
 
     @property
@@ -292,9 +293,11 @@ class CellBatch:
     def dim(self) -> int:
         return self.normals.shape[2]
 
-    def vertices_masked(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(B, nC, dim) signed vertices with a (B, nC) validity mask."""
-        return self.rays * self.vert_sel[..., None], self.vert_sel != 0
+
+def _table(normals: np.ndarray, rays: np.ndarray, sel: np.ndarray, degenerate: int) -> CellBatch:
+    """``normals`` with the vertex table of a pass's unit rays (B, P, dim) and sign classes ``sel`` (B, P)."""
+    cell, subset = np.nonzero(sel)
+    return CellBatch(normals, cell, subset, rays[cell, subset] * sel[cell, subset, None], degenerate)
 
 
 def _redraw(B: int, draw):
@@ -339,21 +342,20 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
     """
     if m < dim:
         raise ValueError("batched kernels require m >= k+1 (pointed cells)")
-    combos = _combos(m, dim - 1)
 
     def draw(nb):
         if raw_sampler is None:
             normals, bad = _sample_unit(rng, (nb, m, dim)), np.zeros(nb, dtype=bool)
         else:
             normals, bad = raw_sampler(rng, nb)
-        rays, margins, null = _extreme_rays(normals, combos)
+        rays, margins, null = _extreme_rays(normals, _combos(m, dim - 1))
         signs, bad = pick(normals, margins, bad)
         margins *= signs[:, None, :]
         sel, hinged = _sign_classes(margins, m - dim + 1)
         return (normals * signs[..., None], rays, sel), bad | (null | hinged).any(axis=1), 0
 
     (normals, rays, sel), redraws = _redraw(B, draw)
-    return CellBatch(normals, rays, sel, combos, redraws)
+    return _table(normals, rays, sel, redraws)
 
 
 def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
@@ -457,16 +459,17 @@ def _subset_rows(m: int, k: int, r: int) -> np.ndarray:
     return out
 
 
-def _faces(bi: np.ndarray, ci: np.ndarray, m: int, k: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted (cell, r-subset) keys of the vertex incidences, and the vertex behind each key.
+def _faces(cells: CellBatch, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted (cell, r-subset) keys of the vertex incidences, and the table row behind each key.
 
-    (bi, ci) = np.nonzero(vert_sel): vertex v, ray ci[v] of cell bi[v], lies on
-    the k facets of k-subset ci[v].  Cells are simple, so the face on r of them
-    is the set of vertices whose facet sets hold all r, and its key bi * C(m, r)
-    + (the r-subset's row in _combos(m, r)) repeats once per vertex.  The sort
-    is stable; at r = k the keys are bi * C(m, k) + ci, sorted already.
+    Table row v, a vertex of cell[v], lies on the k facets of its k-subset.
+    Cells are simple, so the face on r of them is the set of vertices whose
+    facet sets hold all r, and its key cell * C(m, r) + (the r-subset's row
+    in _combos(m, r)) repeats once per vertex.  The sort is stable; at r = k
+    the keys are cell * C(m, k) + subset, sorted already by the table's order.
     """
-    keys = (bi[:, None] * math.comb(m, r) + _subset_rows(m, k, r)[ci]).ravel()
+    m, k = cells.normals.shape[1], cells.dim - 1
+    keys = (cells.cell[:, None] * math.comb(m, r) + _subset_rows(m, k, r)[cells.subset]).ravel()
     if r == k:
         return keys, np.arange(keys.size)
     order = np.argsort(keys, kind="stable")
@@ -480,10 +483,9 @@ def fvec_values(cells: CellBatch, l: int) -> np.ndarray:
     """
     B, m, dim = cells.normals.shape
     k = dim - 1
-    bi, ci = np.nonzero(cells.vert_sel)
     f = []
     for i in range(k + 1):
-        keys, _ = _faces(bi, ci, m, k, k - i)
+        keys, _ = _faces(cells, k - i)
         distinct = keys[np.diff(keys, prepend=-1) != 0]
         f.append(np.bincount(distinct // math.comb(m, k - i), minlength=B))
     if np.any(f[0] < k):
@@ -493,21 +495,22 @@ def fvec_values(cells: CellBatch, l: int) -> np.ndarray:
     return f[l].astype(float)
 
 
-def solid_fractions(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndarray:
-    x = _sample_unit(rng, (cells.B, pts, cells.dim))
-    marg = np.einsum("bpd,bmd->bpm", x, cells.normals)
-    inside = (marg > 0).all(axis=2)
-    return inside.mean(axis=1)
+def solid_fractions(normals: np.ndarray, rng: np.random.Generator, pts: int) -> np.ndarray:
+    """Fraction of ``pts`` uniform points inside each cone {x : A x >= 0} of rows ``normals`` (B, m, dim).
+
+    It reads the normals only, so the cones need not be pointed.
+    """
+    B, _, dim = normals.shape
+    x = _sample_unit(rng, (B, pts, dim))
+    return (np.einsum("bpd,bmd->bpm", x, normals) > 0).all(axis=2).mean(axis=1)
 
 
 def polar_fractions(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndarray:
-    """Fraction of uniform points lying in the polar cone of each cell."""
-    verts, valid = cells.vertices_masked()
+    """Fraction of uniform points in the polar cone of each cell: those with no positive dot on its vertices."""
     x = _sample_unit(rng, (cells.B, pts, cells.dim))
-    dots = np.einsum("bpd,bcd->bpc", x, verts)
-    dots = np.where(valid[:, None, :], dots, -np.inf)
-    member = dots.max(axis=2) <= 0.0
-    return member.mean(axis=1)
+    above = np.einsum("vpd,vd->vp", x[cells.cell], cells.rays) > 0.0
+    keys = cells.cell[:, None] * pts + np.arange(pts)
+    return (np.bincount(keys[above], minlength=cells.B * pts) == 0).reshape(cells.B, pts).mean(axis=1)
 
 
 # ivol_vector's closed-form angles cover cells up to this dimension.
@@ -562,25 +565,23 @@ def ivol_vector(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndar
     if dim > IVOL_MAX_DIM:
         raise ValueError(f"closed-form intrinsic volumes need dim <= {IVOL_MAX_DIM}")
     unit = cells.normals / np.linalg.norm(cells.normals, axis=2, keepdims=True)
-    bi, ci = np.nonzero(cells.vert_sel)
-    verts = cells.rays[bi, ci] * cells.vert_sel[bi, ci, None]
     out = np.zeros((B, dim + 1))
     for j in (1, 2):
         r = dim - j  # a j-face lies on r facets
-        keys, vertex = _faces(bi, ci, m, dim - 1, r)
+        keys, vertex = _faces(cells, r)
         runs_ok = not keys.size % j and (keys[j - 1 :: j] == keys[::j]).all()  # one run of j per face
         if not runs_ok or (keys[j::j] == keys[j - 1 : -1 : j]).any():
             raise SampleAssertionError(f"a {j}-face of a cell does not have exactly {j} vertices")
         fb, fs = np.divmod(keys[::j], math.comb(m, r))
         facets = fb[:, None] * m + _combos(m, r)[fs]
-        share = _cone_angle(verts, vertex.reshape(-1, j)) * _cone_angle(unit.reshape(-1, dim), facets)
+        share = _cone_angle(cells.rays, vertex.reshape(-1, j)) * _cone_angle(unit.reshape(-1, dim), facets)
         out[:, j] = np.bincount(fb, weights=share, minlength=B)
     if (dim >= 3 and (0.5 - out[:, 1] < -1e-12).any()) or (0.5 - out[:, 2] < -1e-12).any():
         raise SampleAssertionError("Gauss-Bonnet: v_3 or 1/2 - v_2 below -1e-12")
     if dim >= 3:
         out[:, 3] = 0.5 - out[:, 1]
     if dim == 4:
-        out[:, 4] = solid_fractions(cells, rng, pts)
+        out[:, 4] = solid_fractions(cells.normals, rng, pts)
     out[:, 0] = 0.5 - out[:, 2::2].sum(axis=1)
     return out
 
@@ -609,7 +610,7 @@ def ivol_values(cells: CellBatch, rng: np.random.Generator, pts: int, row: np.nd
         for l in hit:
             out += c[l + 1] * 0.5 * _hit_fraction(cells, frames, dim - l)
     if c[dim]:
-        out += c[dim] * solid_fractions(cells, rng, pts)
+        out += c[dim] * solid_fractions(cells.normals, rng, pts)
     return out
 
 
@@ -760,15 +761,13 @@ def _certificates(ca: CellBatch, cb: CellBatch) -> Tuple[np.ndarray, np.ndarray]
     beyond that facet hyperplane but for the origin.  A cone with no vertex
     certifies nothing, which keeps the second test from holding vacuously.
     """
-    bi, ci = np.nonzero(ca.vert_sel)  # vertices, grouped by pair in order
-    verts = ca.rays[bi, ci] * ca.vert_sel[bi, ci, None]
-    margins = np.einsum("vd,vmd->vm", verts, cb.normals[bi])
+    margins = np.einsum("vd,vmd->vm", ca.rays, cb.normals[ca.cell])
     hit = np.zeros(ca.B, dtype=bool)
-    hit[bi[(margins > _TOL).all(axis=1)]] = True
+    hit[ca.cell[(margins > _TOL).all(axis=1)]] = True
     # per pair and normal of B, its vertices beyond: differences of running sums
-    beyond = np.zeros((len(bi) + 1, margins.shape[1]), dtype=np.intp)
+    beyond = np.zeros((len(ca.cell) + 1, margins.shape[1]), dtype=np.intp)
     np.cumsum(margins < -_TOL, axis=0, out=beyond[1:])
-    count = np.bincount(bi, minlength=ca.B)
+    count = np.bincount(ca.cell, minlength=ca.B)
     end = np.cumsum(count)
     miss = ((beyond[end] - beyond[end - count]) == count[:, None]).any(axis=1) & (count > 0)
     return hit, miss
@@ -797,17 +796,16 @@ def cells_intersect(ca: CellBatch, cb: CellBatch) -> Tuple[np.ndarray, np.ndarra
 
 
 def _vertex_table(normals: np.ndarray) -> CellBatch:
-    """The cones {x : A x >= 0} of rows ``normals`` (B, M, dim) with their vertices.
+    """The cones {x : A x >= 0} of rows ``normals`` (B, M, dim) with their vertex table.
 
     One extreme-ray pass, as the samplers make; a cone with a null ray or a
-    hinged class keeps no vertex, so that it certifies nothing.
+    hinged class keeps no table row, so that it certifies nothing.
     """
     B, M, dim = normals.shape
-    combos = _combos(M, dim - 1)
-    rays, margins, null = _extreme_rays(normals, combos)
+    rays, margins, null = _extreme_rays(normals, _combos(M, dim - 1))
     sel, hinged = _sign_classes(margins, M - dim + 1)
     sel[(null | hinged).any(axis=1)] = 0
-    return CellBatch(normals, rays, sel, combos)
+    return _table(normals, rays, sel, 0)
 
 
 def cones_intersect_batch(normals_a: np.ndarray, normals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

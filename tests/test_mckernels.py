@@ -24,7 +24,7 @@ from sphtess.mckernels import (
     _enumerate_and_pick,
     _extreme_rays,
     _nullspace_rays,
-    _sign_classes,
+    _vertex_table,
     batch_rng,
     cones_intersect_batch,
     fvec_values,
@@ -51,12 +51,9 @@ def _random_signed(rng, B, m, dim):
 
 
 def _cell_batch(rng, B, m, dim):
-    signed, _ = _random_signed(rng, B, m, dim)
-    combos = _combos(m, dim - 1)
-    rays, margins, null = _extreme_rays(signed, combos)
-    sel, hinged = _sign_classes(margins, m - dim + 1)
-    assert not (null | hinged).any()
-    return CellBatch(signed, rays, sel, combos)
+    cells = _vertex_table(_random_signed(rng, B, m, dim)[0])
+    assert np.bincount(cells.cell, minlength=B).all()  # nothing flagged: a flagged cone keeps no vertex
+    return cells
 
 
 # -- enumeration vs build_arrangement ----------------------------------------
@@ -105,7 +102,7 @@ def test_typical_cells_uniform_over_cells():
     # and has 24/7 vertices on average, each within 4 standard errors
     B = 8192
     cells = sample_typical_cells(batch_rng(5, 1, 0), B, 4, 3)
-    f0 = np.count_nonzero(cells.vert_sel, axis=1)
+    f0 = np.bincount(cells.cell, minlength=B)
     assert set(np.unique(f0)) <= {3, 4}
     p = 8 / 14
     se = math.sqrt(p * (1 - p) / B)  # f0 = 4 - [triangle], so both share it
@@ -116,25 +113,32 @@ def test_typical_cells_uniform_over_cells():
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 @pytest.mark.parametrize(
     "flavor,cutters,beta",
-    [("typical", 0, 0.0), ("typical", 0, 4.0), ("typical", 1, 4.0), ("weighted", 0, 0.0)],
-    ids=["iso", "kappa-k=d", "kappa-k<d", "weighted"],
+    [("typical", 0, 0.0), ("typical", 0, 4.0), ("typical", 1, 4.0), ("weighted", 0, 0.0), ("table", 0, 0.0)],
+    ids=["iso", "kappa-k=d", "kappa-k<d", "weighted", "hinged-table"],
 )
 def test_cell_vertices_match_a_pass_on_the_cell_normals(dim, flavor, cutters, beta):
     # the samplers read a cell's vertices from the margins of the drawn
     # normals flipped to the cell's sides; a fresh pass on the cell's own
-    # (signed) normals must give the same vertex vectors bit for bit
+    # (signed) normals must give the same vertex table bit for bit.  Every
+    # table is grouped by cell, with strictly increasing subsets in a cell
     m, k = dim + 2, dim - 1
     local = batch_rng(7, dim, 0)
-    if flavor == "weighted":
+    if flavor == "table":
+        # cone 0 has the vertex e_dim on dim of its rows: its class hinges, and the cone keeps no row
+        normals, e = _random_signed(local, 256, m, dim)[0], np.eye(dim)
+        normals[0] = np.vstack([e[:-1], e[0] + e[-2], e[-1] - e[:-1].sum(axis=0), e[-1]])
+        cells = _vertex_table(normals)
+    elif flavor == "weighted":
         cells = sample_weighted_cells(local, 256, m, dim)
     else:
         # the cells of (n, d, k) = (m + cutters, k + cutters, k)
         raw = mckernels._kappa_sampler(KappaFamily("pole_concentrated", beta), m + cutters, k + cutters, k)
         cells = sample_typical_cells(local, 256, m, dim, raw_sampler=raw)
-    rays, margins, null = _extreme_rays(cells.normals, cells.combos)
-    sel, hinged = _sign_classes(margins, m - dim + 1)
-    assert not (null | hinged).any()
-    assert np.array_equal(cells.rays * cells.vert_sel[..., None], rays * sel[..., None])
+    fresh = _vertex_table(cells.normals)
+    assert all(np.array_equal(getattr(cells, f), getattr(fresh, f)) for f in ("cell", "subset", "rays"))
+    assert np.array_equal(np.unique(cells.cell), np.arange(flavor == "table", 256))  # nothing else flagged
+    same = np.diff(cells.cell) == 0
+    assert (np.diff(cells.cell) >= 0).all() and (np.diff(cells.subset)[same] > 0).all()
 
 
 # -- vertex machinery ---------------------------------------------------------
@@ -147,7 +151,7 @@ def test_vertices_match_cell_f_vector():
         got = [fvec_values(cells, l) for l in range(k)]
         for b in range(cells.B):
             fv = lp_oracle.cell_f_vector(cells.normals[b], max(k - 1, 0))
-            assert np.count_nonzero(cells.vert_sel[b]) == fv[0], (m, k, b)
+            assert np.count_nonzero(cells.cell == b) == fv[0], (m, k, b)
             assert [g[b] for g in got] == fv, (m, k, b)
 
 
@@ -158,8 +162,9 @@ def test_fvec_euler_assertion_enforced():
         fvec_values(cells, 0)  # must not raise on valid cells
         # a cell that lost one of its f_0 > k vertices keeps every face
         # above it and passes the f_0 >= k check, but breaks Euler
-        b = np.flatnonzero(np.count_nonzero(cells.vert_sel, axis=1) > dim - 1)[0]
-        cells.vert_sel[b, np.flatnonzero(cells.vert_sel[b])[0]] = 0
+        drop = np.searchsorted(cells.cell, np.flatnonzero(np.bincount(cells.cell) > dim - 1)[0])  # its first row
+        table = (np.delete(a, drop, axis=0) for a in (cells.cell, cells.subset, cells.rays))
+        cells = CellBatch(cells.normals, *table)
         with pytest.raises(SampleAssertionError, match="Euler"):
             fvec_values(cells, 0)
 
@@ -224,17 +229,14 @@ def test_subspace_hits_paired_nested(m, dim, j):
 
 
 def test_polar_fraction_matches_lp():
+    # at one point per cell the fraction is its membership; the point is
+    # drawn again from the same stream
     cells = _cell_batch(np.random.default_rng(110), 50, 5, 3)
-    local = batch_rng(3, 9, 0)
-    x = local.standard_normal((cells.B, 1, 3))
-    x /= np.linalg.norm(x, axis=2, keepdims=True)
-    verts, valid = cells.vertices_masked()
-    dots = np.einsum("bpd,bcd->bpc", x, verts)
-    dots = np.where(valid[:, None, :], dots, -np.inf)
-    member = dots.max(axis=2) <= 0.0
+    member = polar_fractions(cells, batch_rng(3, 9, 0), 1)
+    x = mckernels._sample_unit(batch_rng(3, 9, 0), (cells.B, 1, 3))
     for b in range(cells.B):
         lp_member = lp_oracle.polar_support_margin(cells.normals[b], x[b, 0]) <= 1e-9
-        assert bool(member[b, 0]) == lp_member, b
+        assert member[b] == lp_member, b
 
 
 # -- projections vs the oracle's Moreau enumeration ----------------------------
@@ -263,9 +265,8 @@ def test_project_batch_kkt():
         tol = 1e-9 * (1.0 + np.einsum("bd,bd->b", g, g))
         assert np.all(np.einsum("bmd,bd->bm", cells.normals, x).min(axis=1) >= -tol)
         assert np.all(np.abs(np.einsum("bd,bd->b", x, g - x)) <= tol)
-        verts, valid = cells.vertices_masked()
-        polar = np.einsum("bcd,bd->bc", verts, g - x)
-        assert np.all(np.where(valid, polar, -np.inf).max(axis=1) <= tol), (m, dim)
+        polar = np.einsum("vd,vd->v", cells.rays, (g - x)[cells.cell])
+        assert np.all(polar <= tol[cells.cell]), (m, dim)
 
 
 def test_project_batch_duplicated_normal_drops_only_its_replication():
@@ -351,7 +352,7 @@ def test_a_cone_with_a_hinged_vertex_certifies_nothing():
     # facet with both listed vertices beyond, which would certify a miss
     a = np.array([[[1.0, 0, 0], [0, 1, 0], [1, 1, 0], [-1, -1, 1]]])
     b = np.array([[[-1.0, -1, 0.5], [1, -2, 1], [-2, 1, 1]]])
-    assert not mckernels._vertex_table(a).vert_sel.any()
+    assert not _vertex_table(a).cell.size
     hit, near = cones_intersect_batch(a, b)
     assert lp_oracle.cones_intersect(a[0], b[0])
     assert near[0] or hit[0]
@@ -425,7 +426,7 @@ def test_touching_cones_are_never_certified(seed):
     for dim in (2, 3, 4, 5):
         for m_other in (1, 2, 3):
             a, b = _touching_cones(local, dim, m_other)
-            ta, tb = mckernels._vertex_table(a[None]), mckernels._vertex_table(b[None])
+            ta, tb = _vertex_table(a[None]), _vertex_table(b[None])
             for x, y in ((ta, tb), (tb, ta)):
                 hit, miss = mckernels._certificates(x, y)
                 assert not hit[0] and not miss[0], (dim, m_other)
@@ -508,7 +509,7 @@ def test_ivol_vector_matches_sampled_routes(m, dim, beta):
     for l in range(dim):
         # Crofton: a uniform (dim-l)-subspace meets the cone with probability 2 U_l
         _assert_share(subspace_hits(cells, local, dim - l, S), 2 * vec[:, l + 1 :: 2].sum(axis=1), S, ("U", l))
-    _assert_share(solid_fractions(cells, local, S), vec[:, dim], S, "v_dim")
+    _assert_share(solid_fractions(cells.normals, local, S), vec[:, dim], S, "v_dim")
     _assert_share(polar_fractions(cells, local, S), vec[:, 0], S, "v_0")
     # the definitional statdim: E ||Pi_C g||^2 over Gaussians g, per cell
     # and over all cells
@@ -536,12 +537,9 @@ def test_ivol_vector_sums_over_an_arrangement(dim, beta):
     else:
         normals = sample_vmf_mixture(rng, dim - 1, beta, m)
     masks = sorted(lp_oracle.build_arrangement(normals, dim - 1))
-    signed = np.stack([lp_oracle.signed_rows(normals, mask) for mask in masks])
-    combos = _combos(m, dim - 1)
-    rays, margins, null = _extreme_rays(signed, combos)
-    sel, hinged = _sign_classes(margins, m - dim + 1)
-    assert not (null | hinged).any()
-    sums = ivol_vector(CellBatch(signed, rays, sel, combos), batch_rng(45, m, dim), 64).sum(axis=0)
+    cells = _vertex_table(np.stack([lp_oracle.signed_rows(normals, mask) for mask in masks]))
+    assert np.bincount(cells.cell, minlength=len(masks)).all()  # nothing flagged
+    sums = ivol_vector(cells, batch_rng(45, m, dim), 64).sum(axis=0)
     want = [math.comb(m - 1, dim - 1)] + [math.comb(m, dim - j) for j in range(1, dim + 1)]
     if dim == 4:
         sums, want = [sums[0] + sums[4]] + list(sums[1:4]), [want[0] + want[4]] + want[1:4]
@@ -654,8 +652,13 @@ def test_ivol_vector_duplicated_vertex_raises():
     for m, dim in ((4, 2), (5, 3), (6, 4)):
         cells = _cell_batch(rng, 4, m, dim)
         ivol_vector(cells, batch_rng(0, 1, 0), 8)
-        real, spare = np.flatnonzero(cells.vert_sel[0])[0], np.flatnonzero(cells.vert_sel[0] == 0)[0]
-        cells.rays[0, spare], cells.vert_sel[0, spare] = cells.rays[0, real], cells.vert_sel[0, real]
+        # cell 0's first vertex again, under its first spare subset s, which
+        # keeps the order at row s, since subsets 0..s-1 are its rows before
+        own = cells.subset[cells.cell == 0]
+        s = min(set(range(len(own) + 1)) - set(own.tolist()))
+        cell, subset, rays = (np.insert(a, s, a[0], axis=0) for a in (cells.cell, cells.subset, cells.rays))
+        subset[s] = s
+        cells = CellBatch(cells.normals, cell, subset, rays)
         with pytest.raises(SampleAssertionError):
             ivol_vector(cells, batch_rng(0, 1, 0), 8)
 
@@ -665,19 +668,14 @@ def test_ivol_vector_duplicated_vertex_raises():
 
 def test_solid_fraction_octant():
     B = 512
-    normals = np.broadcast_to(np.eye(3), (B, 3, 3)).copy()
-    combos = _combos(3, 2)
-    rays, margins, _ = _extreme_rays(normals, combos)
-    sel, _ = _sign_classes(margins, 1)
-    cells = CellBatch(normals, rays, sel, combos)
-    frac = solid_fractions(cells, batch_rng(0, 5, 0), 64)
+    frac = solid_fractions(np.broadcast_to(np.eye(3), (B, 3, 3)), batch_rng(0, 5, 0), 64)
     assert abs(frac.mean() - 0.125) < 4 * 0.33 / math.sqrt(B * 64)
 
 
 def test_weighted_cells_match_slow_sampler_distribution():
     # mean f0 of weighted cells at (4,2,2) ~ 6 - 24/pi^2
     cells = sample_weighted_cells(batch_rng(123, 6, 0), 8192, 4, 3)
-    f0 = np.count_nonzero(cells.vert_sel, axis=1)
+    f0 = np.bincount(cells.cell, minlength=cells.B)
     mean = f0.mean()
     exact = 6 - 24 / math.pi**2
     se = f0.std() / math.sqrt(cells.B)

@@ -31,10 +31,9 @@ def test_full_skeleton_sampler_cross_validation():
     exact = float(sp_eval(v_weighted(4, 2, 1, 1), 20))
     draws = 800
     normals = np.stack([sample_weighted_face_full_skeleton(4, 2, 1, rng) for _ in range(draws)])
-    skeleton = mckernels.CellBatch(normals, None, None, None)  # solid fractions need only the normals
-    slow = mckernels.solid_fractions(skeleton, mckernels.batch_rng(1, 1, 0), 32)
+    slow = mckernels.solid_fractions(normals, mckernels.batch_rng(1, 1, 0), 32)
     local = mckernels.batch_rng(1, 2, 0)
-    fast = mckernels.solid_fractions(mckernels.sample_weighted_cells(local, draws, 3, 2), local, 32)
+    fast = mckernels.solid_fractions(mckernels.sample_weighted_cells(local, draws, 3, 2).normals, local, 32)
     se = [fracs.std() / math.sqrt(draws) for fracs in (slow, fast)]
     assert abs(slow.mean() - exact) < 5 * se[0]
     assert abs(fast.mean() - slow.mean()) < 5 * math.hypot(*se)
