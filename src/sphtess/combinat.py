@@ -4,14 +4,14 @@
 tessellation by random great hyperspheres in general position.  The A family
 reads Laurent coefficients of the integer polynomials Q_m times tanh/cotanh,
 each tanh/cotanh coefficient in its Bernoulli closed form; the B family is a
-table of sine-moment integrals.  Both are computed by one route and checked
-against an independent route in the test suite (closed-form series
-coefficients vs. power-series division and recurrence for A, recurrence vs.
-symbolic integral vs. printed closed forms for B).
+table of sine-moment integrals, each read off its generating function.  Both
+are computed by one route and checked against independent routes in the test
+suite (closed-form series coefficients vs. power-series division and
+recurrence for A; generating function vs. recurrence identity vs. symbolic
+integral vs. printed closed forms for B).
 
-Everything here is a pure function over immutable memo tables.  The B
-recurrence climbs on ``coeff_B``'s own memo table, one subtraction and one
-scale per entry.
+Everything here is a pure function over memo tables.  ``coeff_B`` reads one
+cached series R_p per l, extended in place as deeper rows ask for it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Literal
+from typing import Dict, List, Literal, Tuple
 
 from .exactnum import ZERO, SqrtPiPoly, bernoulli, sp_dot
 
@@ -153,30 +153,48 @@ def coeff_A_dd_closed(d: int) -> SqrtPiPoly:
 
 
 # ---------------------------------------------------------------------------
-# B{m, l} by the recurrence, and its two independent oracles.
+# B{m, l} from its generating function, and its two independent oracles.
 # ---------------------------------------------------------------------------
 
+# p -> (P, L, nums): the series of R_p(t) = 1 / prod(t^2 + a^2) over
+# a = p, p-2, ... > 0, whose t^(2j) coefficient is nums[j] / (P * L**j) with
+# P = prod(a^2) and L = lcm(a^2).  Each list is extended in place.
+_R_SERIES: Dict[int, Tuple[int, int, List[int]]] = {}
 
-@lru_cache(maxsize=None)
-def _wallis(j: int) -> Fraction:
-    """Integral of sin^j over [0, pi], divided by its pi-power.
 
-    Returns the rational r with integral = r * pi^(1 if j even else 0):
-    W_0 = pi, W_1 = 2, W_j = W_{j-2} (j-1)/j.
+def _r_series(p: int, n: int) -> Tuple[int, int, List[int]]:
+    """R_p's (P, L, nums) with at least n numerators, for p >= 1.
+
+    R_p = R_{p-2} / (t^2 + p^2) with R_0 = R_{-1} = 1 gives, fraction-free,
+    nums[j] = nums'[j] (L / L')**j - nums[j-1] L / p^2 over R_{p-2}'s
+    (P', L', nums'), so each chain climbs from a = 1 or 2 to p.
     """
-    if j == 0:
-        return Fraction(1)
-    if j == 1:
-        return Fraction(2)
-    return _wallis(j - 2) * Fraction(j - 1, j)
+    P, L, nums = 1, 1, [1]
+    for a in range(2 - p % 2, p + 1, 2):
+        prev_L, prev = L, nums
+        if a not in _R_SERIES:
+            _R_SERIES[a] = (P * a * a, math.lcm(L, a * a), [])
+        P, L, nums = _R_SERIES[a]
+        f, g = L // prev_L, L // (a * a)
+        for j in range(len(nums), n):
+            below = prev[j] * f**j if j < len(prev) else 0
+            nums.append(below - nums[j - 1] * g if j else below)
+    return P, L, nums
 
 
 @lru_cache(maxsize=None)
 def coeff_B(m: int, l: int) -> SqrtPiPoly:
-    """B{m, l} computed by climbing B{n+2,k} = (B{n,k-2} - B{n,k}) / (k-1)^2.
+    """B{m, l} = (1/((l-1)!(m-l)!)) * integral of x^(m-l) sin^(l-1) x over [0, pi].
 
-    Base cases are the Wallis rows B{l,l} and B{l+1,l} = (pi/2) B{l,l}; the
-    l = 0 and l = 1 columns are pi^m / m! directly.  Always lands in Q[pi].
+    With p = l - 1 and q = m - l, B{m, l} = [t^q] F_p(t), where
+    F_p(t) = (1/p!) * integral of e^(tx) sin^p x over [0, pi] is
+    (1 + e^(pi t)) R_p(t) for odd p and ((e^(pi t) - 1)/t) R_p(t) for even p,
+    with R_p as in ``_R_SERIES``.  So the pi^s coefficient is r_{q-s}/s!
+    (odd p, plus r_q at s = 0) or r_{q-s+1}/s! (even p), where r_i is R_p's
+    t^i coefficient, zero at odd i.  The R_p series are cached per p, so an
+    entry costs O(q) terms built fraction-free over the one denominator
+    P * L**(q//2) * q! (or (q+1)!) and reduced once.  The l = 0 and l = 1
+    columns are pi^m / m!.  Always lands in Q[pi].
     """
     if m < 0 or l < 0:
         raise ValueError(f"coeff_B indices must be >= 0, got ({m}, {l})")
@@ -187,12 +205,21 @@ def coeff_B(m: int, l: int) -> SqrtPiPoly:
     if l <= 1:
         # integral of x^{m-1} over [0, pi] / (m-1)! = pi^m / m!
         return SqrtPiPoly.pi_power(m, Fraction(1, math.factorial(m)))
-    if m == l:
-        return SqrtPiPoly.pi_power(l % 2, _wallis(l - 1) / math.factorial(l - 1))
-    if m == l + 1:
-        return coeff_B(l, l) * SqrtPiPoly.pi_power(1, Fraction(1, 2))
-    # climb two steps down in m with matching parity
-    return (coeff_B(m - 2, l - 2) - coeff_B(m - 2, l)).scale(Fraction(1, (l - 1) ** 2))
+    p, q = l - 1, m - l
+    h, u = q // 2, 1 - p % 2  # even p: (e^(pi t) - 1)/t raises each pi power by u = 1
+    P, L, nums = _r_series(p, h + 1)
+    lpow = [1]
+    for _ in range(h):
+        lpow.append(lpow[-1] * L)
+    nums_out: Dict[int, int] = {}
+    fac = 1  # (q+u)! / (s+u)!
+    for s in range(q, -1, -2):
+        k = s + u
+        nums_out[2 * k] = nums[(q - s) // 2] * lpow[s // 2] * fac
+        fac *= k * (k - 1) or 1
+    if not u and q % 2 == 0:
+        nums_out[0] *= 2  # the 1 in 1 + e^(pi t)
+    return SqrtPiPoly._canonical(P * lpow[h] * math.factorial(q + u), nums_out)
 
 
 def coeff_B_oracle(m: int, l: int) -> SqrtPiPoly:
@@ -200,7 +227,7 @@ def coeff_B_oracle(m: int, l: int) -> SqrtPiPoly:
 
     Expands sin^{l-1} x into a rational combination of 1, cos(jx), sin(jx)
     and integrates x^{m-l} against each by exact repeated integration by
-    parts.  Entirely independent of the recurrence route.
+    parts.  Entirely independent of the generating-function route.
     """
     if not 1 <= l <= m:
         raise ValueError(f"oracle requires 1 <= l <= m, got ({m}, {l})")

@@ -343,6 +343,22 @@ def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
 # ---------------------------------------------------------------------------
 
 
+def _int_str(n: int) -> str:
+    """str(n) at any size; past the interpreter's int-to-str digit limit, exactly through Decimal."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _str_int(digits: str) -> int:
+    """int(digits) at any size, the inverse of :func:`_int_str`."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
 def sp_format(a: SqrtPiPoly) -> str:
     if a.is_zero():
         return "0"
@@ -350,12 +366,14 @@ def sp_format(a: SqrtPiPoly) -> str:
     terms = a.terms
     for e in sorted(terms, reverse=True):
         c = terms[e]
-        mag = abs(c)
+        mag = _int_str(abs(c.numerator))
+        if c.denominator != 1:
+            mag = f"{mag}/{_int_str(c.denominator)}"
         if e == 0:
-            body = str(mag)
+            body = mag
         else:
             atom = f"pi^{e // 2}" if e % 2 == 0 else f"sqrtpi^{e}"
-            body = atom if mag == 1 else f"{mag}*{atom}"
+            body = atom if mag == "1" else f"{mag}*{atom}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -382,9 +400,9 @@ def sp_parse(text: str) -> SqrtPiPoly:
             raise ParseError(f"expected '+' or '-' at position {pos}")
         if not (m["num"] or m["atom"]):
             raise ParseError(f"expected a term at position {m.end()}")
-        if m["den"] and not int(m["den"]):
+        if m["den"] and not m["den"].strip("0"):
             raise ParseError(f"zero denominator at position {m.start('den')}")
-        c = Fraction(int(m["num"] or 1), int(m["den"] or 1))
+        c = Fraction(_str_int(m["num"] or "1"), _str_int(m["den"] or "1"))
         e = int(m["exp"]) * (2 if m["atom"] == "pi" else 1) if m["atom"] else 0
         total[e] = total.get(e, 0) + (-c if m["sign"] == "-" else c)
         pos = m.end()

@@ -249,6 +249,20 @@ def test_parse_errors_have_positions():
             sp_parse(bad)
 
 
+def test_format_and_parse_past_the_int_str_digit_limit():
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    big = 7**6000  # 5071 digits, past the default limit of 4300
+    v = SqrtPiPoly({4: Fraction(big, 3**9001), 0: -big, -3: Fraction(1, big + 2)})
+    text = sp_format(v)
+    assert text.startswith(str(Decimal(big)) + "/")
+    assert sp_parse(text) == v
+    with pytest.raises(ParseError, match=r" at position 2$"):
+        sp_parse("1/" + "0" * 5000)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_parse_reads_signs_next_to_digits():
     # whitespace is optional between tokens, also between a sign and digits
     assert sp_parse("1-3") == sp_parse("1 - 3") == SqrtPiPoly.rational(-2)

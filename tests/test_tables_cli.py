@@ -10,9 +10,9 @@ import pytest
 
 from sphtess import appendix_data as app
 from sphtess import cli, mckernels
-from sphtess.exactnum import sp_parse
+from sphtess.exactnum import sp_format, sp_parse
 from sphtess.figures import FIGURES, figure_csv
-from sphtess.moments import ef_typical
+from sphtess.moments import ef_typical, ef_weighted
 from sphtess.tables import TABLE_NAMES, TableSpec, format_float15, render_table, rows_to_csv
 
 
@@ -164,6 +164,18 @@ def test_cli_eval():
     res = run_cli("eval", "--quantity", "f", "--flavor", "weighted", "--n", "6", "--d", "2", "--k", "2", "--l", "0")
     assert res.returncode == 0
     assert res.stdout.splitlines()[0] == "15 - 180*pi^-2 + 720*pi^-4"
+
+
+def test_cli_eval_deep_rows():
+    # B{1001, 2} and B{1002, 3}: far deeper than the Fig. 3 rows
+    res = run_cli("eval", "--quantity", "v", "--flavor", "weighted", "--n", "1000", "--d", "2", "--k", "2", "--l", "1")
+    assert res.returncode == 0, res.stderr
+    # a value whose numerators run past the interpreter's 4300-digit int-to-str limit
+    res = run_cli("eval", "--quantity", "f", "--flavor", "weighted", "--n", "400", "--d", "30", "--k", "30", "--l", "0")
+    assert res.returncode == 0, res.stderr
+    exact = res.stdout.splitlines()[0]
+    assert sp_parse(exact) == ef_weighted(400, 30, 30, 0)
+    assert sp_format(sp_parse(exact)) == exact
 
 
 def test_cli_eval_euclid():
