@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import figures
-from .exactnum import sp_eval, sp_format
+from .exactnum import sp_format
 from .geom import DegenerateInput, KappaFamily
 from .mckernels import SampleAssertionError
 from .moments import (
@@ -34,6 +34,7 @@ from .moments import (
     euclid_v,
     evaluate_query,
 )
+from .simulate import REDRAW_RATE_LIMIT, ExperimentConfig, compare, estimate
 from .tables import TableSpec, format_float15, render_table, rows_to_csv
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -49,15 +50,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_eval.add_argument("--k", type=int)
     p_eval.add_argument("--l", type=int)
     p_eval.add_argument("--gamma", help="positive rational p/q or 'star' (the default; euclid-v only)")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_table = sub.add_parser("table", help="reproduce an appendix table")
     p_table.add_argument("--which", required=True)
     p_table.add_argument("--out", help="CSV output path (stdout if omitted)")
     p_table.add_argument("--n-min", type=int)
     p_table.add_argument("--n-max", type=int)
+    p_table.set_defaults(run=_cmd_table)
 
     for name in ("simulate", "compare"):
         p = sub.add_parser(name)
+        p.set_defaults(run=_cmd_sim)
         p.add_argument("--quantity", required=True, choices=list(QUANTITIES))
         p.add_argument("--flavor", default="typical", choices=FLAVORS)
         p.add_argument("--n", type=int, required=True)
@@ -79,6 +83,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_limit.add_argument("--l", type=int, required=True)
     p_limit.add_argument("--flavor", default="typical", choices=FLAVORS)
     p_limit.add_argument("--n", default="25,50,100,200", help="comma-separated intensities")
+    p_limit.set_defaults(run=_cmd_limit)
 
     p_fig = sub.add_parser("figure", help="emit plot-data CSV for one figure")
     p_fig.add_argument("--which", required=True, choices=figures.FIGURES)
@@ -86,36 +91,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_fig.add_argument("--k", type=int)
     p_fig.add_argument("--n", help="comma-separated intensities (figure default if omitted)")
     p_fig.add_argument("--out", help="CSV output path (stdout if omitted)")
+    p_fig.set_defaults(run=_cmd_figure)
 
     p_coef = sub.add_parser("coeffs", help="dump the A and B coefficient tables as CSV")
     p_coef.add_argument("--max-m", type=int, default=8)
     p_coef.add_argument("--out")
+    p_coef.set_defaults(run=_cmd_coeffs)
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (ValueError, KeyError, DegenerateInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SampleAssertionError as exc:
         print(f"error: per-sample assertion failed: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    if args.command in ("simulate", "compare"):
-        return _cmd_sim(args)
-    if args.command == "limit":
-        return _cmd_limit(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "coeffs":
-        return _cmd_coeffs(args)
-    raise ValueError(f"unknown command {args.command}")
 
 
 def _parse_gamma(text: Optional[str]):
@@ -201,37 +192,27 @@ def _cmd_table(args) -> int:
 CONFIG_KEYS = ("reps", "seed", "kappa", "subspace_reps")
 
 
-def _load_config(args):
-    from .simulate import ExperimentConfig
-
-    base = {}
-    if getattr(args, "config", None):
+def _load_config(args) -> ExperimentConfig:
+    """The config file's keys, then the given flags over them, then ``SPHTESS_SEED``;
+    ExperimentConfig's defaults fill the rest."""
+    values = {}
+    if args.config:
         try:
             with open(args.config) as fh:
-                base = json.load(fh)
+                values = json.load(fh)
         except OSError as exc:
             raise ValueError(f"config file {args.config!r} cannot be read: {exc.strerror}") from exc
-        _check_config(base)
-    defaults = ExperimentConfig()
-    kappa_text = args.kappa if args.kappa is not None else base.get("kappa")
-    kappa = defaults.kappa if kappa_text is None else _parse_kappa(kappa_text)
-    seed = args.seed if args.seed is not None else base.get("seed", defaults.seed)
+        _check_config(values)
+    values.update((key, getattr(args, key)) for key in CONFIG_KEYS if getattr(args, key) is not None)
+    if "kappa" in values:
+        values["kappa"] = _parse_kappa(values["kappa"])
     env_seed = os.environ.get("SPHTESS_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            values["seed"] = int(env_seed)
         except ValueError:
             raise ValueError(f"SPHTESS_SEED must be an integer, got {env_seed!r}") from None
-    return ExperimentConfig(
-        reps=args.reps if args.reps is not None else base.get("reps", defaults.reps),
-        seed=seed,
-        kappa=kappa,
-        subspace_reps=(
-            args.subspace_reps
-            if args.subspace_reps is not None
-            else base.get("subspace_reps", defaults.subspace_reps)
-        ),
-    )
+    return ExperimentConfig(**values)
 
 
 def _check_config(base) -> None:
@@ -260,8 +241,6 @@ def _parse_kappa(text: str) -> KappaFamily:
 
 
 def _cmd_sim(args) -> int:
-    from .simulate import compare, estimate
-
     config = _load_config(args)
     q = _query(args)
     if args.command == "simulate":
@@ -292,8 +271,6 @@ def _cmd_sim(args) -> int:
 
 
 def _warn_redraws(est) -> None:
-    from .simulate import REDRAW_RATE_LIMIT
-
     if est.degenerate_redraws > est.reps * REDRAW_RATE_LIMIT:
         print(
             f"warning: {est.degenerate_redraws} degenerate redraws in {est.reps} replications"
@@ -317,8 +294,8 @@ def _cmd_limit(args) -> int:
     for n in _n_list(args.n):
         gap = euclid_limit_gap(args.d, args.k, args.l, args.flavor, n)
         pre = gap + limit
-        gap_f = float(sp_eval(gap, 20))
-        lim_f = float(sp_eval(limit, 20))
+        gap_f = float(gap)
+        lim_f = float(limit)
         rel = abs(gap_f) / abs(lim_f) if lim_f else 0.0
         lines.append(f'{n},{format_float15(pre)},"{sp_format(gap)}",{gap_f:.6e},{rel:.6e}')
     print("\n".join(lines))

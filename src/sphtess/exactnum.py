@@ -202,6 +202,7 @@ class SqrtPiPoly:
     # -- numeric evaluation --------------------------------------------------
 
     def __float__(self) -> float:
+        """The float nearest to 25 correct significant digits of the value: every float read-out."""
         return float(sp_eval(self, 25))
 
 
@@ -290,12 +291,12 @@ def _atan_inv(x: int, prec: int) -> Decimal:
 
 
 def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
-    """Evaluate ``a`` to an absolute error below 10**(1 - digits).
+    """``a`` to ``digits`` correct significant digits and an absolute error below 10**(1 - digits).
 
-    Each stored numerator is divided by the common denominator in
-    ``Decimal``.  The working precision is padded by the largest term
-    magnitude, read roughly from the bit lengths, so that heavy cancellation
-    (e.g. n! / pi**n sums) cannot eat the answer.
+    One Horner pass in pi per parity of the s-exponents (the odd chain times s**min, the
+    even one times pi**(min/2) unless it is rational), then one division by the denominator.
+    The working precision is padded by the largest term magnitude, read roughly from the bit
+    lengths, and by the shortfall when the sum cancels more digits than that pad covers.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -303,29 +304,27 @@ def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
         return Decimal(0)
     den_bits = a._den.bit_length()
     # log10 magnitude of each term: log10(2) per bit, log10(sqrt(pi)) = 0.24857... per s-power
-    max_mag = max(0, math.ceil(max(
-        (abs(n).bit_length() - den_bits) * math.log10(2) + 0.24857 * e for e, n in a._nums.items()
-    )))
-    prec = digits + 20 + max_mag
-    pi = pi_decimal(prec)
+    top = math.ceil(max((abs(n).bit_length() - den_bits) * math.log10(2) + 0.24857 * e for e, n in a._nums.items()))
+    prec, need = 0, digits + 20 + max(0, top)
+    while need > prec:
+        prec = need
+        with localcontext() as ctx:
+            ctx.prec = prec
+            pi = pi_decimal(prec)
+            total = 0
+            for odd in sorted({e % 2 for e in a._nums}):
+                es = [e for e in a._nums if e % 2 == odd]
+                lo, hi = min(es), max(es)
+                acc = Decimal(a._nums[hi])  # not Decimal(0), whose exponent would pad exact results
+                for e in range(hi - 2, lo - 1, -2):
+                    acc = acc * pi + a._nums.get(e, 0)
+                if lo:
+                    acc *= pi.sqrt() ** lo if odd else pi ** (lo // 2)
+                total += acc
+            total /= a._den
+        need = top - total.adjusted() + digits + 10  # the digits cancelled, plus 10 guard digits
     with localcontext() as ctx:
-        ctx.prec = prec
-        s = pi.sqrt()
-        den = Decimal(a._den)
-        total = Decimal(0)
-        for e, n in sorted(a._nums.items()):
-            coeff = Decimal(n) / den
-            if e == 0:
-                pw = Decimal(1)
-            elif e % 2 == 0:
-                pw = pi ** (e // 2)
-            else:
-                pw = s**e
-            total += coeff * pw
-    with localcontext() as ctx:
-        # keep enough significant digits that the *absolute* error stays
-        # below 10^(1-digits) even for large-magnitude values
-        ctx.prec = digits + max_mag + 5
+        ctx.prec = digits + max(0, top) + 5
         return +total
 
 

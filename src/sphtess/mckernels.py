@@ -87,9 +87,8 @@ from typing import Tuple
 import numpy as np
 
 from .combinat import cells_count
-from .exactnum import sp_eval, sphere_surface
+from .exactnum import sphere_surface
 from .geom import DegenerateInput, KappaFamily, sample_vmf_mixture
-from .simulate import MCEstimate
 
 BATCH = 1024
 _TOL = 1e-9
@@ -119,6 +118,20 @@ def batch_rng(seed: int, stream: int, batch_index: int) -> np.random.Generator:
     bg = np.random.Philox(key=key)
     bg.advance(batch_index << 40)
     return np.random.Generator(bg)
+
+
+@dataclass(frozen=True)
+class MCEstimate:
+    mean: float
+    stderr: float
+    reps: int
+    degenerate_redraws: int
+    seed: int
+
+    def z_score(self, exact: float) -> float:
+        if self.stderr == 0.0:
+            return 0.0 if self.mean == exact else math.inf
+        return (self.mean - exact) / self.stderr
 
 
 def finalize(num: np.ndarray, den, redraws: int, seed: int) -> MCEstimate:
@@ -877,7 +890,7 @@ def _ivol_row(quantity: str, l, dim: int) -> np.ndarray:
     elif quantity == "statdim":
         row[:] = np.arange(dim + 1)
     elif quantity == "hk":
-        row[dim] = float(sp_eval(sphere_surface(dim - 1), 20))  # H^k = omega_{k+1} v_{k+1}
+        row[dim] = float(sphere_surface(dim - 1))  # H^k = omega_{k+1} v_{k+1}
     else:
         raise ValueError(f"run_estimate cannot handle quantity {quantity!r}")
     return row

@@ -113,14 +113,26 @@ class EuclidQuery:
                 raise ValueError("gamma must be a positive rational or gamma_star")
 
 
-def _check_face_indices(n: int, d: int, k: int, weighted: bool) -> int:
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    if weighted and n < d + 1:
-        raise ValueError(f"weighted formulas need n >= d+1, got n={n}")
-    if not weighted and n < d - k:
-        raise ValueError(f"typical formulas need n >= d-k, got n={n}")
-    return n - d + k
+def _check_face_indices(
+    n: Optional[int], d: Optional[int], k: int, weighted: bool, l: Optional[int] = None, ls: Optional[range] = None
+) -> Optional[int]:
+    """N = n - d + k, after checking 0 <= k <= d, n against the flavor's minimum and,
+    given the range ``ls`` of l (range(k) or range(k + 1)), l; n = d = None checks l alone."""
+    if n is not None:
+        if not 0 <= k <= d:
+            raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
+        if weighted and n < d + 1:
+            raise ValueError(f"weighted formulas need n >= d+1, got n={n}")
+        if not weighted and n < d - k:
+            raise ValueError(f"typical formulas need n >= d-k, got n={n}")
+    if ls is not None and not ls.start <= l < ls.stop:
+        raise ValueError(f"need 0 <= l {'<' if ls.stop == k else '<='} k, got l={l}, k={k}")
+    return None if n is None else n - d + k
+
+
+def _weighted_prefactor(N: int) -> SqrtPiPoly:
+    """pi^-N N!/2, the prefactor of the weighted formulas at reduced intensity N."""
+    return SqrtPiPoly.pi_power(-N, Fraction(math.factorial(N), 2))
 
 
 def _ba_series(M: int, cs: Iterable[int], L: int) -> SqrtPiPoly:
@@ -141,9 +153,7 @@ def _ba_series(M: int, cs: Iterable[int], L: int) -> SqrtPiPoly:
 
 def ef_typical(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
     """Expected number of l-faces of the typical spherical k-face (any kappa)."""
-    N = _check_face_indices(n, d, k, weighted=False)
-    if not 0 <= l < k:
-        raise ValueError(f"need 0 <= l < k, got l={l}, k={k}")
+    N = _check_face_indices(n, d, k, weighted=False, l=l, ls=range(k))
     if n < d - l:
         return ZERO  # an l-face lies on d - l of the n great hyperspheres
     val = (
@@ -157,9 +167,7 @@ def ef_typical(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
 
 def ef_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
     """Expected number of l-faces of the weighted typical k-face (isotropic)."""
-    N = _check_face_indices(n, d, k, weighted=True)
-    if not 0 <= l < k:
-        raise ValueError(f"need 0 <= l < k, got l={l}, k={k}")
+    N = _check_face_indices(n, d, k, weighted=True, l=l, ls=range(k))
     pref = SqrtPiPoly.pi_power(
         d - l - n, Fraction(math.factorial(N), math.factorial(k - l))
     )
@@ -184,20 +192,16 @@ def hk_weighted_mean(n: int, d: int, k: int) -> SqrtPiPoly:
 
 
 def u_typical(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
-    N = _check_face_indices(n, d, k, weighted=False)
-    if not 0 <= l <= k:
-        raise ValueError(f"need 0 <= l <= k, got l={l}, k={k}")
+    N = _check_face_indices(n, d, k, weighted=False, l=l, ls=range(k + 1))
     return SqrtPiPoly.rational(cells_count(N, k - l) / (2 * cells_count(N, k)))
 
 
 def u_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
-    N = _check_face_indices(n, d, k, weighted=True)
-    if not 0 <= l <= k:
-        raise ValueError(f"need 0 <= l <= k, got l={l}, k={k}")
+    N = _check_face_indices(n, d, k, weighted=True, l=l, ls=range(k + 1))
     if l == 0:
         # U_0 = 1/2 almost surely; the series below only covers l >= 1.
         return SqrtPiPoly.rational(Fraction(1, 2))
-    pref = SqrtPiPoly.pi_power(-N, Fraction(math.factorial(N), 2))
+    pref = _weighted_prefactor(N)
     return pref * _ba_series(N + l, (k - 2 * s - 1 for s in range((k - l) // 2 + 1)), l - 2)
 
 
@@ -207,17 +211,13 @@ def u_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
 
 
 def v_typical(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
-    N = _check_face_indices(n, d, k, weighted=False)
-    if not 0 <= l <= k:
-        raise ValueError(f"need 0 <= l <= k, got l={l}, k={k}")
+    N = _check_face_indices(n, d, k, weighted=False, l=l, ls=range(k + 1))
     return SqrtPiPoly.rational(Fraction(math.comb(N, k - l)) / cells_count(N, k))
 
 
 def v_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
-    N = _check_face_indices(n, d, k, weighted=True)
-    if not 0 <= l <= k:
-        raise ValueError(f"need 0 <= l <= k, got l={l}, k={k}")
-    pref = SqrtPiPoly.pi_power(-N, Fraction(math.factorial(N), 2))
+    N = _check_face_indices(n, d, k, weighted=True, l=l, ls=range(k + 1))
+    pref = _weighted_prefactor(N)
     return pref * coeff_B(N + l, k) * coeff_A(k, l)
 
 
@@ -231,7 +231,7 @@ def v_minus1_typical(n: int, d: int, k: int) -> SqrtPiPoly:
 def v_minus1_weighted(n: int, d: int, k: int) -> SqrtPiPoly:
     """E v_{-1}(W): content of the polar of the weighted face (isotropic)."""
     N = _check_face_indices(n, d, k, weighted=True)
-    pref = SqrtPiPoly.pi_power(-N, Fraction(math.factorial(N), 2))
+    pref = _weighted_prefactor(N)
     return pref * _ba_series(N + 1, range(k + 1, N + 1, 2), -1)
 
 
@@ -288,8 +288,7 @@ def _statdim_weighted_d2(n: int) -> SqrtPiPoly:
         bracket = bracket + SqrtPiPoly.rational(2 * (-1) ** (n // 2))
     else:
         bracket = bracket + SqrtPiPoly.pi_power(1, (-1) ** ((n - 1) // 2))
-    pref = SqrtPiPoly.pi_power(-n, Fraction(math.factorial(n), 2))
-    return SqrtPiPoly.rational(Fraction(1, 2)) + pref * bracket
+    return SqrtPiPoly.rational(Fraction(1, 2)) + _weighted_prefactor(n) * bracket
 
 
 def _statdim_weighted_d3(n: int) -> SqrtPiPoly:
@@ -302,8 +301,7 @@ def _statdim_weighted_d3(n: int) -> SqrtPiPoly:
         + b_closed_form(n + 2, "k3").scale(12)
         + SqrtPiPoly.pi_power(-1, 32) * b_closed_form(n + 3, "k3")
     )
-    pref = SqrtPiPoly.pi_power(-n, Fraction(math.factorial(n), 2))
-    return pref * combo
+    return _weighted_prefactor(n) * combo
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +340,7 @@ def euclid_v(flavor: Flavor, q: EuclidQuery) -> SqrtPiPoly:
 
 def euclid_f_weighted(k: int, l: int) -> SqrtPiPoly:
     """E f_{k-l} of the weighted typical Euclidean k-face: pi^l / l! A[k,l]."""
-    if not 0 <= l <= k:
-        raise ValueError(f"need 0 <= l <= k, got l={l}, k={k}")
+    _check_face_indices(None, None, k, weighted=True, l=l, ls=range(k + 1))
     return SqrtPiPoly.pi_power(l, Fraction(1, math.factorial(l))) * coeff_A(k, l)
 
 

@@ -23,9 +23,11 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
+from . import mckernels
 from .combinat import faces_count
-from .exactnum import SqrtPiPoly, sp_eval, sp_format, sphere_surface
+from .exactnum import SqrtPiPoly, sp_format, sphere_surface
 from .geom import KappaFamily
+from .mckernels import MCEstimate
 from .moments import ExpectationQuery, evaluate_query
 
 __all__ = [
@@ -51,20 +53,6 @@ Z_FAIL = 6.0
 def _verdict(z: float) -> str:
     """The verdict on an estimate at z standard errors from its reference."""
     return "pass" if abs(z) <= Z_FAIL else "fail"
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: float
-    stderr: float
-    reps: int
-    degenerate_redraws: int
-    seed: int
-
-    def z_score(self, exact: float) -> float:
-        if self.stderr == 0.0:
-            return 0.0 if self.mean == exact else math.inf
-        return (self.mean - exact) / self.stderr
 
 
 @dataclass(frozen=True)
@@ -98,7 +86,7 @@ class ComparisonReport:
 
     @classmethod
     def build(cls, query, exact, estimate) -> "ComparisonReport":
-        exact_float = float(sp_eval(exact, 20))
+        exact_float = float(exact)
         z = estimate.z_score(exact_float)
         return cls(query, exact, exact_float, estimate, z, _verdict(z))
 
@@ -130,15 +118,13 @@ class ComparisonReport:
 
 def estimate(query: ExpectationQuery, config: ExperimentConfig) -> MCEstimate:
     """Unbiased Monte Carlo estimate of the queried expectation."""
-    from . import mckernels
-
     query.validate()
     config.validate()
     q, k, l = query.quantity, query.k, query.l
     if k == 0 or l == 0 and (q == "U" or q == "v" and k == 1):
         # a.s. constants: every functional of a point (k = 0), U_0 = 1/2
         # (Gauss-Bonnet) and v_0 = U_0 - U_2 = U_0 at k = 1
-        value = float(sp_eval(evaluate_query(query), 20))
+        value = float(evaluate_query(query))
         return MCEstimate(mean=value, stderr=0.0, reps=config.reps, degenerate_redraws=0, seed=config.seed)
     if query.flavor == "typical" and query.n < query.d + 1:
         # the typical k-face lies in a cell of n - d + k normals in R^{k+1},
@@ -179,8 +165,6 @@ def consistency_checks(
         distinct k-subspheres, so H^k(skel_k) = binom(n, d-k) omega_{k+1};
         C(n,d,k) times the ``estimate`` of H^k of the typical k-face must match it.
     """
-    from . import mckernels
-
     config.validate()
     if not 1 <= k <= d or n < d + 1:
         raise ValueError("consistency checks need 1 <= k <= d and n >= d+1")
@@ -197,7 +181,7 @@ def consistency_checks(
         combined_se = math.sqrt(ratio.stderr**2 + west.stderr**2)
         z = (ratio.mean - west.mean) / combined_se if combined_se else 0.0
         exact = evaluate_query(query)
-        reports.append(ComparisonReport(query, exact, float(sp_eval(exact, 20)), ratio, z, _verdict(z)))
+        reports.append(ComparisonReport(query, exact, float(exact), ratio, z, _verdict(z)))
     if "b" in parts:
         beta = 4.0 if config.kappa.is_isotropic else config.kappa.beta
         pole = replace(config, kappa=KappaFamily("pole_concentrated", beta))

@@ -77,7 +77,7 @@ class TableRow:
 
 
 def format_float15(x: SqrtPiPoly) -> str:
-    """15 significant digits, round-half-even; deterministic across platforms."""
+    """x to 15 significant digits, rounded half-even from 25 correct ones; deterministic across platforms."""
     d = sp_eval(x, 25)
     with localcontext() as ctx:
         ctx.prec = 15

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sphtess.combinat import coeff_B
 from sphtess.exactnum import (
     ONE,
     ZERO,
@@ -173,13 +174,18 @@ def test_eval_precision_contract():
         SqrtPiPoly.pi_power(3, Fraction(7, 3)) - SqrtPiPoly.pi_power(-2, Fraction(2, 9)),
         SqrtPiPoly({9: 8644}),  # large magnitude: absolute bound must still hold
         SqrtPiPoly({-7: Fraction(1, 97)}),
+        # about 4e-32 and 7e-30 from terms near 1: the sum cancels some 30 digits
+        coeff_B(43, 2),
+        coeff_B(41, 4),
     ]
     with localcontext() as ctx:
         ctx.prec = 120
         for val in cases:
             hi = sp_eval(val, 80)
             for digits in (1, 2, 5, 10, 30):
-                assert abs(sp_eval(val, digits) - hi) < Decimal(10) ** (1 - digits)
+                err = abs(sp_eval(val, digits) - hi)
+                assert err < Decimal(10) ** (1 - digits)
+                assert err <= abs(hi) * Decimal(10) ** (1 - digits)
 
 
 def test_bernoulli_values_and_recurrence():

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import ROUND_HALF_EVEN, localcontext
 
 import pytest
 
 from sphtess import appendix_data as app
 from sphtess import cli, mckernels
-from sphtess.exactnum import sp_format, sp_parse
+from sphtess.combinat import coeff_A, coeff_B
+from sphtess.exactnum import sp_eval, sp_format, sp_parse
 from sphtess.figures import FIGURES, figure_csv
 from sphtess.moments import ef_typical, ef_weighted
 from sphtess.tables import TABLE_NAMES, TableSpec, format_float15, render_table, rows_to_csv
@@ -458,3 +460,19 @@ def test_cli_figure_and_coeffs(tmp_path):
     assert res.returncode == 0
     assert res.stdout.splitlines()[0] == "family,m,l,exact,float64"
     assert any(line.startswith('A,2,1,"1/2*pi^1"') for line in res.stdout.splitlines())
+
+
+def test_cli_coeffs_print_correctly_rounded_floats(capsys):
+    # each float64 column is sp_eval(x, 120) rounded to 15 half-even digits, also
+    # for the B{m, l} far below 1 (m >= 41) whose terms cancel some 30 digits
+    assert cli.main(["coeffs", "--max-m", "60"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == sum(m + 2 for m in range(61)) + sum(m + 1 for m in range(1, 61))
+    for line in lines:
+        family, m, l = line.split(",")[:3]
+        value = (coeff_A if family == "A" else coeff_B)(int(m), int(l))
+        with localcontext() as ctx:
+            ctx.prec = 15
+            ctx.rounding = ROUND_HALF_EVEN
+            want = str(+sp_eval(value, 120))
+        assert line.rsplit(",", 1)[1] == want, line[:12]
