@@ -129,7 +129,9 @@ def _cmd_eval(args) -> int:
         _reject_unread(args, ("n", "m", "gamma"))
         if args.flavor != "weighted":
             raise ValueError("euclid-f is only provided for weighted faces (--flavor weighted)")
-        value = euclid_f_weighted(_req(args.k, "k"), _req(args.l, "l"))
+        q = EuclidQuery(d=args.d, k=_req(args.k, "k"), l=_req(args.l, "l"))
+        q.validate()
+        value = euclid_f_weighted(q.k, q.l)
     else:
         _reject_unread(args, ("gamma",))
         value = evaluate_query(_query(args))

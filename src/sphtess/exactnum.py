@@ -8,12 +8,15 @@ hardware floats, so values can be compared both symbolically and numerically.
 
 All values are immutable and stored in one form: a positive integer
 denominator and the nonzero integer numerators over it, in lowest terms.
-Arithmetic works on that form and divides out the content gcd once per
-result.  :func:`sp_dot`, the sum of products a*b over a sequence of pairs,
-accumulates integer numerators over a running lcm of the denominators and
-reduces once at the end; every product (``*``) is an ``sp_dot`` of one pair.
-Reduced Fraction coefficients are built on demand, by ``terms`` and
-:func:`sp_format`; :func:`sp_eval` reads the stored form.
+:func:`sp_dot`, the sum of products a*b over a sequence of pairs, is the one
+kernel that combines stored forms: it accumulates integer numerators over a
+running lcm of the denominators and divides out the content gcd once, at the
+end.  Sums, differences, negations, products and quotients are each one
+``sp_dot`` (over pairs with ``ONE`` or ``MINUS_ONE``, or with the inverse of
+a monomial divisor), and so are the mapping constructor and :func:`sp_parse`,
+over one monomial per term.  Only ``terms`` builds Fraction coefficients;
+:func:`sp_format` reduces each stored numerator against the denominator with
+one gcd, and :func:`sp_eval` reads the stored form.
 
 Values are printed and read in a small text grammar (see the comment above
 :func:`sp_format`).  :func:`sp_parse` reads it with one compiled pattern per
@@ -51,11 +54,10 @@ class ParseError(ValueError):
     """Raised by :func:`sp_parse` with the offending position in the message."""
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x: RationalLike) -> Tuple[int, int]:
+    """(numerator, denominator > 0) of an int or a Fraction, in lowest terms."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -73,17 +75,8 @@ class SqrtPiPoly:
     __slots__ = ("_den", "_nums", "_hash")
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
-        fracs: Dict[int, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = _as_fraction(c)
-                if c != 0:
-                    fracs[int(e)] = c
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        den = math.lcm(*(c.denominator for c in fracs.values()))
-        self._den = den
-        self._nums = {e: c.numerator * (den // c.denominator) for e, c in fracs.items()}
-        self._hash: int | None = None
+        value = sp_dot((SqrtPiPoly.sqrtpi_power(int(e), c), ONE) for e, c in (terms or {}).items())
+        self._den, self._nums, self._hash = value._den, value._nums, None
 
     @classmethod
     def _canonical(cls, den: int, nums: Dict[int, int]) -> "SqrtPiPoly":
@@ -113,8 +106,8 @@ class SqrtPiPoly:
     @classmethod
     def sqrtpi_power(cls, e: int, coeff: RationalLike = 1) -> "SqrtPiPoly":
         """coeff * s**e with s = sqrt(pi)."""
-        c = _as_fraction(coeff)
-        return cls._canonical(c.denominator, {e: c.numerator})
+        num, den = _ratio(coeff)
+        return cls._canonical(den, {e: num})
 
     # -- inspection --------------------------------------------------------
 
@@ -132,18 +125,18 @@ class SqrtPiPoly:
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
-        return _combine(self, _coerce(other), 1)
+        return sp_dot(((self, ONE), (_coerce(other), ONE)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SqrtPiPoly":
-        return SqrtPiPoly._canonical(self._den, {e: -n for e, n in self._nums.items()})
+        return sp_dot(((self, MINUS_ONE),))
 
     def __sub__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
-        return _combine(self, _coerce(other), -1)
+        return sp_dot(((self, ONE), (_coerce(other), MINUS_ONE)))
 
     def __rsub__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
-        return _combine(_coerce(other), self, -1)
+        return sp_dot(((_coerce(other), ONE), (self, MINUS_ONE)))
 
     def __mul__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
         return sp_dot(((self, _coerce(other)),))
@@ -151,8 +144,8 @@ class SqrtPiPoly:
     __rmul__ = __mul__
 
     def scale(self, x: RationalLike) -> "SqrtPiPoly":
-        x = _as_fraction(x)
-        return SqrtPiPoly._canonical(self._den * x.denominator, {e: n * x.numerator for e, n in self._nums.items()})
+        num, den = _ratio(x)
+        return SqrtPiPoly._canonical(self._den * den, {e: n * num for e, n in self._nums.items()})
 
     def __truediv__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
         """Division by a rational or by a monomial (the only invertibles)."""
@@ -162,8 +155,9 @@ class SqrtPiPoly:
         if not other.is_monomial():
             raise ValueError("SqrtPiPoly division only defined for monomials")
         ((e, c),) = other._nums.items()
-        f = other._den if c > 0 else -other._den  # self / (c / den) = self * den / c
-        return SqrtPiPoly._canonical(self._den * abs(c), {e1 - e: n * f for e1, n in self._nums.items()})
+        # 1 / (c / den * s**e) = den / c * s**-e, already in lowest terms
+        inverse = SqrtPiPoly._canonical(abs(c), {-e: other._den if c > 0 else -other._den})
+        return sp_dot(((self, inverse),))
 
     def __pow__(self, n: int) -> "SqrtPiPoly":
         if not isinstance(n, int):
@@ -173,8 +167,8 @@ class SqrtPiPoly:
                 raise ValueError("negative power of a non-monomial")
             ((e, c),) = self._nums.items()
             # (c / den)**n = (den / c)**-n
-            num = self._den**-n if c > 0 or n % 2 == 0 else -(self._den**-n)
-            return SqrtPiPoly._canonical(abs(c) ** -n, {e * n: num})
+            f = self._den if c > 0 else -self._den
+            return SqrtPiPoly._canonical(abs(c) ** -n, {e * n: f**-n})
         result = ONE
         base = self
         while n:
@@ -212,20 +206,6 @@ def _coerce(x: "SqrtPiPoly | RationalLike") -> SqrtPiPoly:
     return SqrtPiPoly.rational(x)
 
 
-def _combine(a: SqrtPiPoly, b: SqrtPiPoly, sign: int) -> SqrtPiPoly:
-    """a + sign * b over the lcm of the two denominators."""
-    g = math.gcd(a._den, b._den)
-    fa, fb = b._den // g, sign * (a._den // g)
-    nums = {e: n * fa for e, n in a._nums.items()}
-    for e, n in b._nums.items():
-        nums[e] = nums.get(e, 0) + n * fb
-    return SqrtPiPoly._canonical(a._den * fa, nums)
-
-
-ZERO = SqrtPiPoly()
-ONE = SqrtPiPoly.rational(1)
-
-
 def sp_dot(pairs: Iterable[Tuple[SqrtPiPoly, SqrtPiPoly]]) -> SqrtPiPoly:
     """The sum of a*b over ``pairs``, fraction-free.
 
@@ -251,6 +231,11 @@ def sp_dot(pairs: Iterable[Tuple[SqrtPiPoly, SqrtPiPoly]]) -> SqrtPiPoly:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + n1 * n2
     return SqrtPiPoly._canonical(den, acc)
+
+
+ZERO = SqrtPiPoly()
+ONE = SqrtPiPoly.rational(1)
+MINUS_ONE = SqrtPiPoly.rational(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +347,21 @@ def sp_format(a: SqrtPiPoly) -> str:
     if a.is_zero():
         return "0"
     parts = []
-    terms = a.terms
-    for e in sorted(terms, reverse=True):
-        c = terms[e]
-        mag = _int_str(abs(c.numerator))
-        if c.denominator != 1:
-            mag = f"{mag}/{_int_str(c.denominator)}"
+    for e in sorted(a._nums, reverse=True):
+        n = a._nums[e]
+        g = math.gcd(n, a._den)  # the text shows each coefficient in lowest terms
+        mag = _int_str(abs(n) // g)
+        if a._den != g:
+            mag = f"{mag}/{_int_str(a._den // g)}"
         if e == 0:
             body = mag
         else:
             atom = f"pi^{e // 2}" if e % 2 == 0 else f"sqrtpi^{e}"
             body = atom if mag == "1" else f"{mag}*{atom}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if n > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"+ {body}" if n > 0 else f"- {body}")
     return " ".join(parts)
 
 
@@ -391,7 +376,7 @@ _TERM = re.compile(
 
 def sp_parse(text: str) -> SqrtPiPoly:
     """Parse the grammar above; a ParseError names the first position it cannot read."""
-    total: Dict[int, Fraction] = {}
+    monomials = []
     pos = 0
     while True:
         m = _TERM.match(text, pos)
@@ -401,12 +386,12 @@ def sp_parse(text: str) -> SqrtPiPoly:
             raise ParseError(f"expected a term at position {m.end()}")
         if m["den"] and not m["den"].strip("0"):
             raise ParseError(f"zero denominator at position {m.start('den')}")
-        c = Fraction(_str_int(m["num"] or "1"), _str_int(m["den"] or "1"))
+        num = _str_int(m["num"] or "1")
         e = int(m["exp"]) * (2 if m["atom"] == "pi" else 1) if m["atom"] else 0
-        total[e] = total.get(e, 0) + (-c if m["sign"] == "-" else c)
+        monomials.append(SqrtPiPoly._canonical(_str_int(m["den"] or "1"), {e: -num if m["sign"] == "-" else num}))
         pos = m.end()
         if pos == len(text):
-            return SqrtPiPoly(total)
+            return sp_dot((t, ONE) for t in monomials)
 
 
 # ---------------------------------------------------------------------------

@@ -445,8 +445,11 @@ def sample_typical_cells(
     """Uniformly chosen cells of the arrangement of m normals in R^dim.
 
     ``raw_sampler(rng, nb)`` may supply non-isotropic normals (nb, m, dim)
-    together with a mask (nb,) of the draws to redraw.
+    together with a mask (nb,) of the draws to redraw.  A cell is keyed by
+    the int64 mask of its sides, so m is at most 63.
     """
+    if m > 63:
+        raise ValueError(f"typical cells are keyed by int64 side masks, which hold m <= 63 normals, got m={m}")
     n_cells = int(cells_count(m, dim - 1))
     weights = 1 << np.arange(m, dtype=np.int64)
 

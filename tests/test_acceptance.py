@@ -24,7 +24,7 @@ from sphtess.combinat import (
     coeff_B,
     coeff_B_oracle,
 )
-from sphtess.exactnum import sp_eval, sp_parse
+from sphtess.exactnum import ZERO, sp_eval, sp_parse
 from sphtess.moments import (
     EuclidQuery,
     ExpectationQuery,
@@ -141,10 +141,7 @@ def test_criterion_5_appendix_E():
     for d, lo, hi in ((2, 3, 8), (3, 4, 8)):
         for n in range(lo, hi + 1):
             for m in range(lo, hi + 1):
-                total = v_weighted(n, d, d, d) * v_weighted(m, d, d, 0)  # placeholder shape
                 # full kinematic recomposition
-                from sphtess.exactnum import ZERO
-
                 total = ZERO
                 for kk in range(d // 2 + 1):
                     for i in range(2 * kk, d + 1):

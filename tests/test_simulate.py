@@ -8,9 +8,10 @@ import pytest
 from lp_oracle import sample_weighted_face_full_skeleton
 
 from sphtess import mckernels
-from sphtess.exactnum import sp_eval
+from sphtess.combinat import coeff_A, coeff_B, faces_count, qpoly
+from sphtess.exactnum import ONE, SqrtPiPoly, sp_eval
 from sphtess.geom import KappaFamily
-from sphtess.moments import ExpectationQuery, ef_weighted, v_weighted
+from sphtess.moments import EuclidQuery, ExpectationQuery, ef_weighted, v_weighted
 from sphtess.simulate import (
     ExperimentConfig,
     compare,
@@ -45,10 +46,40 @@ def test_sampler_preconditions():
         mckernels.sample_typical_cells(local, 8, 2, 3)  # m < k+1: cells not pointed
     with pytest.raises(ValueError):
         mckernels.sample_weighted_cells(local, 8, 2, 3)
+    with pytest.raises(ValueError, match="m <= 63"):
+        mckernels.sample_typical_cells(local, 8, 64, 2)  # sides keyed by int64 masks
     with pytest.raises(ValueError):
         sample_weighted_face_full_skeleton(4, 2, 0, rng)
     with pytest.raises(ValueError):
         sample_weighted_face_full_skeleton(2, 2, 2, rng)
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: ExperimentConfig(subspace_reps=0).validate(), ValueError, "subspace_reps must be >= 1"),
+        (lambda: consistency_checks(4, 2, 0, ExperimentConfig()), ValueError, "need 1 <= k <= d"),
+        (lambda: EuclidQuery(2, 3, 1).validate(), ValueError, "need 0 <= l <= k <= d"),
+        (lambda: ef_weighted(5, 2, 3, 0), ValueError, "need 0 <= k <= d"),
+        (lambda: faces_count(0, 3, 1), ValueError, "need n >= d-k"),
+        (lambda: qpoly(-1), ValueError, "qpoly index must be >= 0"),
+        (lambda: coeff_A(-1, 0), ValueError, "row index must be >= 0"),
+        (lambda: coeff_A(2, -2), ValueError, "column index must be >= -1"),
+        (lambda: coeff_B(-1, 0), ValueError, "indices must be >= 0"),
+        (lambda: coeff_B(0, 1), ValueError, "m >= 1 when l >= 1"),
+        (lambda: SqrtPiPoly({0: 0.5}), TypeError, "expected an exact rational"),
+        (lambda: ONE**0.5, TypeError, "exponent must be an integer"),
+        (lambda: (ONE + SqrtPiPoly.pi_power(1)) ** -1, ValueError, "negative power of a non-monomial"),
+        (lambda: sp_eval(ONE, 0), ValueError, "digits must be >= 1"),
+        (lambda: KappaFamily("gaussian").validate(), ValueError, "unknown kappa family"),
+    ],
+    ids=["config-subspace-reps", "consistency-k", "euclid-query", "face-k-past-d", "faces-count-n", "qpoly-index",
+         "coeff-A-row", "coeff-A-column", "coeff-B-indices", "coeff-B-m-zero", "poly-float-coefficient",
+         "pow-float-exponent", "pow-negative-non-monomial", "eval-zero-digits", "kappa-family"],
+)
+def test_input_errors_raise_with_their_message(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_estimate_determinism_and_thread_independence():

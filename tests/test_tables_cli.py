@@ -207,9 +207,15 @@ SIM_F = ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l
             None,
             "typical faces needs n >= d+1",
         ),
+        (
+            ("simulate", "--quantity", "f", "--flavor", "typical", "--n", "64", "--d", "1", "--k", "1", "--l", "0",
+             "--reps", "100"),
+            None,
+            "m <= 63",
+        ),
     ],
     ids=["gamma-zero-denominator", "gamma-not-a-number", "beta-nan", "beta-inf", "beta-not-a-number", "env-seed-not-a-number",
-         "typical-cell-not-pointed"],
+         "typical-cell-not-pointed", "typical-cell-past-mask-width"],
 )
 def test_cli_bad_numbers_are_error_lines(args, env, needle):
     # a bad number is an error line that names its source, never a
@@ -227,12 +233,13 @@ def test_cli_bad_numbers_are_error_lines(args, env, needle):
         ("figure", "--which", "isect_fig8", "--d", "0", "--n", "6"),
         ("eval", "--quantity", "euclid-f", "--flavor", "typical", "--d", "2", "--k", "2", "--l", "1"),
         ("eval", "--quantity", "euclid-f", "--d", "2", "--k", "2", "--l", "1"),
+        ("eval", "--quantity", "euclid-f", "--flavor", "weighted", "--d", "2", "--k", "5", "--l", "1"),
         ("table", "--which", "appA_d2", "--n-min", "5", "--n-max", "3"),
         ("figure", "--which", "quermass_fig4", "--d", "2", "--n", "4", "--k", "7"),
         ("coeffs", "--max-m", "-1"),
     ],
-    ids=["fig6-d0", "fig8-d0", "euclid-f-typical", "euclid-f-default-flavor", "table-empty-n-range",
-         "figure-k-unread", "coeffs-negative-max-m"],
+    ids=["fig6-d0", "fig8-d0", "euclid-f-typical", "euclid-f-default-flavor", "euclid-f-k-past-d",
+         "table-empty-n-range", "figure-k-unread", "coeffs-negative-max-m"],
 )
 def test_cli_inputs_it_would_ignore_are_error_lines(args):
     # each of these once printed output for other inputs than asked, with exit 0

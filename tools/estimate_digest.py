@@ -12,7 +12,10 @@ at arguments the workload does not use (``statdim_fig6`` at d = 3, k = 1, and
 each l-indexed figure at d = 4, n in {6, 9}), dumps the A and B tables
 of ``sphtess coeffs --max-m 60``, parses and formats again
 (``sp_format(sp_parse(s))``) every printed value in ``appendix_data``, in name order, which checks the text grammar directly and
-not only through table verdicts, and formats the weighted ef, U, v, v_{-1}
+not only through table verdicts, formats the result of every ``SqrtPiPoly``
+operator on the parsed appE d = 2 values and on monomials of both signs and
+odd and negative exponents (division by a negative monomial and reflected
+``-`` among them, which no workload reaches), and formats the weighted ef, U, v, v_{-1}
 and statdim at every d <= 8, d < n <= d + 7, k and l, which reach A and B
 entries and weighted sums that the workloads do not.  Then it runs the d = 4 comparisons of
 ``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
@@ -35,7 +38,8 @@ report's z, its verdict and its exact value.  Each ``exact`` line holds
 the operation's label and the sha256 of ``repr`` of its output (tables, figure CSV text,
 identity-suite results, limit-sweep gaps; the CSV text of one table or
 figure at non-default arguments; one coefficient family's CSV
-lines; the appendix values, each with its table name and key; one weighted
+lines; the appendix values, each with its table name and key; the operators'
+results; one weighted
 formula's strings at one d, with the message of each call that raises).  An operation that raises prints its
 error instead.
 
@@ -83,6 +87,8 @@ FIGURE_CASES = [("statdim_fig6", dict(d=3, k=1))] + [
     (which, dict(d=4, ns=[6, 9])) for which in ("fvec_fig3", "quermass_fig4", "intvol_fig5")
 ]
 WEIGHTED_MAX_D = 8
+# divisors of the arith line: a negative one with an odd s-exponent, a negative power of pi, a negative rational
+ARITH_MONOMIALS = ("-3/2*sqrtpi^3", "pi^-1", "-1/7")
 
 
 def _estimate(out):
@@ -176,6 +182,21 @@ def _appendix_round_trips():
     return out
 
 
+def _arith():
+    """``sp_format`` of a + b, 3 - a, -a, a * b, SqrtPiPoly(a.terms) and a / mono over the parsed
+    ``APP_E_D2`` values a, each with the next one as b, after mono ** -2 of each monomial."""
+    from sphtess.appendix_data import APP_E_D2
+    from sphtess.exactnum import SqrtPiPoly, sp_format, sp_parse
+
+    values = [sp_parse(text) for text in APP_E_D2.values()]
+    monos = [sp_parse(text) for text in ARITH_MONOMIALS]
+    out = [sp_format(mono**-2) for mono in monos]
+    for a, b in zip(values, values[1:] + values[:1]):
+        out += [sp_format(x) for x in (a + b, 3 - a, -a, a * b, SqrtPiPoly(a.terms))]
+        out += [sp_format(a / mono) for mono in monos]
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--root", required=True, help="root of the source tree to digest")
@@ -204,6 +225,7 @@ def main(argv=None) -> int:
     for family, lines in _coeff_tables().items():
         print("\t".join(["exact", f"coeffs-{family}-max-m{COEFFS_MAX_M}"] + _sha256(lines)), flush=True)
     print("\t".join(["exact", "appendix-parse-format"] + _fields(_appendix_round_trips, _sha256)), flush=True)
+    print("\t".join(["exact", "arith"] + _fields(_arith, _sha256)), flush=True)
     for name in ("ef", "U", "v", "vminus1", "statdim"):
         for d in range(1, WEIGHTED_MAX_D + 1):
             label = f"weighted-{name}-d{d}"
