@@ -6,6 +6,12 @@ and are purely combinatorial; the weighted-face formulas hold in the
 isotropic case only and are expressed through the A/B coefficient families
 of :mod:`sphtess.combinat`.
 
+The statistical dimension, the expected k-content H^k and the intersection
+probabilities are functionals of the expected intrinsic volumes
+E v_0..E v_k of the flavor: statdim = sum (j+1) E v_j, H^k = omega_{k+1} E v_k,
+and every intersection probability is one spherical kinematic sum
+2 sum_{k, i >= 2k} E v_{d-i+2k} E v'_i (``_kinematic``).
+
 Conventions used throughout:
   * N = n - d + k is the reduced intensity after sectioning to S^k;
   * U_{l} = 0 for l > k, so v_k = U_k and v_{k-1} = U_{k-1};
@@ -22,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, List, Literal, Optional, Sequence, Tuple, Union
 
-from .combinat import cells_count, coeff_A, coeff_B, faces_count
+from .combinat import cells_count, coeff_A, coeff_B
 from .exactnum import ONE, ZERO, SqrtPiPoly, gamma_half, sp_dot, sp_eval, sphere_surface
 
 __all__ = [
@@ -114,20 +120,19 @@ class EuclidQuery:
 
 
 def _check_face_indices(
-    n: Optional[int], d: Optional[int], k: int, weighted: bool, l: Optional[int] = None, ls: Optional[range] = None
-) -> Optional[int]:
+    n: int, d: int, k: int, weighted: bool, l: Optional[int] = None, ls: Optional[range] = None
+) -> int:
     """N = n - d + k, after checking 0 <= k <= d, n against the flavor's minimum and,
-    given the range ``ls`` of l (range(k) or range(k + 1)), l; n = d = None checks l alone."""
-    if n is not None:
-        if not 0 <= k <= d:
-            raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-        if weighted and n < d + 1:
-            raise ValueError(f"weighted formulas need n >= d+1, got n={n}")
-        if not weighted and n < d - k:
-            raise ValueError(f"typical formulas need n >= d-k, got n={n}")
+    given the range ``ls`` of l (range(k) or range(k + 1)), l."""
+    if not 0 <= k <= d:
+        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
+    if weighted and n < d + 1:
+        raise ValueError(f"weighted formulas need n >= d+1, got n={n}")
+    if not weighted and n < d - k:
+        raise ValueError(f"typical formulas need n >= d-k, got n={n}")
     if ls is not None and not ls.start <= l < ls.stop:
         raise ValueError(f"need 0 <= l {'<' if ls.stop == k else '<='} k, got l={l}, k={k}")
-    return None if n is None else n - d + k
+    return n - d + k
 
 
 def _weighted_prefactor(N: int) -> SqrtPiPoly:
@@ -175,10 +180,8 @@ def ef_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
 
 
 def hk_typical_mean(n: int, d: int, k: int) -> SqrtPiPoly:
-    """Expected k-content of the typical k-face: omega_{k+1} binom(n,d-k) / C(n,d,k)."""
-    _check_face_indices(n, d, k, weighted=False)
-    scale = Fraction(math.comb(n, d - k)) / faces_count(n, d, k)
-    return sphere_surface(k).scale(scale)
+    """Expected k-content of the typical k-face: omega_{k+1} E v_k(Z)."""
+    return v_typical(n, d, k, k) * sphere_surface(k)  # v first: its index check raises first
 
 
 def hk_weighted_mean(n: int, d: int, k: int) -> SqrtPiPoly:
@@ -221,6 +224,12 @@ def v_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
     return pref * coeff_B(N + l, k) * coeff_A(k, l)
 
 
+def _v_vector(flavor: Flavor, n: int, d: int, k: int) -> List[SqrtPiPoly]:
+    """[E v_0, ..., E v_k] of the flavor's k-face."""
+    vf = exact_function("v", flavor)
+    return [vf(n, d, k, j) for j in range(k + 1)]
+
+
 def v_minus1_typical(n: int, d: int, k: int) -> SqrtPiPoly:
     """E v_{-1}(Z) = binom(N-1, k) / C(N, k): content of the polar of the typical face."""
     N = _check_face_indices(n, d, k, weighted=False)
@@ -241,12 +250,8 @@ def v_minus1_weighted(n: int, d: int, k: int) -> SqrtPiPoly:
 
 
 def statdim(flavor: Flavor, n: int, d: int, k: int) -> SqrtPiPoly:
-    """Expected statistical dimension of the cone spanned by the k-face."""
-    vf = exact_function("v", flavor)
-    total = ZERO
-    for j in range(k + 1):
-        total = total + vf(n, d, k, j).scale(j + 1)
-    return total
+    """Expected statistical dimension of the cone spanned by the k-face: sum_j (j+1) E v_j."""
+    return sp_dot((v, SqrtPiPoly.rational(j + 1)) for j, v in enumerate(_v_vector(flavor, n, d, k)))
 
 
 def statdim_closed(flavor: Flavor, d: int, n: int) -> SqrtPiPoly:
@@ -324,23 +329,22 @@ def euclid_v(flavor: Flavor, q: EuclidQuery) -> SqrtPiPoly:
     """Expected l-th Euclidean intrinsic volume of the typical / weighted
     typical k-face of a stationary isotropic Poisson hyperplane tessellation."""
     q.validate()
-    d, k, l = q.d, q.k, q.l
-    gamma = _gamma_value(q)
-    ratio_l = _gamma_ratio(d) ** l
-    ghalf = gamma_half(l + 2)  # Gamma(l/2 + 1)
+    if q.d < 1:
+        raise ValueError(f"euclid_v needs d >= 1, got {q}")
+    k, l = q.k, q.l
+    # (2/gamma Gamma((d+1)/2)/Gamma(d/2))^l Gamma(l/2 + 1), times binom(k, l) or E f_{k-l}
+    common = ((SqrtPiPoly.rational(2) / _gamma_value(q) * _gamma_ratio(q.d)) ** l) * gamma_half(l + 2)
     if flavor == "typical":
-        two_over_gamma = SqrtPiPoly.rational(2) / gamma
-        return (two_over_gamma**l) * ratio_l * ghalf.scale(math.comb(k, l))
+        return common.scale(math.comb(k, l))
     if flavor == "weighted":
-        twopi_over_gamma = SqrtPiPoly.pi_power(1, 2) / gamma
-        pref = (twopi_over_gamma**l) * ratio_l * ghalf.scale(Fraction(1, math.factorial(l)))
-        return pref * coeff_A(k, l)
+        return common * euclid_f_weighted(k, l)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def euclid_f_weighted(k: int, l: int) -> SqrtPiPoly:
     """E f_{k-l} of the weighted typical Euclidean k-face: pi^l / l! A[k,l]."""
-    _check_face_indices(None, None, k, weighted=True, l=l, ls=range(k + 1))
+    if not 0 <= l <= k:
+        raise ValueError(f"need 0 <= l <= k, got l={l}, k={k}")
     return SqrtPiPoly.pi_power(l, Fraction(1, math.factorial(l))) * coeff_A(k, l)
 
 
@@ -356,32 +360,25 @@ def euclid_limit_gap(d: int, k: int, l: int, flavor: Flavor, n: int) -> SqrtPiPo
 # ---------------------------------------------------------------------------
 
 
-def _kinematic_pairs(d: int) -> Iterable[Tuple[int, int]]:
-    for k in range(d // 2 + 1):
-        for i in range(2 * k, d + 1):
-            yield k, i
+def _kinematic(va: Sequence[SqrtPiPoly], vb: Sequence[SqrtPiPoly], d: int) -> SqrtPiPoly:
+    """The spherical kinematic sum 2 sum_{k <= d/2, 2k <= i <= d} va[d-i+2k] vb[i]."""
+    return sp_dot((va[d - i + 2 * k], vb[i]) for k in range(d // 2 + 1) for i in range(2 * k, d + 1)).scale(2)
+
+
+def _isect_prob(flavor: Flavor, n: int, m: int, d: int) -> SqrtPiPoly:
+    if d < 1 or n <= d or m <= d:
+        raise ValueError(f"need n, m > d >= 1, got n={n}, m={m}, d={d}")
+    return _kinematic(_v_vector(flavor, n, d, d), _v_vector(flavor, m, d, d), d)
 
 
 def isect_prob_weighted(n: int, m: int, d: int) -> SqrtPiPoly:
     """P(weighted cells of two independent isotropic tessellations intersect)."""
-    if d < 1 or n <= d or m <= d:
-        raise ValueError(f"need n, m > d >= 1, got n={n}, m={m}, d={d}")
-    pref = SqrtPiPoly.pi_power(
-        -(n + m), Fraction(math.factorial(n) * math.factorial(m), 2)
-    )
-    total = sp_dot(
-        (coeff_B(n + d - i + 2 * k, d) * coeff_A(d, d - i + 2 * k), coeff_B(m + i, d) * coeff_A(d, i))
-        for k, i in _kinematic_pairs(d)
-    )
-    return pref * total
+    return _isect_prob("weighted", n, m, d)
 
 
 def isect_prob_typical(n: int, m: int, d: int) -> SqrtPiPoly:
-    """Same intersection probability for typical cells, via the kinematic sum."""
-    if d < 1 or n <= d or m <= d:
-        raise ValueError(f"need n, m > d >= 1, got n={n}, m={m}, d={d}")
-    total = sp_dot((v_typical(n, d, d, d - i + 2 * k), v_typical(m, d, d, i)) for k, i in _kinematic_pairs(d))
-    return total.scale(2)
+    """Same intersection probability for typical cells."""
+    return _isect_prob("typical", n, m, d)
 
 
 def isect_prob_typical_printed(n: int, m: int, d: int) -> SqrtPiPoly:
@@ -403,11 +400,7 @@ def isect_prob_fixed(v: Sequence[SqrtPiPoly], n: int, d: int) -> SqrtPiPoly:
         raise ValueError(f"need d+1 = {d + 1} intrinsic volumes, got {len(v)}")
     if n < d + 1:
         raise ValueError(f"need n >= d+1, got n={n}")
-    pref = SqrtPiPoly.pi_power(-n, math.factorial(n))
-    total = sp_dot(
-        (coeff_B(n + d - i + 2 * k, d) * coeff_A(d, d - i + 2 * k), v[i]) for k, i in _kinematic_pairs(d)
-    )
-    return pref * total
+    return _kinematic(_v_vector("weighted", n, d, d), v, d)
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +469,11 @@ def identity_suite(
                     mono_ok = False
             out.append(IdentityCheck("monotone_f0_strict", (d, k), ok=mono_ok))
 
-        # (iv) sum_{i=-1}^{k} E v_i(W) = 1
-        total = v_minus1_weighted(n, d, k)
-        for j in range(k + 1):
-            total = total + v_weighted(n, d, k, j)
-        out.append(IdentityCheck("v_closure_weighted", (n, d, k), ok=total == ONE))
-
-        # (v) sum_{i=-1}^{k} E v_i(Z) = 1
-        total = v_minus1_typical(n, d, k)
-        for j in range(k + 1):
-            total = total + v_typical(n, d, k, j)
-        out.append(IdentityCheck("v_closure_typical", (n, d, k), ok=total == ONE))
+        # (iv), (v) sum_{i=-1}^{k} E v_i = 1, for W and for Z
+        for flavor in ("weighted", "typical"):
+            vminus1 = exact_function("vminus1", flavor)(n, d, k)
+            total = sp_dot((x, ONE) for x in [vminus1, *_v_vector(flavor, n, d, k)])
+            out.append(IdentityCheck(f"v_closure_{flavor}", (n, d, k), ok=total == ONE))
     return out
 
 

@@ -70,6 +70,9 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 100")
         if self.subspace_reps < 1:
             raise ValueError("subspace_reps must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            # batch_rng keys Philox with the seed's low 64 bits: any other seed would alias one of these
+            raise ValueError(f"seed must be in 0 <= seed < 2**64, got {self.seed}")
         if self.threads != 1:
             raise ValueError("threads must be 1: estimates run in one thread")
         self.kappa.validate()

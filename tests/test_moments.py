@@ -187,11 +187,12 @@ def test_isect_probabilities():
 
 
 def test_isect_symmetry_and_range():
-    for d in (2, 3):
+    for d in range(2, 7):
         for n in range(d + 1, d + 6):
             for m in range(d + 1, d + 6):
                 w = isect_prob_weighted(n, m, d)
                 assert w == isect_prob_weighted(m, n, d)
+                assert isect_prob_typical(n, m, d) == isect_prob_typical(m, n, d)
                 x = float(sp_eval(w, 20))
                 t = float(sp_eval(isect_prob_typical(n, m, d), 20))
                 assert 0.0 < x <= 1.0 and 0.0 < t <= 1.0
@@ -217,6 +218,18 @@ def test_isect_fixed_polytope():
     assert isect_prob_fixed([ZERO] * 3, 4, 2).is_zero()
     with pytest.raises(ValueError):
         isect_prob_fixed([ZERO] * 2, 4, 2)
+
+
+def test_isect_fixed_of_the_sphere_and_of_a_point():
+    # checks of the kinematic sum against other routes than itself
+    for d in range(1, 7):
+        sphere = [ZERO] * d + [ONE]  # v_d(S^d) = 1
+        point = [SqrtPiPoly.rational(Fraction(1, 2))] + [ZERO] * d  # v_0 of a point is 1/2
+        for n in range(d + 1, d + 5):
+            # every cell meets the whole sphere: 2 (E v_0 + E v_2 + ...) = 1 by Gauss-Bonnet
+            assert isect_prob_fixed(sphere, n, d) == ONE, (n, d)
+            # a point lies in the weighted cell with probability E v_d(W)
+            assert isect_prob_fixed(point, n, d) == v_weighted(n, d, d, d), (n, d)
 
 
 def test_isect_fixed_octant_value():

@@ -9,9 +9,17 @@ from lp_oracle import sample_weighted_face_full_skeleton
 
 from sphtess import mckernels
 from sphtess.combinat import coeff_A, coeff_B, faces_count, qpoly
-from sphtess.exactnum import ONE, SqrtPiPoly, sp_eval
+from sphtess.exactnum import ONE, ZERO, SqrtPiPoly, sp_eval
 from sphtess.geom import KappaFamily
-from sphtess.moments import EuclidQuery, ExpectationQuery, ef_weighted, v_weighted
+from sphtess.moments import (
+    EuclidQuery,
+    ExpectationQuery,
+    ef_weighted,
+    euclid_f_weighted,
+    isect_prob_fixed,
+    isect_prob_typical,
+    v_weighted,
+)
 from sphtess.simulate import (
     ExperimentConfig,
     compare,
@@ -58,9 +66,14 @@ def test_sampler_preconditions():
     "call,error,match",
     [
         (lambda: ExperimentConfig(subspace_reps=0).validate(), ValueError, "subspace_reps must be >= 1"),
+        (lambda: ExperimentConfig(seed=2**64).validate(), ValueError, "seed must be in 0 <= seed < 2"),
+        (lambda: ExperimentConfig(seed=-1).validate(), ValueError, "seed must be in 0 <= seed < 2"),
         (lambda: consistency_checks(4, 2, 0, ExperimentConfig()), ValueError, "need 1 <= k <= d"),
         (lambda: EuclidQuery(2, 3, 1).validate(), ValueError, "need 0 <= l <= k <= d"),
         (lambda: ef_weighted(5, 2, 3, 0), ValueError, "need 0 <= k <= d"),
+        (lambda: isect_prob_typical(2, 3, 2), ValueError, "need n, m > d >= 1, got n=2, m=3, d=2"),
+        (lambda: isect_prob_fixed([ZERO] * 3, 2, 2), ValueError, r"need n >= d\+1, got n=2"),
+        (lambda: euclid_f_weighted(2, 3), ValueError, "need 0 <= l <= k, got l=3, k=2"),
         (lambda: faces_count(0, 3, 1), ValueError, "need n >= d-k"),
         (lambda: qpoly(-1), ValueError, "qpoly index must be >= 0"),
         (lambda: coeff_A(-1, 0), ValueError, "row index must be >= 0"),
@@ -73,7 +86,9 @@ def test_sampler_preconditions():
         (lambda: sp_eval(ONE, 0), ValueError, "digits must be >= 1"),
         (lambda: KappaFamily("gaussian").validate(), ValueError, "unknown kappa family"),
     ],
-    ids=["config-subspace-reps", "consistency-k", "euclid-query", "face-k-past-d", "faces-count-n", "qpoly-index",
+    ids=["config-subspace-reps", "config-seed-past-64-bits", "config-seed-negative",
+         "consistency-k", "euclid-query", "face-k-past-d",
+         "isect-typical-n", "isect-fixed-n", "euclid-f-l-past-k", "faces-count-n", "qpoly-index",
          "coeff-A-row", "coeff-A-column", "coeff-B-indices", "coeff-B-m-zero", "poly-float-coefficient",
          "pow-float-exponent", "pow-negative-non-monomial", "eval-zero-digits", "kappa-family"],
 )

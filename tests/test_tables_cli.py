@@ -201,6 +201,12 @@ SIM_F = ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l
         (SIM_F + ("--kappa", "pole:inf"), None, "beta"),
         (SIM_F + ("--kappa", "pole:abc"), None, "--kappa"),
         (SIM_F, {"SPHTESS_SEED": "x"}, "SPHTESS_SEED"),
+        # Philox is keyed by the seed's low 64 bits: -1 would alias 2**64 - 1
+        (SIM_F + ("--flavor", "weighted", "--seed", "-1"), None, "seed must be in 0 <= seed < 2**64"),
+        (SIM_F + ("--flavor", "weighted"), {"SPHTESS_SEED": "-1"}, "seed must be in 0 <= seed < 2**64"),
+        (("eval", "--quantity", "euclid-v", "--d", "0", "--k", "0", "--l", "0"), None, "d >= 1"),
+        (("eval", "--quantity", "euclid-v", "--d", "0", "--k", "0", "--l", "0", "--gamma", "1"), None, "d >= 1"),
+        (("limit", "--d", "0", "--k", "0", "--l", "0"), None, "d >= 1"),
         (
             ("simulate", "--quantity", "f", "--flavor", "typical", "--n", "3", "--d", "4", "--k", "4", "--l", "1",
              "--reps", "200"),
@@ -215,6 +221,7 @@ SIM_F = ("simulate", "--quantity", "f", "--n", "4", "--d", "2", "--k", "2", "--l
         ),
     ],
     ids=["gamma-zero-denominator", "gamma-not-a-number", "beta-nan", "beta-inf", "beta-not-a-number", "env-seed-not-a-number",
+         "seed-negative", "env-seed-negative", "euclid-v-d0", "euclid-v-d0-gamma", "limit-d0",
          "typical-cell-not-pointed", "typical-cell-past-mask-width"],
 )
 def test_cli_bad_numbers_are_error_lines(args, env, needle):
@@ -224,6 +231,15 @@ def test_cli_bad_numbers_are_error_lines(args, env, needle):
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
     assert needle in res.stderr
+
+
+def test_cli_seeds_at_both_ends_of_the_range_run():
+    outs = []
+    for seed in ("0", str(2**64 - 1)):
+        res = run_cli(*SIM_F, "--flavor", "weighted", "--seed", seed)
+        assert res.returncode == 0, res.stderr
+        outs.append(json.loads(res.stdout))
+    assert [out["seed"] for out in outs] == [0, 2**64 - 1]
 
 
 @pytest.mark.parametrize(

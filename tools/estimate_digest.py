@@ -17,7 +17,15 @@ operator on the parsed appE d = 2 values and on monomials of both signs and
 odd and negative exponents (division by a negative monomial and reflected
 ``-`` among them, which no workload reaches), and formats the weighted ef, U, v, v_{-1}
 and statdim at every d <= 8, d < n <= d + 7, k and l, which reach A and B
-entries and weighted sums that the workloads do not.  Then it runs the d = 4 comparisons of
+entries and weighted sums that the workloads do not.  It formats the values
+derived from E v_0..E v_d at the same d and n: isect of both flavors at every
+pair n, m in d + 1..d + 7, off-diagonal pairs included (the tables and
+Fig. 8's diagonal reach only some, and none with n != m at d >= 4);
+``hk_typical_mean``, ``hk_weighted_mean`` and statdim of both flavors at
+every k; ``isect_prob_fixed`` of both flavors' [E v_0..E v_d] at m = n, of
+the full sphere (0, ..., 0, 1) and of a point (1/2, 0, ..., 0); and
+``euclid_v`` of both flavors at d = 1..11, every k and l, and gamma in
+{gamma_star, 1, 3/7}.  Then it runs the d = 4 comparisons of
 ``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
 seed 3), which reach the kernels at dim 5 that the workloads do not, isect
 at d = 5, n = m = 6, both flavors (reps 2048, seed 3), which reaches the
@@ -40,7 +48,7 @@ identity-suite results, limit-sweep gaps; the CSV text of one table or
 figure at non-default arguments; one coefficient family's CSV
 lines; the appendix values, each with its table name and key; the operators'
 results; one weighted
-formula's strings at one d, with the message of each call that raises).  An operation that raises prints its
+formula's or one derived family's strings at one d, with the message of each call that raises).  An operation that raises prints its
 error instead.
 
 A change meant to keep every estimate and every exact output bit-identical
@@ -87,6 +95,8 @@ FIGURE_CASES = [("statdim_fig6", dict(d=3, k=1))] + [
     (which, dict(d=4, ns=[6, 9])) for which in ("fvec_fig3", "quermass_fig4", "intvol_fig5")
 ]
 WEIGHTED_MAX_D = 8
+EUCLID_MAX_D = 11
+EUCLID_GAMMAS = ("gamma_star", 1, "3/7")
 # divisors of the arith line: a negative one with an odd s-exponent, a negative power of pi, a negative rational
 ARITH_MONOMIALS = ("-3/2*sqrtpi^3", "pi^-1", "-1/7")
 
@@ -148,7 +158,6 @@ def _coeff_tables():
 def _weighted_formats(name, d):
     """``sp_format`` of one weighted formula at every n, k (and l) for this d."""
     from sphtess import moments as mo
-    from sphtess.exactnum import sp_format
 
     fn, takes_l = {
         "ef": (mo.ef_weighted, True),
@@ -157,16 +166,56 @@ def _weighted_formats(name, d):
         "vminus1": (mo.v_minus1_weighted, False),
         "statdim": (lambda n, d, k: mo.statdim("weighted", n, d, k), False),
     }[name]
+    return _formats(
+        (fn, args)
+        for n in range(d + 1, d + 8)
+        for k in range(d + 1)
+        for args in ([(n, d, k, l) for l in range(k + 1)] if takes_l else [(n, d, k)])
+    )
+
+
+def _formats(calls):
+    """``args: sp_format(fn(*args))`` for each (fn, args), or the message of a call that raises."""
+    from sphtess.exactnum import sp_format
+
     out = []
-    for n in range(d + 1, d + 8):
-        for k in range(d + 1):
-            for args in [(n, d, k, l) for l in range(k + 1)] if takes_l else [(n, d, k)]:
-                try:
-                    text = sp_format(fn(*args))
-                except ValueError as exc:
-                    text = f"error {exc}"
-                out.append(f"{args}: {text}")
+    for fn, args in calls:
+        try:
+            text = sp_format(fn(*args))
+        except ValueError as exc:
+            text = f"error {exc}"
+        out.append(f"{args}: {text}")
     return out
+
+
+def _derived_formats(name, d):
+    """``sp_format`` of one family of values derived from E v at this d (see the module docstring)."""
+    from fractions import Fraction
+
+    from sphtess import moments as mo
+    from sphtess.exactnum import ONE, ZERO, SqrtPiPoly
+
+    ns = range(d + 1, d + 8)
+    if name == "isect":
+        calls = [(fn, (n, m, d)) for fn in (mo.isect_prob_typical, mo.isect_prob_weighted) for n in ns for m in ns]
+    elif name == "hk":
+        calls = [(fn, (n, d, k)) for fn in (mo.hk_typical_mean, mo.hk_weighted_mean) for n in ns for k in range(d + 1)]
+    elif name == "statdim":
+        calls = [(mo.statdim, (flavor, n, d, k)) for flavor in mo.FLAVORS for n in ns for k in range(d + 1)]
+    elif name == "isect-fixed":
+        shapes = [[ZERO] * d + [ONE], [SqrtPiPoly.rational(Fraction(1, 2))] + [ZERO] * d]
+        calls = [
+            (mo.isect_prob_fixed, (v, n, d))
+            for n in ns
+            for v in [[vf(n, d, d, i) for i in range(d + 1)] for vf in (mo.v_typical, mo.v_weighted)] + shapes
+        ]
+    else:  # euclid-v
+        gammas = [g if g == mo.GAMMA_STAR else Fraction(g) for g in EUCLID_GAMMAS]
+        calls = [
+            (mo.euclid_v, (flavor, mo.EuclidQuery(d, k, l, g)))
+            for flavor in mo.FLAVORS for g in gammas for k in range(d + 1) for l in range(k + 1)
+        ]
+    return _formats(calls)
 
 
 def _appendix_round_trips():
@@ -230,6 +279,10 @@ def main(argv=None) -> int:
         for d in range(1, WEIGHTED_MAX_D + 1):
             label = f"weighted-{name}-d{d}"
             print("\t".join(["exact", label] + _fields(lambda: _weighted_formats(name, d), _sha256)), flush=True)
+    for name in ("isect", "hk", "statdim", "isect-fixed", "euclid-v"):
+        for d in range(1, (EUCLID_MAX_D if name == "euclid-v" else WEIGHTED_MAX_D) + 1):
+            label = f"derived-{name}-d{d}"
+            print("\t".join(["exact", label] + _fields(lambda: _derived_formats(name, d), _sha256)), flush=True)
     for name, cells, beta, reps in (
         ("d4", D4_CELLS, 0.0, 4096), ("d5", D5_CELLS, 0.0, D5_REPS), ("kappa", KAPPA_CELLS, 4.0, 4096),
         ("remainder", REMAINDER_CELLS, 0.0, REMAINDER_REPS),
