@@ -948,7 +948,7 @@ def run_consistency(n: int, d: int, k: int, config) -> MCEstimate:
     """The size-bias ratio E[f_0(Z) H^k(Z)] / E[H^k(Z)] over isotropic typical k-faces Z.
 
     The joint draw of consistency check (a), from its own stream, which
-    ``simulate.consistency_checks`` judges.  It keeps the name of all three
+    ``simulate.consistency_checks`` judges.  It keeps the name of both
     checks because the benchmark's tracer spans it.
     """
     stream = stream_id("sizebias", n, d, k)

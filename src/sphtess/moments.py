@@ -186,7 +186,7 @@ def hk_typical_mean(n: int, d: int, k: int) -> SqrtPiPoly:
 
 def hk_weighted_mean(n: int, d: int, k: int) -> SqrtPiPoly:
     """Expected k-content of the weighted typical k-face: omega_{k+1} E v_k(W)."""
-    return sphere_surface(k) * v_weighted(n, d, k, k)
+    return v_weighted(n, d, k, k) * sphere_surface(k)  # v first: its index check raises first
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,7 @@ def v_weighted(n: int, d: int, k: int, l: int) -> SqrtPiPoly:
 def _v_vector(flavor: Flavor, n: int, d: int, k: int) -> List[SqrtPiPoly]:
     """[E v_0, ..., E v_k] of the flavor's k-face."""
     vf = exact_function("v", flavor)
+    _check_face_indices(n, d, k, weighted=flavor == "weighted")  # k < 0 would give no v to check it
     return [vf(n, d, k, j) for j in range(k + 1)]
 
 

@@ -7,6 +7,10 @@ draw and reduce; this module validates each query, returns the a.s.
 constants without drawing, and judges each z by one rule (``_verdict``).
 :func:`estimate` takes every quantity of :data:`sphtess.moments.QUANTITIES`,
 isect included; :func:`estimate_isect` only builds the isect query for it.
+:func:`consistency_checks` runs the size-bias and kappa-invariance checks.
+The skeleton identity H^k(skel_k) = binom(n, d-k) omega_{k+1} needs no
+draw: it is the hk row of the exact sums over the cells of whole
+arrangements in ``tests/test_mckernels.py``.
 
 Determinism contract: estimates are reproducible bit-for-bit from
 (seed, reps, config).  Replications are grouped in fixed-size batches that
@@ -24,8 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
 from . import mckernels
-from .combinat import faces_count
-from .exactnum import SqrtPiPoly, sp_format, sphere_surface
+from .exactnum import SqrtPiPoly, sp_format
 from .geom import KappaFamily
 from .mckernels import MCEstimate
 from .moments import ExpectationQuery, evaluate_query
@@ -149,31 +152,28 @@ def compare(query: ExpectationQuery, config: ExperimentConfig) -> ComparisonRepo
 
 
 # ---------------------------------------------------------------------------
-# Consistency checks (size bias, kappa invariance, skeleton measure).
+# Consistency checks (size bias, kappa invariance).
 # ---------------------------------------------------------------------------
 
 
 def consistency_checks(
-    n: int, d: int, k: int, config: ExperimentConfig, parts: Tuple[str, ...] = ("a", "b", "c")
+    n: int, d: int, k: int, config: ExperimentConfig, parts: Tuple[str, ...] = ("a", "b")
 ) -> List[ComparisonReport]:
-    """The three structural Monte Carlo consistency checks at one instance,
-    one report per part asked for, in the order a, b, c:
+    """The two structural Monte Carlo consistency checks at one instance,
+    one report per part asked for, in the order a, b:
 
     (a) size-bias: the H^k-weighted mean of f_0 over typical faces (a joint
         draw, isotropic only) matches the estimated weighted-face mean of f_0;
     (b) kappa invariance: ``compare`` of E f_0 of the typical face, whose
         exact value holds for every kappa, at the config's pole beta, or at
-        beta = 4 when the config's normals are uniform (isotropic or pole:0);
-    (c) skeleton measure: every realization carries exactly binom(n, d-k)
-        distinct k-subspheres, so H^k(skel_k) = binom(n, d-k) omega_{k+1};
-        C(n,d,k) times the ``estimate`` of H^k of the typical k-face must match it.
+        beta = 4 when the config's normals are uniform (isotropic or pole:0).
     """
     config.validate()
     if not 1 <= k <= d or n < d + 1:
         raise ValueError("consistency checks need 1 <= k <= d and n >= d+1")
-    unknown = sorted(set(parts) - {"a", "b", "c"})
+    unknown = sorted(set(parts) - {"a", "b"})
     if unknown:
-        raise ValueError(f"unknown consistency check parts {unknown}; expected some of ['a', 'b', 'c']")
+        raise ValueError(f"unknown consistency check parts {unknown}; expected some of ['a', 'b']")
     reports = []
     if "a" in parts:
         if not config.kappa.is_isotropic:  # raised before any part draws
@@ -189,10 +189,4 @@ def consistency_checks(
         beta = 4.0 if config.kappa.is_isotropic else config.kappa.beta
         pole = replace(config, kappa=KappaFamily("pole_concentrated", beta))
         reports.append(compare(ExpectationQuery("f", "typical", n, d, k, 0), pole))
-    if "c" in parts:
-        query = ExpectationQuery("hk", "typical", n, d, k)
-        est = estimate(query, config)
-        faces = float(faces_count(n, d, k))
-        scaled = replace(est, mean=faces * est.mean, stderr=faces * est.stderr)
-        reports.append(ComparisonReport.build(query, sphere_surface(k).scale(math.comb(n, d - k)), scaled))
     return reports

@@ -39,6 +39,7 @@ from sphtess.mckernels import (
     subspace_hits,
     subspace_hits_paired,
 )
+from sphtess.moments import QUANTITIES, ExpectationQuery, evaluate_query, l_values
 
 
 def _random_signed(rng, B, m, dim):
@@ -529,21 +530,42 @@ def test_ivol_vector_sums_over_an_arrangement(dim, beta):
     # hyperplanes in R^dim, v_j sums to C(m, dim-j) for j >= 1 and v_0 to
     # C(m-1, dim-1).  At dim 4, v_0 and v_4 are sampled, but their sum
     # 1/2 - v_2 is closed form.
-    m = dim + 3
+    #
+    # Every typical expectation of a k-face, k = dim - 1, is a ratio of
+    # counts, so its numerator is this sum over the C(m, k) cells, under
+    # any directional law: each row of a typical query, summed over the
+    # cells, is C(m, k) times its exact value at n = m, d = k.  The hk row is
+    # the skeleton identity H^k(skel_k) = binom(m, 0) omega_{k+1}.  At dim 4
+    # the rows that read v_4 are sampled, so only dims 2-3 check them.
+    k = dim - 1
     rng = np.random.default_rng(118 + dim)
-    if beta is None:
-        normals = rng.standard_normal((m, dim))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    else:
-        normals = sample_vmf_mixture(rng, dim - 1, beta, m)
-    masks = sorted(lp_oracle.build_arrangement(normals, dim - 1))
-    cells = _vertex_table(np.stack([lp_oracle.signed_rows(normals, mask) for mask in masks]))
-    assert np.bincount(cells.cell, minlength=len(masks)).all()  # nothing flagged
-    sums = ivol_vector(cells, batch_rng(45, m, dim), 64).sum(axis=0)
-    want = [math.comb(m - 1, dim - 1)] + [math.comb(m, dim - j) for j in range(1, dim + 1)]
-    if dim == 4:
-        sums, want = [sums[0] + sums[4]] + list(sums[1:4]), [want[0] + want[4]] + want[1:4]
-    assert np.allclose(sums, want, rtol=0, atol=1e-12), np.subtract(sums, want)
+    for m in [dim + 3] if dim == 4 else range(dim + 1, dim + 6):
+        if beta is None:
+            normals = rng.standard_normal((m, dim))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        else:
+            normals = sample_vmf_mixture(rng, dim - 1, beta, m)
+        masks = sorted(lp_oracle.build_arrangement(normals, k))
+        count = int(cells_count(m, k))
+        assert len(masks) == count
+        cells = _vertex_table(np.stack([lp_oracle.signed_rows(normals, mask) for mask in masks]))
+        assert np.bincount(cells.cell, minlength=len(masks)).all()  # nothing flagged
+        local = batch_rng(45, m, dim)
+        sums = ivol_vector(cells, local, 64).sum(axis=0)
+        want = [math.comb(m - 1, dim - 1)] + [math.comb(m, dim - j) for j in range(1, dim + 1)]
+        if dim == 4:
+            sums, want = [sums[0] + sums[4]] + list(sums[1:4]), [want[0] + want[4]] + want[1:4]
+        assert np.allclose(sums, want, rtol=0, atol=1e-12), np.subtract(sums, want)
+        if dim == 4:
+            continue
+        for quantity in ("f", "U", "v", "vminus1", "statdim", "hk"):
+            for l in l_values(quantity, k) if QUANTITIES[quantity] else [None]:
+                if quantity == "f":
+                    total = fvec_values(cells, l).sum()
+                else:
+                    total = ivol_values(cells, local, 64, mckernels._ivol_row(quantity, l, dim)).sum()
+                exact = float(evaluate_query(ExpectationQuery(quantity, "typical", m, k, k, l)))
+                assert math.isclose(total, count * exact, rel_tol=1e-12), (m, quantity, l, total, count * exact)
 
 
 def _share_var(p, draws):

@@ -16,8 +16,10 @@ from sphtess.moments import (
     ExpectationQuery,
     ef_weighted,
     euclid_f_weighted,
+    hk_weighted_mean,
     isect_prob_fixed,
     isect_prob_typical,
+    statdim,
     v_weighted,
 )
 from sphtess.simulate import (
@@ -74,6 +76,10 @@ def test_sampler_preconditions():
         (lambda: isect_prob_typical(2, 3, 2), ValueError, "need n, m > d >= 1, got n=2, m=3, d=2"),
         (lambda: isect_prob_fixed([ZERO] * 3, 2, 2), ValueError, r"need n >= d\+1, got n=2"),
         (lambda: euclid_f_weighted(2, 3), ValueError, "need 0 <= l <= k, got l=3, k=2"),
+        (lambda: statdim("typical", 4, 2, -1), ValueError, "need 0 <= k <= d"),
+        (lambda: statdim("weighted", 4, 2, -1), ValueError, "need 0 <= k <= d"),
+        (lambda: isect_prob_fixed([], 3, -1), ValueError, "need 0 <= k <= d"),
+        (lambda: hk_weighted_mean(3, 2, -1), ValueError, "need 0 <= k <= d"),
         (lambda: faces_count(0, 3, 1), ValueError, "need n >= d-k"),
         (lambda: qpoly(-1), ValueError, "qpoly index must be >= 0"),
         (lambda: coeff_A(-1, 0), ValueError, "row index must be >= 0"),
@@ -88,7 +94,9 @@ def test_sampler_preconditions():
     ],
     ids=["config-subspace-reps", "config-seed-past-64-bits", "config-seed-negative",
          "consistency-k", "euclid-query", "face-k-past-d",
-         "isect-typical-n", "isect-fixed-n", "euclid-f-l-past-k", "faces-count-n", "qpoly-index",
+         "isect-typical-n", "isect-fixed-n", "euclid-f-l-past-k", "statdim-typical-k-negative",
+         "statdim-weighted-k-negative", "isect-fixed-d-negative", "hk-weighted-k-negative",
+         "faces-count-n", "qpoly-index",
          "coeff-A-row", "coeff-A-column", "coeff-B-indices", "coeff-B-m-zero", "poly-float-coefficient",
          "pow-float-exponent", "pow-negative-non-monomial", "eval-zero-digits", "kappa-family"],
 )
@@ -325,19 +333,18 @@ def test_weighted_sampler_rejects_nonisotropic_queries():
 def test_consistency_checks_small():
     cfg = ExperimentConfig(reps=4000, seed=21, subspace_reps=8)
     reports = consistency_checks(4, 2, 2, cfg)
-    assert len(reports) == 3
+    assert len(reports) == 2
     for rep in reports:
         assert rep.verdict == "pass", rep.to_dict()
-    # (c) is an estimate of the skeleton content, judged by its z
-    skeleton = reports[2]
-    assert skeleton.estimate.stderr > 0
-    assert skeleton.exact_float == pytest.approx(4 * math.pi)  # binom(4, 0) omega_3
 
 
 def test_consistency_checks_reject_unknown_parts():
     # a part asked for runs or is an error naming it, never silently nothing
     with pytest.raises(ValueError, match=r"\['d', 'x'\]"):
         consistency_checks(4, 2, 2, ExperimentConfig(reps=200), parts=("a", "x", "d"))
+    # the skeleton identity is checked exactly over whole arrangements, not drawn
+    with pytest.raises(ValueError, match=r"unknown consistency check parts \['c'\]"):
+        consistency_checks(4, 2, 2, ExperimentConfig(reps=200), parts=("c",))
 
 
 def test_sizebias_check_rejects_a_pole_kappa_before_drawing(monkeypatch):

@@ -35,11 +35,13 @@ cutter path of the kappa sampler that no workload runs, and one plain and
 one isect cell at reps 2500 (seed 3), whose last batch is short, so the
 concatenation of replications across it is compared too: the workloads
 run one batch per estimate.  Last come the
-three consistency checks, each part of ``consistency_checks`` on its own,
+two consistency checks, each part of ``consistency_checks`` on its own,
 at (n, d, k) = (4, 2, 2) and (5, 3, 3), isotropic and at pole:4 (same reps
-and seed): no workload runs parts (b) and (c), nor part (a) beyond
-``acceptance-mc``'s one size-bias cell.  Each Monte Carlo line holds the
-workload (``d4``, ``d5``, ``kappa``, ``remainder`` or ``consistency`` for those), the seed, the
+and seed), each law followed by the typical H^k of that cell (a
+``skeleton`` line, ``compare`` at the same reps and seed): no workload
+runs part (b), nor part (a) beyond ``acceptance-mc``'s one size-bias
+cell, nor H^k at pole:4.  Each Monte Carlo line holds the
+workload (``d4``, ``d5``, ``kappa``, ``remainder``, ``consistency`` or ``skeleton`` for those), the seed, the
 operation's label, ``repr`` of the mean and of the stderr, the reps and the
 redraws, tab-separated; a ``consistency`` line adds ``repr`` of the
 report's z, its verdict and its exact value.  Each ``exact`` line holds
@@ -84,7 +86,7 @@ REMAINDER_CELLS = [("f", "typical", 6, 3, 3, 1, None), ("isect", "weighted", 5, 
 REMAINDER_REPS = 2500
 # typical cells with k < d under the pole-concentrated law, beta = 4
 KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, None)]
-# (n, d, k) of the consistency checks, each run isotropic and at this pole beta
+# (n, d, k) of the consistency checks and skeleton lines, each run isotropic and at this pole beta
 CONSISTENCY_CELLS = [(4, 2, 2), (5, 3, 3)]
 CONSISTENCY_BETA = 4.0
 COEFFS_MAX_M = 60
@@ -292,11 +294,15 @@ def main(argv=None) -> int:
             print("\t".join([name, str(D4_SEED), label] + _fields(lambda: _compare(cell, beta, reps))), flush=True)
     for cell in CONSISTENCY_CELLS:
         for beta in (0.0, CONSISTENCY_BETA):
-            for part in "abc":
-                label = "{}-n{}-d{}-k{}-".format(part, *cell) + (f"pole{beta:g}" if beta else "iso")
+            law = f"pole{beta:g}" if beta else "iso"
+            for part in "ab":
+                label = "{}-n{}-d{}-k{}-".format(part, *cell) + law
                 run = lambda: _consistency(cell, part, beta)
                 fields = _fields(run, lambda out: _estimate(out) + out["report"])
                 print("\t".join(["consistency", str(D4_SEED), label] + fields), flush=True)
+            hk = ("hk", "typical", *cell, None, None)
+            label = "{}-{}-n{}-d{}-k{}-l{}-m{}-".format(*hk) + law
+            print("\t".join(["skeleton", str(D4_SEED), label] + _fields(lambda: _compare(hk, beta))), flush=True)
     return 0
 
 
