@@ -17,8 +17,10 @@ form, vectorized over replication batches:
   extreme ray iff every other margin lies beyond the tolerance band on one
   side, and a pointed cone with generic rows is nontrivial iff it has an
   extreme ray (Cover & Efron 1967).  Both samplers make one pass over each
-  drawn arrangement: the typical cell is picked from the enumeration masks
-  of its margins, and either cell's vertices are the sign classes of the
+  drawn arrangement.  The typical cell is picked from the enumeration masks
+  of its margins, one per antipodal pair of cells (the masks around -ray
+  are the complements of those around +ray), and its vertices are read off
+  those masks; the weighted cell's vertices are the sign classes of the
   margins flipped to the cell's sides.  Every "does this cone meet ..."
   question that the vertices leave open is one predicate on top of it
   (``_meets``): a cone meets a uniform j-dim subspace, the span of a
@@ -349,9 +351,10 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
     Each draw takes m unit normals, isotropic or ``raw_sampler(rng, nb)``'s
     (normals, mask of draws to redraw), and one extreme-ray pass.
     ``pick(normals, margins, bad)`` returns the side (+-1) of each normal the
-    chosen cell lies on (nb, m) and the draws to redraw; the vertices are
-    the sign classes of the margins flipped to those sides.  Flagged draws,
-    and those with a null ray or a hinged class, are redrawn.
+    chosen cell lies on (nb, m), the sign class of each subset's ray in that
+    cell (nb, C(m, dim-1)) and the draws to redraw, among them those whose
+    classes hinge on margins within the band.  Flagged draws, and those
+    with a null ray, are redrawn.
     """
     if m < dim:
         raise ValueError("batched kernels require m >= k+1 (pointed cells)")
@@ -362,21 +365,25 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
         else:
             normals, bad = raw_sampler(rng, nb)
         rays, margins, null = _extreme_rays(normals, _combos(m, dim - 1))
-        signs, bad = pick(normals, margins, bad)
-        margins *= signs[:, None, :]
-        sel, hinged = _sign_classes(margins, m - dim + 1)
-        return (normals * signs[..., None], rays, sel), bad | (null | hinged).any(axis=1), 0
+        signs, sel, bad = pick(normals, margins, bad)
+        return (normals * signs[..., None], rays, sel), bad | null.any(axis=1), 0
 
     (normals, rays, sel), redraws = _redraw(B, draw)
     return _table(normals, rays, sel, redraws)
 
 
 def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
-    """Weighted typical cells: the cell of a uniform witness point."""
+    """Weighted typical cells: the cell of a uniform witness point.
+
+    Its vertices are the sign classes of the margins flipped to its sides.
+    """
 
     def pick(normals, margins, bad):
         dots = np.einsum("bmd,bd->bm", normals, _sample_unit(rng, (len(normals), dim)))
-        return np.sign(dots), bad | (np.abs(dots) <= _TOL).any(axis=1)
+        signs = np.sign(dots)
+        margins *= signs[:, None, :]
+        sel, hinged = _sign_classes(margins, m - dim + 1)
+        return signs, sel, bad | (np.abs(dots) <= _TOL).any(axis=1) | hinged.any(axis=1)
 
     return _sample_cells(rng, B, m, dim, pick)
 
@@ -398,41 +405,58 @@ def _mask_offsets(m: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _enumerate_and_pick(
     margins: np.ndarray, k: int, rng: np.random.Generator, n_cells: int, bad: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Enumerate all cells through vertex incidences and pick one uniformly.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Enumerate all cells through vertex incidences, pick one uniformly and read its vertices.
 
     ``margins`` (B, C(m,k), m): the k-subsets' rays against the m normals.
     ``bad`` flags draws known to be degenerate, to which any draw with an
-    outside margin within the band is added.  Returns (chosen bitmask (B,),
-    bad (B,)); asserts the per-sample count on the rest.
+    outside margin within the band is added; a null ray has every margin
+    within it.  Returns (chosen bitmask (B,), sign class of each subset's
+    ray in the chosen cell (B, C(m,k)) int8, bad (B,)); asserts the
+    per-sample count on the rest.
+
+    The tessellation is symmetric under x -> -x, so its cells come in
+    antipodal pairs, and the masks around -ray are the complements in m
+    bits, full ^ mask, of those around +ray.  Only the C(m,k) 2^k +ray
+    masks are built, each mapped to the member of its pair with bit m-1
+    clear, and sorted.  Their D distinct values L are the lower half of the sorted list
+    of all 2D cells, whose upper half is full ^ L in reverse order, so the
+    count is 2D, and draw p is L[p] for p < D and full ^ L[2D-1-p] otherwise:
+    the cell that the sorted list of all masks gives.  +ray of a subset is a
+    vertex of the chosen cell iff the cell's sides off the subset are those
+    of +ray, and -ray iff they are the opposite ones.
     """
     B, nC, m = margins.shape
     outside, offsets = _mask_offsets(m, k)
+    full = (1 << m) - 1
     weights = 1 << np.arange(m, dtype=np.int64)
     # sides of the rows outside each subset, and any of them within the band
     base = ((margins > 0) @ weights) & outside
     banded = ((np.abs(margins) <= _TOL) @ weights) & outside
-    masks = np.empty((B, nC, 2, len(offsets[0])), dtype=np.int64)
-    np.add(base[..., None], offsets, out=masks[:, :, 0])
-    np.add((outside - base)[..., None], offsets, out=masks[:, :, 1])
-    masks = masks.reshape(B, -1)  # (B, nC * 2^(k+1))
+    dtype = np.uint32 if m <= 32 else np.int64  # m bits: up to 32, the passes and the sort move half the bytes
+    masks = (base.astype(dtype)[..., None] + offsets.astype(dtype)).reshape(B, -1)  # (B, nC * 2^k)
+    masks ^= (masks >> (m - 1)) * full
     masks.sort(axis=1)
     new = np.ones_like(masks, dtype=bool)
     new[:, 1:] = masks[:, 1:] != masks[:, :-1]
-    counts = new.sum(axis=1)
+    counts = 2 * new.sum(axis=1)
     bad = bad | (banded != 0).any(axis=1)
     if np.any((counts != n_cells) & ~bad):
         raise SampleAssertionError(
             f"cell count {counts[(counts != n_cells) & ~bad][0]} != C = {n_cells}"
         )
-    # rows are guaranteed to hold exactly n_cells distinct masks now
-    distinct = masks[new & ~bad[:, None]]
+    # rows are guaranteed to hold exactly n_cells / 2 distinct masks now
+    half = masks[new & ~bad[:, None]]
     chosen = np.zeros(B, dtype=np.int64)
     if (~bad).any():
-        distinct = distinct.reshape(-1, n_cells)
-        pick = rng.integers(0, n_cells, size=distinct.shape[0])
-        chosen[~bad] = distinct[np.arange(distinct.shape[0]), pick]
-    return chosen, bad
+        half = half.reshape(-1, n_cells // 2)
+        pick = rng.integers(0, n_cells, size=half.shape[0])
+        upper = pick >= half.shape[1]
+        lower = half[np.arange(half.shape[0]), np.where(upper, n_cells - 1 - pick, pick)].astype(np.int64)
+        chosen[~bad] = np.where(upper, full ^ lower, lower)
+    sides = chosen[:, None] & outside
+    sel = (sides == base).astype(np.int8) - (sides == outside - base)
+    return chosen, sel, bad
 
 
 def sample_typical_cells(
@@ -446,7 +470,9 @@ def sample_typical_cells(
 
     ``raw_sampler(rng, nb)`` may supply non-isotropic normals (nb, m, dim)
     together with a mask (nb,) of the draws to redraw.  A cell is keyed by
-    the int64 mask of its sides, so m is at most 63.
+    the int64 mask of its sides, so m is at most 63.  Its vertices are read
+    off the enumeration's masks (``_enumerate_and_pick``); a class that
+    hinges needs a margin within the band, which flags the draw already.
     """
     if m > 63:
         raise ValueError(f"typical cells are keyed by int64 side masks, which hold m <= 63 normals, got m={m}")
@@ -454,8 +480,8 @@ def sample_typical_cells(
     weights = 1 << np.arange(m, dtype=np.int64)
 
     def pick(normals, margins, bad):
-        chosen, bad = _enumerate_and_pick(margins, dim - 1, rng, n_cells, bad)
-        return np.where((chosen[:, None] & weights) > 0, 1.0, -1.0), bad
+        chosen, sel, bad = _enumerate_and_pick(margins, dim - 1, rng, n_cells, bad)
+        return np.where((chosen[:, None] & weights) > 0, 1.0, -1.0), sel, bad
 
     return _sample_cells(rng, B, m, dim, pick, raw_sampler)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from sphtess import mckernels
 from sphtess.combinat import cells_count
@@ -60,6 +61,35 @@ def _cell_batch(rng, B, m, dim):
 # -- enumeration vs build_arrangement ----------------------------------------
 
 
+def _full_sort_pick(margins, k, rng, n_cells, bad):
+    """The pick before antipodal pairing, as an oracle: sort all C(m,k) 2^(k+1) masks, draw one distinct.
+
+    Returns (chosen bitmask (B,), bad (B,)), with the same draw from ``rng``
+    and the same band flag as ``_enumerate_and_pick``.
+    """
+    B, nC, m = margins.shape
+    outside, offsets = mckernels._mask_offsets(m, k)
+    weights = 1 << np.arange(m, dtype=np.int64)
+    base = ((margins > 0) @ weights) & outside
+    banded = ((np.abs(margins) <= mckernels._TOL) @ weights) & outside
+    masks = np.empty((B, nC, 2, len(offsets[0])), dtype=np.int64)
+    np.add(base[..., None], offsets, out=masks[:, :, 0])
+    np.add((outside - base)[..., None], offsets, out=masks[:, :, 1])
+    masks = masks.reshape(B, -1)
+    masks.sort(axis=1)
+    new = np.ones_like(masks, dtype=bool)
+    new[:, 1:] = masks[:, 1:] != masks[:, :-1]
+    bad = bad | (banded != 0).any(axis=1)
+    assert np.all(new.sum(axis=1)[~bad] == n_cells)
+    distinct = masks[new & ~bad[:, None]]
+    chosen = np.zeros(B, dtype=np.int64)
+    if (~bad).any():
+        distinct = distinct.reshape(-1, n_cells)
+        pick = rng.integers(0, n_cells, size=distinct.shape[0])
+        chosen[~bad] = distinct[np.arange(distinct.shape[0]), pick]
+    return chosen, bad
+
+
 @pytest.mark.parametrize("m,k", [(3, 2), (5, 2), (7, 2), (4, 3), (6, 3), (3, 1), (6, 1)])
 def test_enumeration_matches_incremental(m, k):
     dim = k + 1
@@ -71,7 +101,7 @@ def test_enumeration_matches_incremental(m, k):
         normals /= np.linalg.norm(normals, axis=2, keepdims=True)
         local = batch_rng(trial, 0, 0)
         _, S, _ = _extreme_rays(normals, combos)
-        chosen, bad = _enumerate_and_pick(S, k, local, n_cells, np.zeros(1, dtype=bool))
+        chosen, _, bad = _enumerate_and_pick(S, k, local, n_cells, np.zeros(1, dtype=bool))
         assert not bad.any()
         lp_masks = lp_oracle.build_arrangement(normals[0], k)
         # recompute the batch mask set, one subset and resolution at a time
@@ -90,11 +120,88 @@ def test_enumeration_matches_incremental(m, k):
 
 
 def test_enumeration_assertion_trips_on_wrong_count():
+    # C(4, 2) = 14 cells: an odd count, and an even one on either side
     normals = np.random.default_rng(102).standard_normal((1, 4, 3))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
     margins = _extreme_rays(normals, _combos(4, 2))[1]
-    with pytest.raises(SampleAssertionError):
-        _enumerate_and_pick(margins, 2, batch_rng(0, 0, 0), 99, np.zeros(1, dtype=bool))
+    for n_cells in (99, 12, 16):
+        with pytest.raises(SampleAssertionError):
+            _enumerate_and_pick(margins, 2, batch_rng(0, 0, 0), n_cells, np.zeros(1, dtype=bool))
+
+
+def _pick_cases():
+    """(m, dim, law) of the pick comparison: law "iso", "k=d" or "k<d" (pole:4)."""
+    cases = [(m, dim, "iso") for dim in (2, 3, 4, 5) for m in range(dim, 13)]
+    cases += [(m, dim, law) for dim in (3, 4) for m in (dim + 2, dim + 4) for law in ("k=d", "k<d")]
+    return cases + [(m, 2, "iso") for m in (32, 33, 40, 63)]
+
+
+@pytest.mark.parametrize("m,dim,law", _pick_cases())
+def test_pick_matches_full_sort(m, dim, law):
+    # the pick over one mask per antipodal pair takes the same cell as the
+    # full sort from the same draw, flags the same draws, and reads the
+    # vertices that the sign classes of the margins flipped to the cell's
+    # sides give; m = 32 sorts uint32 masks, m = 33 and 40 int64 ones, and
+    # m = 63 uses the top bit
+    k, B = dim - 1, 256
+    local = batch_rng(27, m * 8 + dim, len(law))
+    if law == "iso":
+        normals = mckernels._sample_unit(local, (B, m, dim))
+        bad = local.random(B) < 0.1
+    else:
+        n, d = (m, k) if law == "k=d" else (m + 1, dim)
+        normals, bad = mckernels._kappa_sampler(KappaFamily("pole_concentrated", 4.0), n, d, k)(local, B)
+    margins = _extreme_rays(normals, _combos(m, k))[1]
+    n_cells = int(cells_count(m, k))
+    chosen, sel, flagged = _enumerate_and_pick(margins, k, batch_rng(1, 2, 3), n_cells, bad)
+    want, want_flagged = _full_sort_pick(margins, k, batch_rng(1, 2, 3), n_cells, bad)
+    assert np.array_equal(flagged, want_flagged) and flagged[bad].all()
+    assert np.array_equal(chosen, want)
+    signs = np.where((chosen[:, None] >> np.arange(m)) & 1, 1.0, -1.0)
+    classes, hinged = mckernels._sign_classes(margins * signs[:, None, :], m - k)
+    good = ~flagged
+    assert not hinged[good].any() and np.array_equal(sel[good], classes[good])
+    assert (np.abs(sel[good]).sum(axis=1) >= dim).all()  # a pointed cell has at least k + 1 vertices
+
+
+def _rejection_cells(margins, k, rng, draws):
+    """The sign masks among ``draws`` uniform ones that are cells of the arrangement of ``margins`` (1, C(m,k), m).
+
+    A uniform sign vector, redrawn until it is a cell, is a uniform cell: it
+    is one iff the ray of some k-subset, of either sign, agrees with it off
+    the subset, so its sides off the subset are the ray's or their opposites.
+    """
+    m = margins.shape[-1]
+    outside = mckernels._mask_offsets(m, k)[0]
+    base = ((margins[0] > 0) @ (1 << np.arange(m, dtype=np.int64))) & outside
+    signs = rng.integers(0, 1 << m, size=draws)
+    sides = signs[:, None] & outside
+    return signs[((sides == base) | (sides == outside - base)).any(axis=1)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_pick_is_uniform_over_the_cells_rejection_reaches(dim):
+    # on one fixed arrangement of m = dim + 2 normals, uniform sign vectors
+    # redrawn until they are cells reach exactly the LP enumeration's cells,
+    # and so do the picks, whose counts pass a chi-squared test against
+    # uniform at the 1 - 1e-4 quantile (threshold and seeds fixed up front)
+    m, k = dim + 2, dim - 1
+    n_cells = int(cells_count(m, k))
+    normals = mckernels._sample_unit(batch_rng(2027, dim, 0), (1, m, dim))
+    margins = _extreme_rays(normals, _combos(m, k))[1]
+    cells = lp_oracle.build_arrangement(normals[0], k)
+    assert set(_rejection_cells(margins, k, batch_rng(2027, dim, 1), 64 << m).tolist()) == cells
+    rng, reps = batch_rng(2027, dim, 2), 150 * n_cells
+    chosen = []
+    for lo in range(0, reps, mckernels.BATCH):
+        nb = min(mckernels.BATCH, reps - lo)
+        picked, _, bad = _enumerate_and_pick(np.repeat(margins, nb, axis=0), k, rng, n_cells, np.zeros(nb, dtype=bool))
+        assert not bad.any()
+        chosen.append(picked)
+    keys, counts = np.unique(np.concatenate(chosen), return_counts=True)
+    assert set(keys.tolist()) == cells
+    expected = reps / n_cells
+    assert np.sum((counts - expected) ** 2) / expected < chi2.ppf(1 - 1e-4, n_cells - 1)
 
 
 def test_typical_cells_uniform_over_cells():

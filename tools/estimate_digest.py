@@ -1,4 +1,4 @@
-"""Print one line per Monte Carlo estimate and per exact output of the benchmark's workloads, d = 4 tests and kappa cells.
+"""Print one line per Monte Carlo estimate, exact output and sampled cell batch of the benchmark's workloads and tests.
 
     python3 tools/estimate_digest.py --root DIR --seeds 9101 9102 9103
 
@@ -44,7 +44,13 @@ cell, nor H^k at pole:4.  Each Monte Carlo line holds the
 workload (``d4``, ``d5``, ``kappa``, ``remainder``, ``consistency`` or ``skeleton`` for those), the seed, the
 operation's label, ``repr`` of the mean and of the stderr, the reps and the
 redraws, tab-separated; a ``consistency`` line adds ``repr`` of the
-report's z, its verdict and its exact value.  Each ``exact`` line holds
+report's z, its verdict and its exact value.  The ``cells`` lines come
+last, one per (sampler, m, dim, law) of CELL_SHAPES: the sha256 of ``repr``
+of one batch of BATCH cells from a fixed ``batch_rng``, its ``CellBatch``
+arrays (normals, cell, subset, rays: dtype, shape and bytes) and redraw
+count, which shows sampler identity directly and not only through the
+estimates, the typical cells at pole:4 (k = d and k < d) and at m = 40,
+past 32-bit side masks, included.  Each ``exact`` line holds
 the operation's label and the sha256 of ``repr`` of its output (tables, figure CSV text,
 identity-suite results, limit-sweep gaps; the CSV text of one table or
 figure at non-default arguments; one coefficient family's CSV
@@ -89,6 +95,13 @@ KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, 
 # (n, d, k) of the consistency checks and skeleton lines, each run isotropic and at this pole beta
 CONSISTENCY_CELLS = [(4, 2, 2), (5, 3, 3)]
 CONSISTENCY_BETA = 4.0
+# (sampler, m, dim, law) of the cells lines: law "iso", or "pole4-k=d" / "pole4-k<d" for the
+# typical cells of (n, d, k) = (m, dim - 1, dim - 1) / (m + 1, dim, dim - 1) at pole:4
+CELL_SHAPES = [
+    (sampler, m, dim, "iso")
+    for m, dim in ((5, 2), (6, 3), (8, 4), (12, 4), (10, 5))
+    for sampler in ("typical", "weighted")
+] + [("typical", 6, 4, "pole4-k=d"), ("typical", 6, 3, "pole4-k<d"), ("typical", 40, 2, "iso")]
 COEFFS_MAX_M = 60
 # a table range past every printed one: computed verdicts, and appE's n x m grid beyond the print
 TABLE_N_RANGE = (4, 12)
@@ -139,6 +152,27 @@ def _consistency(cell, part, beta):
     est = rep.estimate
     return {"mean": est.mean, "stderr": est.stderr, "reps": est.reps, "redraws": est.degenerate_redraws,
             "report": [repr(rep.z_score), rep.verdict, sp_format(rep.exact)]}
+
+
+def _cells(sampler, m, dim, law):
+    """(dtype, shape, bytes) of the ``CellBatch`` arrays and the redraws of one batch of BATCH cells.
+
+    The batch draws from ``batch_rng(D4_SEED, stream_id("cells", sampler, m, dim, law), 0)``.
+    """
+    from sphtess import mckernels as mk
+    from sphtess.geom import KappaFamily
+
+    rng = mk.batch_rng(D4_SEED, mk.stream_id("cells", sampler, m, dim, law), 0)
+    if sampler == "weighted":
+        cells = mk.sample_weighted_cells(rng, mk.BATCH, m, dim)
+    else:
+        k = dim - 1
+        n, d = (m, k) if law != "pole4-k<d" else (m + 1, dim)
+        raw = None if law == "iso" else mk._kappa_sampler(KappaFamily("pole_concentrated", 4.0), n, d, k)
+        cells = mk.sample_typical_cells(rng, mk.BATCH, m, dim, raw_sampler=raw)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (cells.normals, cells.cell, cells.subset, cells.rays)] + [
+        cells.degenerate
+    ]
 
 
 def _coeff_tables():
@@ -303,6 +337,9 @@ def main(argv=None) -> int:
             hk = ("hk", "typical", *cell, None, None)
             label = "{}-{}-n{}-d{}-k{}-l{}-m{}-".format(*hk) + law
             print("\t".join(["skeleton", str(D4_SEED), label] + _fields(lambda: _compare(hk, beta))), flush=True)
+    for shape in CELL_SHAPES:
+        label = "{}-m{}-dim{}-{}".format(*shape)
+        print("\t".join(["cells", str(D4_SEED), label] + _fields(lambda: _cells(*shape), _sha256)), flush=True)
     return 0
 
 
