@@ -107,6 +107,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SampleAssertionError as exc:
         print(f"error: per-sample assertion failed: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a pass too large for memory, such as numpy's failed allocation
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 def _parse_gamma(text: Optional[str]):

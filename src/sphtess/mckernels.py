@@ -16,12 +16,16 @@ form, vectorized over replication batches:
   the rows of {y in R^j : R y >= 0} spans a candidate ray, which is an
   extreme ray iff every other margin lies beyond the tolerance band on one
   side, and a pointed cone with generic rows is nontrivial iff it has an
-  extreme ray (Cover & Efron 1967).  Both samplers make one pass over each
-  drawn arrangement.  The typical cell is picked from the enumeration masks
-  of its margins, one per antipodal pair of cells (the masks around -ray
-  are the complements of those around +ray), and its vertices are read off
-  those masks; the weighted cell's vertices are the sign classes of the
-  margins flipped to the cell's sides.  Every "does this cone meet ..."
+  extreme ray (Cover & Efron 1967).  So every predicate depends only on
+  which side of each row a ray lies: the pass (``_extreme_rays``) returns
+  packed side masks, one bit per row above (below) the band, and every
+  sign class is read off them with bit operations (``_sign_classes``).
+  Both samplers make one pass over each drawn arrangement.  The typical
+  cell is picked from the enumeration masks built from the side masks,
+  one per antipodal pair of cells (the masks around -ray are the
+  complements of those around +ray), and its vertices are read off those
+  masks; the weighted cell's vertices are the sign classes of the side
+  masks flipped to the cell's sides.  Every "does this cone meet ..."
   question that the vertices leave open is one predicate on top of it
   (``_meets``): a cone meets a uniform j-dim subspace, the span of a
   standard Gaussian (dim, j) frame, iff the normals restricted to the
@@ -215,6 +219,9 @@ def _expand(row: np.ndarray, cols: tuple, minors: dict, negate: bool = False) ->
     return -acc if negate and len(cols) == 1 else acc
 
 
+_BLOCK = 1 << 14  # candidate rays per block of the extreme-ray pass, so that its arrays stay in cache
+
+
 def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
     """Candidate extreme rays of the cones {y in R^j : R y >= 0}, batched.
 
@@ -222,35 +229,100 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
     Returns per subset
 
     * ``rays`` (..., P, j): the unit direction of the line;
-    * ``margins`` (..., P, M): ray . row for every row;
+    * ``above``, ``below`` (..., P, W): side masks of the margins ray . row
+      (``_pack``): bit i % 64 of word i // 64 is set where the margin of
+      row i lies above _TOL (below -_TOL), W = ceil(M/64);
     * ``null`` (..., P): the subset's rows are dependent.
 
-    ``_sign_classes`` reads which of +-ray is an extreme ray from the margins.
+    Every predicate on top of the pass asks only which side of each row a
+    ray lies on, so the float margins never leave it.  The cones go through
+    in blocks of about _BLOCK rays, each block's margins into a buffer
+    whose columns past M stay zero, and only their side masks are kept.
     """
-    comps = np.ascontiguousarray(np.moveaxis(R, (-2, -1), (0, 1)))  # (M, j, ...)
-    rays = _nullspace_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, ...)
-    norms = np.sqrt(sum(r * r for r in rays))
-    null = norms < 1e-12
-    rays /= np.where(null, 1.0, norms)
-    rays = np.ascontiguousarray(np.moveaxis(rays, (0, 1), (-1, -2)))
-    return rays, rays @ np.swapaxes(R, -1, -2), np.moveaxis(null, 0, -1)
+    M, j = R.shape[-2:]
+    P, width = len(subsets), _mask_width(M)
+    cones = R.reshape(-1, M, j)
+    N = len(cones)
+    rays, null = np.empty((N, P, j)), np.empty((N, P), dtype=bool)
+    masks = np.empty((2, N, P, -(-M // 64)), dtype=np.uint64)
+    step = max(1, _BLOCK // max(1, P))
+    margins = np.zeros((min(step, N), P, width))
+    flags = np.empty((2,) + margins.shape, dtype=bool)
+    for lo in range(0, N, step):
+        block = cones[lo : lo + step]
+        n, hi = len(block), lo + len(block)
+        comps = np.ascontiguousarray(np.moveaxis(block, (1, 2), (0, 1)))  # (M, j, n)
+        lines = _nullspace_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, n)
+        norms = np.sqrt(sum(r * r for r in lines))
+        dependent = norms < 1e-12
+        lines /= np.where(dependent, 1.0, norms)
+        rays[lo:hi] = np.moveaxis(lines, (0, 2), (2, 0))
+        null[lo:hi] = dependent.T
+        np.matmul(rays[lo:hi], np.swapaxes(block, 1, 2), out=margins[:n, :, :M])
+        np.greater(margins[:n], _TOL, out=flags[0, :n])
+        np.less(margins[:n], -_TOL, out=flags[1, :n])
+        masks[:, lo:hi] = _pack(flags[:, :n])
+    lead = R.shape[:-2]
+    above, below = masks.reshape((2,) + lead + masks.shape[2:])
+    return rays.reshape(lead + (P, j)), above, below, null.reshape(lead + (P,))
 
 
-def _sign_classes(margins: np.ndarray, others: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Sign class and hinge flag of each candidate ray from its margins (..., P, M).
+_SPREAD = np.uint64(0x0102040810204080)  # gathers the low bits of 8 bytes into the top byte
 
-    Returns ``sign`` (..., P) int8: +1 (-1) when all ``others`` margins of
-    the rows outside the subset lie above _TOL (below -_TOL), so that +ray
-    (-ray) is an extreme ray, else 0; and ``hinged`` (..., P): the class
-    hinges on margins within _TOL.  A subset's own margins vanish, so the
-    count needs no mask.  Negation is exact, so margins flipped per row give
-    the classes of the cone with those rows negated, bit for bit.
+
+def _mask_width(M: int) -> int:
+    """Bits that a side mask of M rows is padded to: 8, 16 or 32, else whole 64-bit words."""
+    return next((w for w in (8, 16, 32) if M <= w), -(-M // 64) * 64)
+
+
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """Side masks (..., ceil(M/64)) uint64 of bool flags (..., M): bit i % 64 of word i // 64 is flag i.
+
+    The flags are padded with False to ``_mask_width(M)``.  Each group of 8,
+    read as one little-endian uint64 of 0/1 bytes, times _SPREAD holds flag
+    t at bit 56 + t: the product of byte t and byte 7 - t of _SPREAD lands
+    there, and no two products overlap below bit 64.  So the top byte is
+    the group's bits, and the bytes read in order are the mask.  It is
+    about ten times faster than np.packbits.
     """
-    # einsum sums the short last axis several times faster than count_nonzero
-    pos = np.einsum("...m->...", margins > _TOL, dtype=np.intp)
-    neg = np.einsum("...m->...", margins < -_TOL, dtype=np.intp)
-    sign = ((pos == others) & (neg == 0)).astype(np.int8) - ((neg == others) & (pos == 0))
-    return sign, (pos + neg < others) & ((pos == 0) | (neg == 0))
+    M = flags.shape[-1]
+    width = _mask_width(M)
+    if M != width or flags.strides[-1] != 1:
+        padded = np.zeros(flags.shape[:-1] + (width,), dtype=bool)
+        padded[..., :M] = flags
+        flags = padded
+    groups = ((flags.view("<u8") * _SPREAD) >> np.uint64(56)).astype(np.uint8)
+    return groups.view(f"<u{min(width, 64) // 8}").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _outside(M: int, r: int) -> np.ndarray:
+    """Side masks of the rows outside each r-subset of range(M), in _combos order: read-only (C(M,r), W)."""
+    out = _pack((_combos(M, r)[:, :, None] != np.arange(M)).all(axis=1))
+    out.flags.writeable = False
+    return out
+
+
+def _sign_classes(
+    above: np.ndarray, below: np.ndarray, outside: np.ndarray, sides=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sign class and hinge flag of each candidate ray from its side masks (..., P, W).
+
+    ``outside`` (P, W) masks the rows outside each subset; only those are
+    read.  Returns ``sign`` (..., P) int8: +1 (-1) when every row outside
+    the subset lies above _TOL (below -_TOL), so that +ray (-ray) is an
+    extreme ray, else 0; and ``hinged`` (..., P): the class hinges on rows
+    within _TOL.  ``sides`` (..., W), one mask per cone, gives the classes
+    of the cone with the rows off it negated: negation is exact, so the
+    flip swaps the two masks there, (above & sides) | (below & ~sides).
+    """
+    if sides is not None:
+        sides = sides[..., None, :]
+        above, below = (above & sides) | (below & ~sides), (below & sides) | (above & ~sides)
+    up, down = above & outside, below & outside
+    sign = (up == outside).all(axis=-1).astype(np.int8) - (down == outside).all(axis=-1)
+    hinged = ((up | down) != outside).any(axis=-1) & ~(up.any(axis=-1) & down.any(axis=-1))
+    return sign, hinged
 
 
 _CHUNK = 1 << 20  # margins per block of subsets
@@ -262,18 +334,18 @@ def _meets(R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     R: (..., M, j) rows.  Returns (nontrivial (...), grazing (...)): a cone
     is nontrivial iff some (j-1)-subset of its rows spans an extreme ray,
     and grazing iff some subset's rows are dependent or its sign class
-    hinges on margins within the band.  The subsets go to ``_extreme_rays``
-    in blocks of about _CHUNK margins.
+    hinges on rows within the band, both read off the side masks
+    (``_sign_classes``).  The subsets go to ``_extreme_rays`` in blocks of
+    about _CHUNK margins.
     """
     M, j = R.shape[-2:]
-    subsets = _combos(M, j - 1)
+    subsets, outside = _combos(M, j - 1), _outside(M, j - 1)
     nontrivial = np.zeros(R.shape[:-2], dtype=bool)
     grazing = np.zeros(R.shape[:-2], dtype=bool)
     step = max(1, _CHUNK // R[..., 0].size)
     for lo in range(0, len(subsets), step):
-        rays, margins, null = _extreme_rays(R, subsets[lo : lo + step])
-        sign, hinged = _sign_classes(margins, M - j + 1)
-        del rays, margins  # freed before the next block
+        above, below, null = _extreme_rays(R, subsets[lo : lo + step])[1:]
+        sign, hinged = _sign_classes(above, below, outside[lo : lo + step])
         nontrivial |= (sign != 0).any(axis=-1)
         grazing |= (null | hinged).any(axis=-1)
     return nontrivial, grazing
@@ -350,11 +422,11 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
 
     Each draw takes m unit normals, isotropic or ``raw_sampler(rng, nb)``'s
     (normals, mask of draws to redraw), and one extreme-ray pass.
-    ``pick(normals, margins, bad)`` returns the side (+-1) of each normal the
-    chosen cell lies on (nb, m), the sign class of each subset's ray in that
-    cell (nb, C(m, dim-1)) and the draws to redraw, among them those whose
-    classes hinge on margins within the band.  Flagged draws, and those
-    with a null ray, are redrawn.
+    ``pick(normals, above, below, bad)`` takes the pass's side masks and
+    returns the side (+-1) of each normal the chosen cell lies on (nb, m),
+    the sign class of each subset's ray in that cell (nb, C(m, dim-1)) and
+    the draws to redraw, among them those whose classes hinge on rows
+    within the band.  Flagged draws, and those with a null ray, are redrawn.
     """
     if m < dim:
         raise ValueError("batched kernels require m >= k+1 (pointed cells)")
@@ -364,8 +436,8 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
             normals, bad = _sample_unit(rng, (nb, m, dim)), np.zeros(nb, dtype=bool)
         else:
             normals, bad = raw_sampler(rng, nb)
-        rays, margins, null = _extreme_rays(normals, _combos(m, dim - 1))
-        signs, sel, bad = pick(normals, margins, bad)
+        rays, above, below, null = _extreme_rays(normals, _combos(m, dim - 1))
+        signs, sel, bad = pick(normals, above, below, bad)
         return (normals * signs[..., None], rays, sel), bad | null.any(axis=1), 0
 
     (normals, rays, sel), redraws = _redraw(B, draw)
@@ -375,15 +447,15 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
 def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
     """Weighted typical cells: the cell of a uniform witness point.
 
-    Its vertices are the sign classes of the margins flipped to its sides.
+    Its vertices are the sign classes read off the pass's side masks
+    flipped to its sides, the witness's side of each normal (``_sign_classes``).
     """
+    outside = _outside(m, dim - 1)
 
-    def pick(normals, margins, bad):
+    def pick(normals, above, below, bad):
         dots = np.einsum("bmd,bd->bm", normals, _sample_unit(rng, (len(normals), dim)))
-        signs = np.sign(dots)
-        margins *= signs[:, None, :]
-        sel, hinged = _sign_classes(margins, m - dim + 1)
-        return signs, sel, bad | (np.abs(dots) <= _TOL).any(axis=1) | hinged.any(axis=1)
+        sel, hinged = _sign_classes(above, below, outside, _pack(dots > 0))
+        return np.sign(dots), sel, bad | (np.abs(dots) <= _TOL).any(axis=1) | hinged.any(axis=1)
 
     return _sample_cells(rng, B, m, dim, pick)
 
@@ -404,16 +476,18 @@ def _mask_offsets(m: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _enumerate_and_pick(
-    margins: np.ndarray, k: int, rng: np.random.Generator, n_cells: int, bad: np.ndarray
+    above: np.ndarray, below: np.ndarray, m: int, k: int, rng: np.random.Generator, n_cells: int, bad: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Enumerate all cells through vertex incidences, pick one uniformly and read its vertices.
 
-    ``margins`` (B, C(m,k), m): the k-subsets' rays against the m normals.
-    ``bad`` flags draws known to be degenerate, to which any draw with an
-    outside margin within the band is added; a null ray has every margin
-    within it.  Returns (chosen bitmask (B,), sign class of each subset's
-    ray in the chosen cell (B, C(m,k)) int8, bad (B,)); asserts the
-    per-sample count on the rest.
+    ``above``, ``below`` (B, C(m,k), 1): the side masks of the k-subsets'
+    rays against the m <= 63 normals (``_extreme_rays``).  The sides of the
+    rows outside a subset are ``base = above & outside``; ``bad`` flags
+    draws known to be degenerate, to which any draw with an outside row
+    within the band, ``outside & ~(above | below)``, is added; a null ray
+    has every margin within it.  Returns (chosen bitmask (B,), sign class
+    of each subset's ray in the chosen cell (B, C(m,k)) int8, bad (B,));
+    asserts the per-sample count on the rest.
 
     The tessellation is symmetric under x -> -x, so its cells come in
     antipodal pairs, and the masks around -ray are the complements in m
@@ -426,13 +500,13 @@ def _enumerate_and_pick(
     vertex of the chosen cell iff the cell's sides off the subset are those
     of +ray, and -ray iff they are the opposite ones.
     """
-    B, nC, m = margins.shape
+    B = above.shape[0]
     outside, offsets = _mask_offsets(m, k)
     full = (1 << m) - 1
-    weights = 1 << np.arange(m, dtype=np.int64)
+    above, below = above[..., 0].view(np.int64), below[..., 0].view(np.int64)
     # sides of the rows outside each subset, and any of them within the band
-    base = ((margins > 0) @ weights) & outside
-    banded = ((np.abs(margins) <= _TOL) @ weights) & outside
+    base = above & outside
+    banded = outside & ~(above | below)
     dtype = np.uint32 if m <= 32 else np.int64  # m bits: up to 32, the passes and the sort move half the bytes
     masks = (base.astype(dtype)[..., None] + offsets.astype(dtype)).reshape(B, -1)  # (B, nC * 2^k)
     masks ^= (masks >> (m - 1)) * full
@@ -471,16 +545,17 @@ def sample_typical_cells(
     ``raw_sampler(rng, nb)`` may supply non-isotropic normals (nb, m, dim)
     together with a mask (nb,) of the draws to redraw.  A cell is keyed by
     the int64 mask of its sides, so m is at most 63.  Its vertices are read
-    off the enumeration's masks (``_enumerate_and_pick``); a class that
-    hinges needs a margin within the band, which flags the draw already.
+    off the enumeration's masks, built from the pass's side masks
+    (``_enumerate_and_pick``); a class that hinges needs a row within the
+    band, which flags the draw already.
     """
     if m > 63:
         raise ValueError(f"typical cells are keyed by int64 side masks, which hold m <= 63 normals, got m={m}")
     n_cells = int(cells_count(m, dim - 1))
     weights = 1 << np.arange(m, dtype=np.int64)
 
-    def pick(normals, margins, bad):
-        chosen, sel, bad = _enumerate_and_pick(margins, dim - 1, rng, n_cells, bad)
+    def pick(normals, above, below, bad):
+        chosen, sel, bad = _enumerate_and_pick(above, below, m, dim - 1, rng, n_cells, bad)
         return np.where((chosen[:, None] & weights) > 0, 1.0, -1.0), sel, bad
 
     return _sample_cells(rng, B, m, dim, pick, raw_sampler)
@@ -844,8 +919,8 @@ def _vertex_table(normals: np.ndarray) -> CellBatch:
     hinged class keeps no table row, so that it certifies nothing.
     """
     B, M, dim = normals.shape
-    rays, margins, null = _extreme_rays(normals, _combos(M, dim - 1))
-    sel, hinged = _sign_classes(margins, M - dim + 1)
+    rays, above, below, null = _extreme_rays(normals, _combos(M, dim - 1))
+    sel, hinged = _sign_classes(above, below, _outside(M, dim - 1))
     sel[(null | hinged).any(axis=1)] = 0
     return _table(normals, rays, sel, 0)
 

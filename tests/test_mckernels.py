@@ -58,6 +58,90 @@ def _cell_batch(rng, B, m, dim):
     return cells
 
 
+# -- side masks vs the count over margins ----------------------------------------
+
+
+def _count_sign_classes(margins, others):
+    """Sign class and hinge flag of each candidate ray by counting its margins (..., P, M), as an oracle.
+
+    The classes before side masks: +1 (-1) when ``others`` margins lie
+    above _TOL (below -_TOL), else 0, and hinged when fewer than ``others``
+    lie beyond the band and none on the other side.  It counts every row,
+    a subset's own included, whose margins vanish up to rounding.
+    """
+    pos = np.count_nonzero(margins > mckernels._TOL, axis=-1)
+    neg = np.count_nonzero(margins < -mckernels._TOL, axis=-1)
+    sign = ((pos == others) & (neg == 0)).astype(np.int8) - ((neg == others) & (pos == 0))
+    return sign, (pos + neg < others) & ((pos == 0) | (neg == 0))
+
+
+def _pass(normals, subsets):
+    """``_extreme_rays`` and the margins of its rays, computed here: (rays, above, below, null, margins)."""
+    rays, above, below, null = _extreme_rays(normals, subsets)
+    return rays, above, below, null, rays @ np.swapaxes(normals, -1, -2)
+
+
+def _words(flags):
+    """Side masks of bool flags (..., M) through np.packbits: (..., ceil(M/64)) uint64."""
+    M = flags.shape[-1]
+    padded = np.zeros(flags.shape[:-1] + (-(-M // 64) * 64,), dtype=bool)
+    padded[..., :M] = flags
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
+
+def _mask_cases():
+    """(dim, M, law) of the side-mask comparison: every M = dim..80 across one 64-bit word."""
+    return [(dim, M, law) for dim in range(1, 7) for M in range(dim, 81) for law in ("iso", "pole4", "band")]
+
+
+def test_side_masks_match_the_count_oracle():
+    # the sign, hinge flag and band flag read off the side masks equal the
+    # count over the margins, at dims 1-6 and M = dim..80 rows; the typical
+    # base, the sides of the rows outside a subset, equals the margins'
+    # signs where no outside row is in the band.  Rows are isotropic, pole:4
+    # (dims >= 2) or isotropic with a quarter placed inside or next to the
+    # band of one subset's ray: a random combination of the subset's rows
+    # plus up to 2e-9 of noise.  Each case takes 8 cones and up to 24
+    # random (dim-1)-subsets, sorted, so that dim 6 at M = 80 stays small
+    seen = np.zeros(2, dtype=int)  # hinged rays, rays with an outside row in the band
+    for dim, M, law in _mask_cases():
+        if law == "pole4" and dim == 1:
+            continue
+        rng = batch_rng(28, dim * 100 + M, len(law))
+        if law == "pole4":
+            normals = sample_vmf_mixture(rng, dim - 1, 4.0, 8 * M).reshape(8, M, dim)
+        else:
+            normals = mckernels._sample_unit(rng, (8, M, dim))
+        P = min(24, math.comb(M, dim - 1))
+        subsets = np.sort(np.array([rng.choice(M, dim - 1, replace=False) for _ in range(P)], dtype=np.intp), axis=1)
+        if law == "band":
+            rows = rng.choice(M, M // 4, replace=False)
+            own = subsets[0]
+            rows = rows[~np.isin(rows, own)]
+            noise = rng.uniform(-2e-9, 2e-9, (8, len(rows), 1)) * mckernels._sample_unit(rng, (8, len(rows), dim))
+            normals[:, rows] = rng.standard_normal((8, len(rows), dim - 1)) @ normals[:, own] + noise
+        outside = np.ones((P, M), dtype=bool)
+        outside[np.arange(P)[:, None], subsets] = False
+        rays, above, below, null, margins = _pass(normals, subsets)
+        words = _words(outside)
+        assert above.shape == below.shape == (8, P, -(-M // 64))
+        assert np.array_equal(above, _words(margins > mckernels._TOL))
+        assert np.array_equal(below, _words(margins < -mckernels._TOL))
+        sign, hinged = mckernels._sign_classes(above, below, words)
+        want_sign, want_hinged = _count_sign_classes(margins, M - dim + 1)
+        assert np.array_equal(sign, want_sign) and np.array_equal(hinged, want_hinged), (dim, M, law)
+        banded = words & ~(above | below)
+        assert np.array_equal(banded, _words((np.abs(margins) <= mckernels._TOL) & outside))
+        base = above & words
+        clear = ~banded.any(axis=-1)
+        assert np.array_equal(base[clear], _words((margins > 0) & outside)[clear])
+        if math.comb(M, dim - 1) <= 4096:
+            rows_outside = (_combos(M, dim - 1)[:, :, None] != np.arange(M)).all(axis=1)
+            assert np.array_equal(mckernels._outside(M, dim - 1), _words(rows_outside))
+        seen += hinged.sum(), banded.any(axis=-1).sum()
+    assert seen.all()
+
+
 # -- enumeration vs build_arrangement ----------------------------------------
 
 
@@ -100,8 +184,8 @@ def test_enumeration_matches_incremental(m, k):
         normals = rng.standard_normal((1, m, dim))
         normals /= np.linalg.norm(normals, axis=2, keepdims=True)
         local = batch_rng(trial, 0, 0)
-        _, S, _ = _extreme_rays(normals, combos)
-        chosen, _, bad = _enumerate_and_pick(S, k, local, n_cells, np.zeros(1, dtype=bool))
+        _, above, below, _, S = _pass(normals, combos)
+        chosen, _, bad = _enumerate_and_pick(above, below, m, k, local, n_cells, np.zeros(1, dtype=bool))
         assert not bad.any()
         lp_masks = lp_oracle.build_arrangement(normals[0], k)
         # recompute the batch mask set, one subset and resolution at a time
@@ -123,10 +207,10 @@ def test_enumeration_assertion_trips_on_wrong_count():
     # C(4, 2) = 14 cells: an odd count, and an even one on either side
     normals = np.random.default_rng(102).standard_normal((1, 4, 3))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
-    margins = _extreme_rays(normals, _combos(4, 2))[1]
+    _, above, below, _ = _extreme_rays(normals, _combos(4, 2))
     for n_cells in (99, 12, 16):
         with pytest.raises(SampleAssertionError):
-            _enumerate_and_pick(margins, 2, batch_rng(0, 0, 0), n_cells, np.zeros(1, dtype=bool))
+            _enumerate_and_pick(above, below, 4, 2, batch_rng(0, 0, 0), n_cells, np.zeros(1, dtype=bool))
 
 
 def _pick_cases():
@@ -138,11 +222,11 @@ def _pick_cases():
 
 @pytest.mark.parametrize("m,dim,law", _pick_cases())
 def test_pick_matches_full_sort(m, dim, law):
-    # the pick over one mask per antipodal pair takes the same cell as the
-    # full sort from the same draw, flags the same draws, and reads the
-    # vertices that the sign classes of the margins flipped to the cell's
-    # sides give; m = 32 sorts uint32 masks, m = 33 and 40 int64 ones, and
-    # m = 63 uses the top bit
+    # the pick over one mask per antipodal pair, read off the side masks,
+    # takes the same cell as the full sort over the margins from the same
+    # draw, flags the same draws, and reads the vertices that the counted
+    # sign classes of the margins flipped to the cell's sides give; m = 32
+    # sorts uint32 masks, m = 33 and 40 int64 ones, and m = 63 uses the top bit
     k, B = dim - 1, 256
     local = batch_rng(27, m * 8 + dim, len(law))
     if law == "iso":
@@ -151,14 +235,14 @@ def test_pick_matches_full_sort(m, dim, law):
     else:
         n, d = (m, k) if law == "k=d" else (m + 1, dim)
         normals, bad = mckernels._kappa_sampler(KappaFamily("pole_concentrated", 4.0), n, d, k)(local, B)
-    margins = _extreme_rays(normals, _combos(m, k))[1]
+    _, above, below, _, margins = _pass(normals, _combos(m, k))
     n_cells = int(cells_count(m, k))
-    chosen, sel, flagged = _enumerate_and_pick(margins, k, batch_rng(1, 2, 3), n_cells, bad)
+    chosen, sel, flagged = _enumerate_and_pick(above, below, m, k, batch_rng(1, 2, 3), n_cells, bad)
     want, want_flagged = _full_sort_pick(margins, k, batch_rng(1, 2, 3), n_cells, bad)
     assert np.array_equal(flagged, want_flagged) and flagged[bad].all()
     assert np.array_equal(chosen, want)
     signs = np.where((chosen[:, None] >> np.arange(m)) & 1, 1.0, -1.0)
-    classes, hinged = mckernels._sign_classes(margins * signs[:, None, :], m - k)
+    classes, hinged = _count_sign_classes(margins * signs[:, None, :], m - k)
     good = ~flagged
     assert not hinged[good].any() and np.array_equal(sel[good], classes[good])
     assert (np.abs(sel[good]).sum(axis=1) >= dim).all()  # a pointed cell has at least k + 1 vertices
@@ -188,14 +272,15 @@ def test_pick_is_uniform_over_the_cells_rejection_reaches(dim):
     m, k = dim + 2, dim - 1
     n_cells = int(cells_count(m, k))
     normals = mckernels._sample_unit(batch_rng(2027, dim, 0), (1, m, dim))
-    margins = _extreme_rays(normals, _combos(m, k))[1]
+    _, above, below, _, margins = _pass(normals, _combos(m, k))
     cells = lp_oracle.build_arrangement(normals[0], k)
     assert set(_rejection_cells(margins, k, batch_rng(2027, dim, 1), 64 << m).tolist()) == cells
     rng, reps = batch_rng(2027, dim, 2), 150 * n_cells
     chosen = []
     for lo in range(0, reps, mckernels.BATCH):
         nb = min(mckernels.BATCH, reps - lo)
-        picked, _, bad = _enumerate_and_pick(np.repeat(margins, nb, axis=0), k, rng, n_cells, np.zeros(nb, dtype=bool))
+        above_nb, below_nb = np.repeat(above, nb, axis=0), np.repeat(below, nb, axis=0)
+        picked, _, bad = _enumerate_and_pick(above_nb, below_nb, m, k, rng, n_cells, np.zeros(nb, dtype=bool))
         assert not bad.any()
         chosen.append(picked)
     keys, counts = np.unique(np.concatenate(chosen), return_counts=True)
@@ -225,7 +310,7 @@ def test_typical_cells_uniform_over_cells():
     ids=["iso", "kappa-k=d", "kappa-k<d", "weighted", "hinged-table"],
 )
 def test_cell_vertices_match_a_pass_on_the_cell_normals(dim, flavor, cutters, beta):
-    # the samplers read a cell's vertices from the margins of the drawn
+    # the samplers read a cell's vertices from the side masks of the drawn
     # normals flipped to the cell's sides; a fresh pass on the cell's own
     # (signed) normals must give the same vertex table bit for bit.  Every
     # table is grouped by cell, with strictly increasing subsets in a cell

@@ -382,6 +382,20 @@ def test_cli_kappa_at_large_beta():
     assert res.stderr.startswith("error: ") and "redraw rounds" in res.stderr
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 11.7 GiB for an array with shape (1024, 1313400, 4)", ""])
+def test_cli_out_of_memory_is_an_error_line(monkeypatch, capsys, message):
+    # a pass too large for memory ends in an error line, not a traceback;
+    # the kernel raises as numpy does, with no real allocation
+    def too_large(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(mckernels, "_extreme_rays", too_large)
+    code = cli.main(["simulate", "--quantity", "f", "--flavor", "weighted", "--n", "200", "--d", "3",
+                     "--k", "3", "--l", "0", "--reps", "100", "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: out of memory" + (f": {message}" if message else "") + "\n")
+
+
 def test_cli_sample_assertion_is_an_error_line(monkeypatch, capsys):
     # a failed per-sample assertion is an error line, not a traceback
     def broken(*args, **kwargs):

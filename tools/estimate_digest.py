@@ -29,7 +29,9 @@ the full sphere (0, ..., 0, 1) and of a point (1/2, 0, ..., 0); and
 ``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
 seed 3), which reach the kernels at dim 5 that the workloads do not, isect
 at d = 5, n = m = 6, both flavors (reps 2048, seed 3), which reaches the
-intersection certificates at dim 6, two
+intersection certificates at dim 6, weighted isect at d = 2, n = m = 40
+(reps 4096, seed 3), whose undecided pairs reach ``_meets`` on 80 stacked
+rows, two words of side masks, two
 typical cells with k < d at pole:4 (reps 4096, seed 3), which reach the
 cutter path of the kappa sampler that no workload runs, and one plain and
 one isect cell at reps 2500 (seed 3), whose last batch is short, so the
@@ -41,7 +43,7 @@ and seed), each law followed by the typical H^k of that cell (a
 ``skeleton`` line, ``compare`` at the same reps and seed): no workload
 runs part (b), nor part (a) beyond ``acceptance-mc``'s one size-bias
 cell, nor H^k at pole:4.  Each Monte Carlo line holds the
-workload (``d4``, ``d5``, ``kappa``, ``remainder``, ``consistency`` or ``skeleton`` for those), the seed, the
+workload (``d4``, ``d5``, ``wide``, ``kappa``, ``remainder``, ``consistency`` or ``skeleton`` for those), the seed, the
 operation's label, ``repr`` of the mean and of the stderr, the reps and the
 redraws, tab-separated; a ``consistency`` line adds ``repr`` of the
 report's z, its verdict and its exact value.  The ``cells`` lines come
@@ -50,7 +52,8 @@ of one batch of BATCH cells from a fixed ``batch_rng``, its ``CellBatch``
 arrays (normals, cell, subset, rays: dtype, shape and bytes) and redraw
 count, which shows sampler identity directly and not only through the
 estimates, the typical cells at pole:4 (k = d and k < d) and at m = 40,
-past 32-bit side masks, included.  Each ``exact`` line holds
+past 32-bit side masks, and the weighted cells at m = 70, past one 64-bit
+word, included.  Each ``exact`` line holds
 the operation's label and the sha256 of ``repr`` of its output (tables, figure CSV text,
 identity-suite results, limit-sweep gaps; the CSV text of one table or
 figure at non-default arguments; one coefficient family's CSV
@@ -90,6 +93,9 @@ D5_REPS = 2048
 # a plain and an isect cell at reps REMAINDER_REPS = 2 * BATCH + 452: the last batch is short
 REMAINDER_CELLS = [("f", "typical", 6, 3, 3, 1, None), ("isect", "weighted", 5, 3, 3, None, 5)]
 REMAINDER_REPS = 2500
+# weighted isect at d = 2, n = m = 40: the pairs the certificates leave reach _meets on 80 stacked rows,
+# two 64-bit words of side masks (at d = 1 the certificates decide every pair)
+WIDE_CELLS = [("isect", "weighted", 40, 2, 2, None, 40)]
 # typical cells with k < d under the pole-concentrated law, beta = 4
 KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, None)]
 # (n, d, k) of the consistency checks and skeleton lines, each run isotropic and at this pole beta
@@ -101,7 +107,7 @@ CELL_SHAPES = [
     (sampler, m, dim, "iso")
     for m, dim in ((5, 2), (6, 3), (8, 4), (12, 4), (10, 5))
     for sampler in ("typical", "weighted")
-] + [("typical", 6, 4, "pole4-k=d"), ("typical", 6, 3, "pole4-k<d"), ("typical", 40, 2, "iso")]
+] + [("typical", 6, 4, "pole4-k=d"), ("typical", 6, 3, "pole4-k<d"), ("typical", 40, 2, "iso"), ("weighted", 70, 2, "iso")]
 COEFFS_MAX_M = 60
 # a table range past every printed one: computed verdicts, and appE's n x m grid beyond the print
 TABLE_N_RANGE = (4, 12)
@@ -320,7 +326,8 @@ def main(argv=None) -> int:
             label = f"derived-{name}-d{d}"
             print("\t".join(["exact", label] + _fields(lambda: _derived_formats(name, d), _sha256)), flush=True)
     for name, cells, beta, reps in (
-        ("d4", D4_CELLS, 0.0, 4096), ("d5", D5_CELLS, 0.0, D5_REPS), ("kappa", KAPPA_CELLS, 4.0, 4096),
+        ("d4", D4_CELLS, 0.0, 4096), ("d5", D5_CELLS, 0.0, D5_REPS), ("wide", WIDE_CELLS, 0.0, 4096),
+        ("kappa", KAPPA_CELLS, 4.0, 4096),
         ("remainder", REMAINDER_CELLS, 0.0, REMAINDER_REPS),
     ):
         for cell in cells:
