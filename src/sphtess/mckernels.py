@@ -219,7 +219,7 @@ def _expand(row: np.ndarray, cols: tuple, minors: dict, negate: bool = False) ->
     return -acc if negate and len(cols) == 1 else acc
 
 
-_BLOCK = 1 << 14  # candidate rays per block of the extreme-ray pass, so that its arrays stay in cache
+_BLOCK = 1 << 13  # candidate rays per block of the extreme-ray pass, so that its arrays stay in cache
 
 
 def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
@@ -237,7 +237,7 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
     Every predicate on top of the pass asks only which side of each row a
     ray lies on, so the float margins never leave it.  The cones go through
     in blocks of about _BLOCK rays, each block's margins into a buffer
-    whose columns past M stay zero, and only their side masks are kept.
+    whose columns past M are zero, and only their side masks are kept.
     """
     M, j = R.shape[-2:]
     P, width = len(subsets), _mask_width(M)
@@ -246,7 +246,8 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
     rays, null = np.empty((N, P, j)), np.empty((N, P), dtype=bool)
     masks = np.empty((2, N, P, -(-M // 64)), dtype=np.uint64)
     step = max(1, _BLOCK // max(1, P))
-    margins = np.zeros((min(step, N), P, width))
+    margins = np.empty((min(step, N), P, width))
+    margins[..., M:] = 0
     flags = np.empty((2,) + margins.shape, dtype=bool)
     for lo in range(0, N, step):
         block = cones[lo : lo + step]
@@ -314,11 +315,13 @@ def _sign_classes(
     extreme ray, else 0; and ``hinged`` (..., P): the class hinges on rows
     within _TOL.  ``sides`` (..., W), one mask per cone, gives the classes
     of the cone with the rows off it negated: negation is exact, so the
-    flip swaps the two masks there, (above & sides) | (below & ~sides).
+    flip swaps the two masks there, above becoming (above & sides) |
+    (below & ~sides).
     """
     if sides is not None:
-        sides = sides[..., None, :]
-        above, below = (above & sides) | (below & ~sides), (below & sides) | (above & ~sides)
+        swap = above ^ below
+        swap &= ~sides[..., None, :]
+        above, below = above ^ swap, below ^ swap
     up, down = above & outside, below & outside
     sign = (up == outside).all(axis=-1).astype(np.int8) - (down == outside).all(axis=-1)
     hinged = ((up | down) != outside).any(axis=-1) & ~(up.any(axis=-1) & down.any(axis=-1))
