@@ -96,9 +96,12 @@ def _mask_cases():
 
 def test_side_masks_match_the_count_oracle():
     # the sign, hinge flag and band flag read off the side masks equal the
-    # count over the margins, at dims 1-6 and M = dim..80 rows; the typical
-    # base, the sides of the rows outside a subset, equals the margins'
-    # signs where no outside row is in the band.  Rows are isotropic, pole:4
+    # count over the margins, at dims 1-6 and M = dim..80 rows, and so do
+    # the classes with random sides flipped, as the weighted pick reads
+    # them; the typical base, the sides of the rows outside a subset,
+    # equals the margins' signs where no outside row is in the band.  The
+    # mask reader reads the rows outside each subset only, the count every
+    # row, which no case here tells apart.  Rows are isotropic, pole:4
     # (dims >= 2) or isotropic with a quarter placed inside or next to the
     # band of one subset's ray: a random combination of the subset's rows
     # plus up to 2e-9 of noise.  Each case takes 8 cones and up to 24
@@ -130,6 +133,11 @@ def test_side_masks_match_the_count_oracle():
         sign, hinged = mckernels._sign_classes(above, below, words)
         want_sign, want_hinged = _count_sign_classes(margins, M - dim + 1)
         assert np.array_equal(sign, want_sign) and np.array_equal(hinged, want_hinged), (dim, M, law)
+        # the weighted flip: the classes of each cone with the rows off its sides negated
+        signs = np.where(rng.random((8, M)) < 0.5, -1.0, 1.0)
+        flipped = mckernels._sign_classes(above, below, words, _words(signs > 0))
+        want = _count_sign_classes(margins * signs[:, None, :], M - dim + 1)
+        assert all(np.array_equal(a, b) for a, b in zip(flipped, want)), (dim, M, law)
         banded = words & ~(above | below)
         assert np.array_equal(banded, _words((np.abs(margins) <= mckernels._TOL) & outside))
         base = above & words
