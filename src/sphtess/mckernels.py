@@ -219,7 +219,8 @@ def _expand(row: np.ndarray, cols: tuple, minors: dict, negate: bool = False) ->
     return -acc if negate and len(cols) == 1 else acc
 
 
-_BLOCK = 1 << 13  # candidate rays per block of the extreme-ray pass, so that its arrays stay in cache
+# subset rays per block of the extreme-ray pass and of the typical enumeration, so that their arrays stay in cache
+_BLOCK = 1 << 13
 
 
 def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
@@ -499,31 +500,36 @@ def _enumerate_and_pick(
     clear, and sorted.  Their D distinct values L are the lower half of the sorted list
     of all 2D cells, whose upper half is full ^ L in reverse order, so the
     count is 2D, and draw p is L[p] for p < D and full ^ L[2D-1-p] otherwise:
-    the cell that the sorted list of all masks gives.  +ray of a subset is a
-    vertex of the chosen cell iff the cell's sides off the subset are those
-    of +ray, and -ray iff they are the opposite ones.
+    the cell that the sorted list of all masks gives.  The masks are built
+    and sorted for a block of about _BLOCK subset rays at a time, and one
+    draw from ``rng`` picks for every draw not flagged.  +ray of a subset is
+    a vertex of the chosen cell iff the cell's sides off the subset are
+    those of +ray, and -ray iff they are the opposite ones.
     """
-    B = above.shape[0]
+    B, nC = above.shape[:2]
     outside, offsets = _mask_offsets(m, k)
     full = (1 << m) - 1
     above, below = above[..., 0].view(np.int64), below[..., 0].view(np.int64)
-    # sides of the rows outside each subset, and any of them within the band
+    # sides of the rows outside each subset; a draw with any of them within the band is bad
     base = above & outside
-    banded = outside & ~(above | below)
+    bad = bad | (outside & ~(above | below)).any(axis=1)
     dtype = np.uint32 if m <= 32 else np.int64  # m bits: up to 32, the passes and the sort move half the bytes
-    masks = (base.astype(dtype)[..., None] + offsets.astype(dtype)).reshape(B, -1)  # (B, nC * 2^k)
-    masks ^= (masks >> (m - 1)) * full
-    masks.sort(axis=1)
-    new = np.ones_like(masks, dtype=bool)
-    new[:, 1:] = masks[:, 1:] != masks[:, :-1]
-    counts = 2 * new.sum(axis=1)
-    bad = bad | (banded != 0).any(axis=1)
-    if np.any((counts != n_cells) & ~bad):
-        raise SampleAssertionError(
-            f"cell count {counts[(counts != n_cells) & ~bad][0]} != C = {n_cells}"
-        )
-    # rows are guaranteed to hold exactly n_cells / 2 distinct masks now
-    half = masks[new & ~bad[:, None]]
+    offsets = offsets.astype(dtype)
+    halves = []
+    step = max(1, _BLOCK // nC)  # draws per block, whose masks stay in cache
+    for lo in range(0, B, step):
+        masks = (base[lo : lo + step, :, None].astype(dtype) + offsets).reshape(-1, offsets.size)  # (step, nC 2^k)
+        masks ^= (masks >> (m - 1)) * full
+        masks.sort(axis=1)
+        new = np.ones_like(masks, dtype=bool)
+        new[:, 1:] = masks[:, 1:] != masks[:, :-1]
+        counts = 2 * new.sum(axis=1)
+        good = ~bad[lo : lo + step]
+        if np.any((counts != n_cells) & good):
+            raise SampleAssertionError(f"cell count {counts[(counts != n_cells) & good][0]} != C = {n_cells}")
+        # good rows hold exactly n_cells / 2 distinct masks now
+        halves.append(masks[new & good[:, None]])
+    half = np.concatenate(halves)
     chosen = np.zeros(B, dtype=np.int64)
     if (~bad).any():
         half = half.reshape(-1, n_cells // 2)
