@@ -219,7 +219,7 @@ def _expand(row: np.ndarray, cols: tuple, minors: dict, negate: bool = False) ->
     return -acc if negate and len(cols) == 1 else acc
 
 
-# subset rays per block of the extreme-ray pass and of the typical enumeration, so that their arrays stay in cache
+# subset rays per block of the extreme-ray pass and of the typical enumeration: their arrays stay in cache
 _BLOCK = 1 << 13
 
 
@@ -284,8 +284,8 @@ def _pack(flags: np.ndarray) -> np.ndarray:
     read as one little-endian uint64 of 0/1 bytes, times _SPREAD holds flag
     t at bit 56 + t: the product of byte t and byte 7 - t of _SPREAD lands
     there, and no two products overlap below bit 64.  So the top byte is
-    the group's bits, and the bytes read in order are the mask.  It is
-    about ten times faster than np.packbits.
+    the group's bits, and the bytes read in order are the mask.  On rows
+    this short it is several times faster than np.packbits.
     """
     M = flags.shape[-1]
     width = _mask_width(M)

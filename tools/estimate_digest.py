@@ -107,7 +107,9 @@ CELL_SHAPES = [
     (sampler, m, dim, "iso")
     for m, dim in ((5, 2), (6, 3), (8, 4), (12, 4), (10, 5))
     for sampler in ("typical", "weighted")
-] + [("typical", 6, 4, "pole4-k=d"), ("typical", 6, 3, "pole4-k<d"), ("typical", 40, 2, "iso"), ("weighted", 70, 2, "iso")]
+] + [
+    ("typical", 6, 4, "pole4-k=d"), ("typical", 6, 3, "pole4-k<d"), ("typical", 40, 2, "iso"), ("weighted", 70, 2, "iso")
+]
 COEFFS_MAX_M = 60
 # a table range past every printed one: computed verdicts, and appE's n x m grid beyond the print
 TABLE_N_RANGE = (4, 12)
