@@ -11,7 +11,10 @@ form, vectorized over replication batches:
   to exactly one cell; a subset's nullspace direction is one generalized
   cross product at every dim, its minors grown by Laplace expansion one
   row at a time (``_nullspace_rays``).  A batch of cells holds its normals
-  and a vertex table (``_table``): a row (cell, k-subset, signed ray) per vertex;
+  and a vertex table (``_table``): a row (cell, k-subset, signed ray) per
+  vertex.  The pass keeps no rays; the table computes the unit ray of each
+  vertex alone, through the arithmetic of the pass (``_unit_rays``), so
+  that a batch holds f_0 rays per cell, not the C(m, k) the pass forms;
 * every cone question goes through one primitive: each (j-1)-subset of
   the rows of {y in R^j : R y >= 0} spans a candidate ray, which is an
   extreme ray iff every other margin lies beyond the tolerance band on one
@@ -219,54 +222,69 @@ def _expand(row: np.ndarray, cols: tuple, minors: dict, negate: bool = False) ->
     return -acc if negate and len(cols) == 1 else acc
 
 
+def _unit_rays(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit nullspace directions of dim-1 rows in R^dim, batched: (lines (dim, ...), dependent (...)).
+
+    rows (dim-1, dim, ...) as for ``_nullspace_rays``.  ``dependent`` flags
+    the rows whose direction is shorter than 1e-12, left unnormalized.  The
+    extreme-ray pass and the vertex table both go through here, so that a
+    vertex's ray is the one whose margins the pass read, bit for bit.
+    """
+    lines = _nullspace_rays(rows)
+    norms = np.sqrt(sum(r * r for r in lines))
+    dependent = norms < 1e-12
+    lines /= np.where(dependent, 1.0, norms)
+    return lines, dependent
+
+
 # subset rays per block of the extreme-ray pass and of the typical enumeration: their arrays stay in cache
 _BLOCK = 1 << 13
 
 
 def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
-    """Candidate extreme rays of the cones {y in R^j : R y >= 0}, batched.
+    """Side masks of the candidate extreme rays of the cones {y in R^j : R y >= 0}, batched.
 
-    R: (..., M, j) rows; subsets: (P, j-1) row indices, each spanning a line.
-    Returns per subset
+    R: (..., M, j) rows; subsets: (P, j-1) row indices, each spanning a line
+    whose unit direction is the subset's ray (``_unit_rays``).  Returns per
+    subset
 
-    * ``rays`` (..., P, j): the unit direction of the line;
     * ``above``, ``below`` (..., P, W): side masks of the margins ray . row
       (``_pack``): bit i % 64 of word i // 64 is set where the margin of
       row i lies above _TOL (below -_TOL), W = ceil(M/64);
     * ``null`` (..., P): the subset's rows are dependent.
 
     Every predicate on top of the pass asks only which side of each row a
-    ray lies on, so the float margins never leave it.  The cones go through
-    in blocks of about _BLOCK rays, each block's margins into a buffer
-    whose columns past M are zero, and only their side masks are kept.
+    ray lies on, so neither the rays nor the float margins leave it: the
+    cones go through in blocks of about _BLOCK rays, each block's rays and
+    margins into buffers (the margins' columns past M are zero), and only
+    their side masks are kept.  A cell has few vertices among the
+    C(M, j-1) candidates, and ``_table`` computes the rays of those alone.
     """
     M, j = R.shape[-2:]
     P, width = len(subsets), _mask_width(M)
     cones = R.reshape(-1, M, j)
     N = len(cones)
-    rays, null = np.empty((N, P, j)), np.empty((N, P), dtype=bool)
+    null = np.empty((N, P), dtype=bool)
     masks = np.empty((2, N, P, -(-M // 64)), dtype=np.uint64)
     step = max(1, _BLOCK // max(1, P))
-    margins = np.empty((min(step, N), P, width))
+    rays = np.empty((min(step, N), P, j))
+    margins = np.empty((len(rays), P, width))
     margins[..., M:] = 0
     flags = np.empty((2,) + margins.shape, dtype=bool)
     for lo in range(0, N, step):
         block = cones[lo : lo + step]
         n, hi = len(block), lo + len(block)
         comps = np.ascontiguousarray(np.moveaxis(block, (1, 2), (0, 1)))  # (M, j, n)
-        lines = _nullspace_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, n)
-        norms = np.sqrt(sum(r * r for r in lines))
-        dependent = norms < 1e-12
-        lines /= np.where(dependent, 1.0, norms)
-        rays[lo:hi] = np.moveaxis(lines, (0, 2), (2, 0))
+        lines, dependent = _unit_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, n)
+        rays[:n] = np.moveaxis(lines, (0, 2), (2, 0))
         null[lo:hi] = dependent.T
-        np.matmul(rays[lo:hi], np.swapaxes(block, 1, 2), out=margins[:n, :, :M])
+        np.matmul(rays[:n], np.swapaxes(block, 1, 2), out=margins[:n, :, :M])
         np.greater(margins[:n], _TOL, out=flags[0, :n])
         np.less(margins[:n], -_TOL, out=flags[1, :n])
         masks[:, lo:hi] = _pack(flags[:, :n])
     lead = R.shape[:-2]
     above, below = masks.reshape((2,) + lead + masks.shape[2:])
-    return rays.reshape(lead + (P, j)), above, below, null.reshape(lead + (P,))
+    return above, below, null.reshape(lead + (P,))
 
 
 _SPREAD = np.uint64(0x0102040810204080)  # gathers the low bits of 8 bytes into the top byte
@@ -340,7 +358,8 @@ def _meets(R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     and grazing iff some subset's rows are dependent or its sign class
     hinges on rows within the band, both read off the side masks
     (``_sign_classes``).  The subsets go to ``_extreme_rays`` in blocks of
-    about _CHUNK margins.
+    about _CHUNK margins; the pass returns their side masks and null flags
+    only, and no ray is computed beyond it.
     """
     M, j = R.shape[-2:]
     subsets, outside = _combos(M, j - 1), _outside(M, j - 1)
@@ -348,7 +367,7 @@ def _meets(R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     grazing = np.zeros(R.shape[:-2], dtype=bool)
     step = max(1, _CHUNK // R[..., 0].size)
     for lo in range(0, len(subsets), step):
-        above, below, null = _extreme_rays(R, subsets[lo : lo + step])[1:]
+        above, below, null = _extreme_rays(R, subsets[lo : lo + step])
         sign, hinged = _sign_classes(above, below, outside[lo : lo + step])
         nontrivial |= (sign != 0).any(axis=-1)
         grazing |= (null | hinged).any(axis=-1)
@@ -368,6 +387,8 @@ class CellBatch:
     One table row per vertex: ``cell`` (V,), ``subset`` (V,) the row in
     _combos(m, dim-1) of the normals it lies on, and ``rays`` (V, dim) the
     signed unit ray, grouped by cell and by strictly increasing subset.
+    The rays are those of the vertices alone (``_table``), (0, dim) float64
+    for a batch without any.
     """
 
     normals: np.ndarray
@@ -385,10 +406,29 @@ class CellBatch:
         return self.normals.shape[2]
 
 
-def _table(normals: np.ndarray, rays: np.ndarray, sel: np.ndarray, degenerate: int) -> CellBatch:
-    """``normals`` with the vertex table of a pass's unit rays (B, P, dim) and sign classes ``sel`` (B, P)."""
-    cell, subset = np.nonzero(sel)
-    return CellBatch(normals, cell, subset, rays[cell, subset] * sel[cell, subset, None], degenerate)
+def _table(normals: np.ndarray, signs: np.ndarray, sel: np.ndarray, degenerate: int) -> CellBatch:
+    """The cells of rows ``normals * signs`` (B, m, dim) with the vertex table of sign classes ``sel`` (B, C(m, dim-1)).
+
+    A row (cell, subset) is a vertex where ``sel`` is nonzero.  Its ray is
+    the unit ray of the subset's rows of the cell's ``normals``, computed
+    as the extreme-ray pass computes it (``_unit_rays``), times the class
+    sign.  Flipping a row by its sign in ``signs`` leaves the line alone, so
+    the ray needs the normals only.  Raises SampleAssertionError where a
+    vertex's rows are dependent: a null ray hinges, so the pass's readers
+    never select one.
+    """
+    _, m, dim = normals.shape
+    flat = np.flatnonzero(sel)
+    cell, subset = np.divmod(flat, sel.shape[1])
+    index = np.take(_combos(m, dim - 1).T, subset, axis=1)  # (dim-1, V) rows of the flattened normals
+    index += cell * m
+    comps = np.ascontiguousarray(normals.reshape(-1, dim).T)  # components first, as the pass reads them
+    lines, dependent = _unit_rays(np.take(comps, index, axis=1).swapaxes(0, 1))
+    if dependent.any():
+        raise SampleAssertionError("a vertex lies on dependent rows")
+    rays = np.ascontiguousarray(lines.T)
+    rays *= sel.ravel()[flat, None]
+    return CellBatch(normals * signs[..., None], cell, subset, rays, degenerate)
 
 
 def _redraw(B: int, draw):
@@ -431,6 +471,8 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
     the sign class of each subset's ray in that cell (nb, C(m, dim-1)) and
     the draws to redraw, among them those whose classes hinge on rows
     within the band.  Flagged draws, and those with a null ray, are redrawn.
+    A draw keeps its (normals, sides, classes); ``_table`` computes the rays
+    of the chosen cells' vertices once all B are drawn.
     """
     if m < dim:
         raise ValueError("batched kernels require m >= k+1 (pointed cells)")
@@ -440,12 +482,12 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
             normals, bad = _sample_unit(rng, (nb, m, dim)), np.zeros(nb, dtype=bool)
         else:
             normals, bad = raw_sampler(rng, nb)
-        rays, above, below, null = _extreme_rays(normals, _combos(m, dim - 1))
+        above, below, null = _extreme_rays(normals, _combos(m, dim - 1))
         signs, sel, bad = pick(normals, above, below, bad)
-        return (normals * signs[..., None], rays, sel), bad | null.any(axis=1), 0
+        return (normals, signs, sel), bad | null.any(axis=1), 0
 
-    (normals, rays, sel), redraws = _redraw(B, draw)
-    return _table(normals, rays, sel, redraws)
+    (normals, signs, sel), redraws = _redraw(B, draw)
+    return _table(normals, signs, sel, redraws)
 
 
 def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
@@ -924,14 +966,15 @@ def cells_intersect(ca: CellBatch, cb: CellBatch) -> Tuple[np.ndarray, np.ndarra
 def _vertex_table(normals: np.ndarray) -> CellBatch:
     """The cones {x : A x >= 0} of rows ``normals`` (B, M, dim) with their vertex table.
 
-    One extreme-ray pass, as the samplers make; a cone with a null ray or a
+    One extreme-ray pass, as the samplers make, and the rays of the
+    vertices (``_table``, every sign +1); a cone with a null ray or a
     hinged class keeps no table row, so that it certifies nothing.
     """
     B, M, dim = normals.shape
-    rays, above, below, null = _extreme_rays(normals, _combos(M, dim - 1))
+    above, below, null = _extreme_rays(normals, _combos(M, dim - 1))
     sel, hinged = _sign_classes(above, below, _outside(M, dim - 1))
     sel[(null | hinged).any(axis=1)] = 0
-    return _table(normals, rays, sel, 0)
+    return _table(normals, np.ones((B, M)), sel, 0)
 
 
 def cones_intersect_batch(normals_a: np.ndarray, normals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

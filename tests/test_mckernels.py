@@ -75,9 +75,24 @@ def _count_sign_classes(margins, others):
     return sign, (pos + neg < others) & ((pos == 0) | (neg == 0))
 
 
+def _reference_rays(normals, subsets):
+    """Unit rays (..., P, j) of the subsets' rows of ``normals`` (..., M, j), as a reference.
+
+    The arithmetic of the extreme-ray pass when it kept its rays: the
+    generalized cross product of the rows, over its norm unless that is
+    below 1e-12, for the whole batch at once.
+    """
+    comps = np.moveaxis(normals, (-2, -1), (0, 1))  # (M, j, ...)
+    lines = _nullspace_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, ...)
+    norms = np.sqrt(sum(r * r for r in lines))
+    lines /= np.where(norms < 1e-12, 1.0, norms)
+    return np.ascontiguousarray(np.moveaxis(lines, (0, 1), (-1, -2)))
+
+
 def _pass(normals, subsets):
-    """``_extreme_rays`` and the margins of its rays, computed here: (rays, above, below, null, margins)."""
-    rays, above, below, null = _extreme_rays(normals, subsets)
+    """``_extreme_rays`` with the reference rays and their margins: (rays, above, below, null, margins)."""
+    above, below, null = _extreme_rays(normals, subsets)
+    rays = _reference_rays(normals, subsets)
     return rays, above, below, null, rays @ np.swapaxes(normals, -1, -2)
 
 
@@ -215,7 +230,7 @@ def test_enumeration_assertion_trips_on_wrong_count():
     # C(4, 2) = 14 cells: an odd count, and an even one on either side
     normals = np.random.default_rng(102).standard_normal((1, 4, 3))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
-    _, above, below, _ = _extreme_rays(normals, _combos(4, 2))
+    above, below, _ = _extreme_rays(normals, _combos(4, 2))
     for n_cells in (99, 12, 16):
         with pytest.raises(SampleAssertionError):
             _enumerate_and_pick(above, below, 4, 2, batch_rng(0, 0, 0), n_cells, np.zeros(1, dtype=bool))
@@ -340,6 +355,70 @@ def test_cell_vertices_match_a_pass_on_the_cell_normals(dim, flavor, cutters, be
     assert np.array_equal(np.unique(cells.cell), np.arange(flavor == "table", 256))  # nothing else flagged
     same = np.diff(cells.cell) == 0
     assert (np.diff(cells.cell) >= 0).all() and (np.diff(cells.subset)[same] > 0).all()
+
+
+def _table_cases():
+    """(sampler, m, dim, law) of the table-ray comparison: law "iso", "k=d" or "k<d" (pole:4), or "redraw"."""
+    cases = [(sampler, dim + 2, dim, "iso") for dim in range(2, 7) for sampler in ("typical", "weighted")]
+    return cases + [("typical", 6, 4, "k=d"), ("typical", 6, 3, "k<d"), ("typical", 6, 3, "redraw"), ("weighted", 70, 2, "iso")]
+
+
+@pytest.mark.parametrize("sampler,m,dim,law", _table_cases())
+def test_table_rays_equal_the_reference_rays_bit_for_bit(monkeypatch, sampler, m, dim, law):
+    # the table computes the ray of each vertex alone; it must equal the
+    # reference ray of the drawn (raw) normals at (cell, subset) times the
+    # class sign, bit for bit, and the table's normals the raw ones times
+    # the cell's sides.  "redraw" flags a quarter of the draws, so the
+    # batch is put together from several rounds
+    calls = []
+    table = mckernels._table
+
+    def spy(normals, signs, sel, degenerate):
+        calls.append((normals, signs, sel))
+        return table(normals, signs, sel, degenerate)
+
+    monkeypatch.setattr(mckernels, "_table", spy)
+    rng, k = batch_rng(29, m * 8 + dim, len(law)), dim - 1
+    if sampler == "weighted":
+        cells = sample_weighted_cells(rng, 256, m, dim)
+    else:
+        raw = None
+        if law == "redraw":
+            raw = lambda rng, nb: (mckernels._sample_unit(rng, (nb, m, dim)), rng.random(nb) < 0.25)
+        elif law != "iso":
+            n, d = (m, k) if law == "k=d" else (m + 1, dim)
+            raw = mckernels._kappa_sampler(KappaFamily("pole_concentrated", 4.0), n, d, k)
+        cells = sample_typical_cells(rng, 256, m, dim, raw_sampler=raw)
+    ((normals, signs, sel),) = calls
+    assert law != "redraw" or cells.degenerate > 0
+    want = _reference_rays(normals, _combos(m, k))[cells.cell, cells.subset] * sel[cells.cell, cells.subset, None]
+    assert cells.rays.dtype == np.float64 and cells.rays.flags.c_contiguous
+    assert np.array_equal(cells.rays.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(cells.normals.view(np.uint64), (normals * signs[..., None]).view(np.uint64))
+    assert np.array_equal(np.flatnonzero(sel), cells.cell * math.comb(m, k) + cells.subset)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_a_table_without_vertices_has_empty_rays(dim):
+    m = dim + 2
+    normals = mckernels._sample_unit(batch_rng(29, dim, 9), (4, m, dim))
+    cells = mckernels._table(normals, np.ones((4, m)), np.zeros((4, math.comb(m, dim - 1)), dtype=np.int8), 0)
+    assert cells.rays.shape == (0, dim) and cells.rays.dtype == np.float64
+    assert cells.cell.size == cells.subset.size == 0
+
+
+def test_a_vertex_on_dependent_rows_raises():
+    # rows 0 and 1 of cone 1 are equal, so the ray of its subset (0, 1) is
+    # null: the table raises on it as a vertex, which no reader of the
+    # pass selects, and builds once only cone 0 selects the subset
+    normals = mckernels._sample_unit(batch_rng(29, 3, 10), (2, 4, 3))
+    normals[1, 1] = normals[1, 0]
+    sel = np.zeros((2, 6), dtype=np.int8)
+    sel[:, 0] = 1  # subset (0, 1)
+    with pytest.raises(SampleAssertionError, match="dependent"):
+        mckernels._table(normals, np.ones((2, 4)), sel, 0)
+    sel[1, 0] = 0
+    assert mckernels._table(normals, np.ones((2, 4)), sel, 0).cell.tolist() == [0]
 
 
 # -- vertex machinery ---------------------------------------------------------
