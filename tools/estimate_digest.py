@@ -51,7 +51,9 @@ last, one per (sampler, m, dim, law) of CELL_SHAPES: the sha256 of ``repr``
 of one batch of BATCH cells from a fixed ``batch_rng``, its ``CellBatch``
 arrays (normals, cell, subset, rays: dtype, shape and bytes) and redraw
 count, which shows sampler identity directly and not only through the
-estimates, the typical cells at pole:4 (k = d and k < d) and at m = 40,
+estimates, the shapes (m, dim) = (4, 3) and (5, 4), where most candidate
+rays are vertices, and (9, 6), past the dims of the workloads, the typical
+cells at pole:4 (k = d and k < d) and at m = 40,
 past 32-bit side masks, and the weighted cells at m = 70, past one 64-bit
 word, included.  Each ``exact`` line holds
 the operation's label and the sha256 of ``repr`` of its output (tables, figure CSV text,
@@ -105,7 +107,7 @@ CONSISTENCY_BETA = 4.0
 # typical cells of (n, d, k) = (m, dim - 1, dim - 1) / (m + 1, dim, dim - 1) at pole:4
 CELL_SHAPES = [
     (sampler, m, dim, "iso")
-    for m, dim in ((5, 2), (6, 3), (8, 4), (12, 4), (10, 5))
+    for m, dim in ((5, 2), (4, 3), (6, 3), (5, 4), (8, 4), (12, 4), (10, 5), (9, 6))
     for sampler in ("typical", "weighted")
 ] + [
     ("typical", 6, 4, "pole4-k=d"), ("typical", 6, 3, "pole4-k<d"), ("typical", 40, 2, "iso"), ("weighted", 70, 2, "iso")
