@@ -23,12 +23,13 @@ form, vectorized over replication batches:
   which side of each row a ray lies: the pass (``_extreme_rays``) returns
   packed side masks, one bit per row above (below) the band, and every
   sign class is read off them with bit operations (``_sign_classes``).
-  Both samplers make one pass over each drawn arrangement.  The typical
-  cell is picked from the enumeration masks built from the side masks,
-  one per antipodal pair of cells (the masks around -ray are the
-  complements of those around +ray), and its vertices are read off those
-  masks; the weighted cell's vertices are the sign classes of the side
-  masks flipped to the cell's sides.  Every "does this cone meet ..."
+  Both samplers make one pass over each drawn arrangement and differ only
+  in the pick: the typical cell is picked from the enumeration masks built
+  from the side masks, one per antipodal pair of cells (the masks around
+  -ray are the complements of those around +ray), the weighted cell is
+  that of a uniform witness point.  Each pick hands over the cell as a
+  side mask, and its vertices are the sign classes read off the pass's
+  masks on those sides (``_sample_cells``).  Every "does this cone meet ..."
   question that the vertices leave open is one predicate on top of it
   (``_meets``): a cone meets a uniform j-dim subspace, the span of a
   standard Gaussian (dim, j) frame, iff the normals restricted to the
@@ -278,7 +279,7 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
         lines, dependent = _unit_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, n)
         rays[:n] = np.moveaxis(lines, (0, 2), (2, 0))
         null[lo:hi] = dependent.T
-        np.matmul(rays[:n], np.swapaxes(block, 1, 2), out=margins[:n, :, :M])
+        np.matmul(rays[:n], block.transpose(0, 2, 1), out=margins[:n, :, :M])
         np.greater(margins[:n], _TOL, out=flags[0, :n])
         np.less(margins[:n], -_TOL, out=flags[1, :n])
         masks[:, lo:hi] = _pack(flags[:, :n])
@@ -329,22 +330,22 @@ def _sign_classes(
     """Sign class and hinge flag of each candidate ray from its side masks (..., P, W).
 
     ``outside`` (P, W) masks the rows outside each subset; only those are
-    read.  Returns ``sign`` (..., P) int8: +1 (-1) when every row outside
-    the subset lies above _TOL (below -_TOL), so that +ray (-ray) is an
-    extreme ray, else 0; and ``hinged`` (..., P): the class hinges on rows
-    within _TOL.  ``sides`` (..., W), one mask per cone, gives the classes
-    of the cone with the rows off it negated: negation is exact, so the
-    flip swaps the two masks there, above becoming (above & sides) |
-    (below & ~sides).
+    read.  ``sides`` (..., W), one mask per cone, is the cone's side of each
+    row: bit i set for R_i y >= 0, else R_i y <= 0 (all set when None).
+    +ray lies on the cone's side of every row beyond the band, ``up |
+    down``, iff those set in ``sides`` are exactly ``up``, and -ray iff
+    they are exactly ``down``.  Returns ``sign`` (..., P) int8: +1 (-1)
+    where +ray (-ray) does and no outside row lies within the band, so
+    that it is an extreme ray of the cone, else 0; and ``hinged`` (..., P):
+    a class that holds but for rows within the band.
     """
-    if sides is not None:
-        swap = above ^ below
-        swap &= ~sides[..., None, :]
-        above, below = above ^ swap, below ^ swap
     up, down = above & outside, below & outside
-    sign = (up == outside).all(axis=-1).astype(np.int8) - (down == outside).all(axis=-1)
-    hinged = ((up | down) != outside).any(axis=-1) & ~(up.any(axis=-1) & down.any(axis=-1))
-    return sign, hinged
+    beyond = up | down
+    on = beyond if sides is None else beyond & sides[..., None, :]
+    plus, minus = (on == up).all(axis=-1), (on == down).all(axis=-1)
+    clear = (beyond == outside).all(axis=-1)
+    sign = (plus & clear).astype(np.int8) - (minus & clear)
+    return sign, ~clear & (plus | minus)
 
 
 _CHUNK = 1 << 20  # margins per block of subsets
@@ -406,16 +407,18 @@ class CellBatch:
         return self.normals.shape[2]
 
 
-def _table(normals: np.ndarray, signs: np.ndarray, sel: np.ndarray, degenerate: int) -> CellBatch:
-    """The cells of rows ``normals * signs`` (B, m, dim) with the vertex table of sign classes ``sel`` (B, C(m, dim-1)).
+def _table(normals: np.ndarray, sides: np.ndarray, sel: np.ndarray, degenerate: int) -> CellBatch:
+    """The cells of rows ``normals`` (B, m, dim) on ``sides`` (B, W) with the vertex table of sign classes ``sel``.
 
-    A row (cell, subset) is a vertex where ``sel`` is nonzero.  Its ray is
-    the unit ray of the subset's rows of the cell's ``normals``, computed
-    as the extreme-ray pass computes it (``_unit_rays``), times the class
-    sign.  Flipping a row by its sign in ``signs`` leaves the line alone, so
-    the ray needs the normals only.  Raises SampleAssertionError where a
-    vertex's rows are dependent: a null ray hinges, so the pass's readers
-    never select one.
+    Bit i of a cell's side mask keeps its row i, else the row is negated;
+    ``sel`` (B, C(m, dim-1)) holds the classes read on those sides
+    (``_sign_classes``).  A row (cell, subset) is a vertex where ``sel`` is
+    nonzero.  Its ray is the unit ray of the subset's rows of the cell's
+    ``normals``, computed as the extreme-ray pass computes it
+    (``_unit_rays``), times the class sign.  Flipping a row leaves the line
+    alone, so the ray needs the normals only.  Raises SampleAssertionError
+    where a vertex's rows are dependent: a null ray hinges, so the pass's
+    readers never select one.
     """
     _, m, dim = normals.shape
     flat = np.flatnonzero(sel)
@@ -423,12 +426,13 @@ def _table(normals: np.ndarray, signs: np.ndarray, sel: np.ndarray, degenerate: 
     index = np.take(_combos(m, dim - 1).T, subset, axis=1)  # (dim-1, V) rows of the flattened normals
     index += cell * m
     comps = np.ascontiguousarray(normals.reshape(-1, dim).T)  # components first, as the pass reads them
-    lines, dependent = _unit_rays(np.take(comps, index, axis=1).swapaxes(0, 1))
+    lines, dependent = _unit_rays(np.take(comps, index, axis=1).transpose(1, 0, 2))
     if dependent.any():
         raise SampleAssertionError("a vertex lies on dependent rows")
     rays = np.ascontiguousarray(lines.T)
     rays *= sel.ravel()[flat, None]
-    return CellBatch(normals * signs[..., None], cell, subset, rays, degenerate)
+    on = np.unpackbits(sides.view(np.uint8), axis=-1, count=m, bitorder="little")  # (B, m) mask bits
+    return CellBatch(normals * (2.0 * on - 1.0)[..., None], cell, subset, rays, degenerate)
 
 
 def _redraw(B: int, draw):
@@ -467,12 +471,13 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
     Each draw takes m unit normals, isotropic or ``raw_sampler(rng, nb)``'s
     (normals, mask of draws to redraw), and one extreme-ray pass.
     ``pick(normals, above, below, bad)`` takes the pass's side masks and
-    returns the side (+-1) of each normal the chosen cell lies on (nb, m),
-    the sign class of each subset's ray in that cell (nb, C(m, dim-1)) and
-    the draws to redraw, among them those whose classes hinge on rows
-    within the band.  Flagged draws, and those with a null ray, are redrawn.
-    A draw keeps its (normals, sides, classes); ``_table`` computes the rays
-    of the chosen cells' vertices once all B are drawn.
+    returns the chosen cell's side mask (nb, W) and the draws to redraw.
+    The cell's vertices are the sign classes on those sides
+    (``_sign_classes``), and a draw whose classes hinge is redrawn too; so
+    is one with a null ray, since with unit rows its margins all lie within
+    1e-12 < _TOL and its class hinges on any sides.  A draw keeps its
+    (normals, sides, classes); ``_table`` computes the rays of the chosen
+    cells' vertices once all B are drawn.
     """
     if m < dim:
         raise ValueError("batched kernels require m >= k+1 (pointed cells)")
@@ -482,58 +487,57 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
             normals, bad = _sample_unit(rng, (nb, m, dim)), np.zeros(nb, dtype=bool)
         else:
             normals, bad = raw_sampler(rng, nb)
-        above, below, null = _extreme_rays(normals, _combos(m, dim - 1))
-        signs, sel, bad = pick(normals, above, below, bad)
-        return (normals, signs, sel), bad | null.any(axis=1), 0
+        above, below, _ = _extreme_rays(normals, _combos(m, dim - 1))
+        sides, bad = pick(normals, above, below, bad)
+        sel, hinged = _sign_classes(above, below, _outside(m, dim - 1), sides)
+        return (normals, sides, sel), bad | hinged.any(axis=1), 0
 
-    (normals, signs, sel), redraws = _redraw(B, draw)
-    return _table(normals, signs, sel, redraws)
+    (normals, sides, sel), redraws = _redraw(B, draw)
+    return _table(normals, sides, sel, redraws)
 
 
 def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
     """Weighted typical cells: the cell of a uniform witness point.
 
-    Its vertices are the sign classes read off the pass's side masks
-    flipped to its sides, the witness's side of each normal (``_sign_classes``).
+    The cell's sides are the witness's side of each normal, packed as the
+    pass packs its masks (``_pack``); a draw with the witness within the
+    band of a normal is redrawn.
     """
-    outside = _outside(m, dim - 1)
 
     def pick(normals, above, below, bad):
         dots = np.einsum("bmd,bd->bm", normals, _sample_unit(rng, (len(normals), dim)))
-        sel, hinged = _sign_classes(above, below, outside, _pack(dots > 0))
-        return np.sign(dots), sel, bad | (np.abs(dots) <= _TOL).any(axis=1) | hinged.any(axis=1)
+        return _pack(dots > 0), bad | (np.abs(dots) <= _TOL).any(axis=1)
 
     return _sample_cells(rng, B, m, dim, pick)
 
 
 @lru_cache(maxsize=None)
-def _mask_offsets(m: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Sign-mask pieces of the cells around each k-subset's ray, read-only.
+def _mask_offsets(m: int, k: int) -> np.ndarray:
+    """The bits of each k-subset's rows on the positive side, for each of their 2^k local sign resolutions.
 
-    Returns the bitmask of the rows outside each subset (nC,) and, for each
-    of the 2^k local sign resolutions of the subset's own rows, the bits of
-    its rows on the positive side (nC, 2^k).
+    Read-only (C(m,k), 2^k) int64: resolution r sets row c_t of the
+    subset c where bit t of r is set.
     """
     bits = 1 << _combos(m, k).astype(np.int64)
     resolutions = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    outside, offsets = (1 << m) - 1 - bits.sum(axis=1), bits @ resolutions.T
-    outside.flags.writeable = offsets.flags.writeable = False
-    return outside, offsets
+    offsets = bits @ resolutions.T
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _enumerate_and_pick(
     above: np.ndarray, below: np.ndarray, m: int, k: int, rng: np.random.Generator, n_cells: int, bad: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enumerate all cells through vertex incidences, pick one uniformly and read its vertices.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Enumerate all cells through vertex incidences and pick one uniformly.
 
     ``above``, ``below`` (B, C(m,k), 1): the side masks of the k-subsets'
     rays against the m <= 63 normals (``_extreme_rays``).  The sides of the
     rows outside a subset are ``base = above & outside``; ``bad`` flags
     draws known to be degenerate, to which any draw with an outside row
-    within the band, ``outside & ~(above | below)``, is added; a null ray
-    has every margin within it.  Returns (chosen bitmask (B,), sign class
-    of each subset's ray in the chosen cell (B, C(m,k)) int8, bad (B,));
-    asserts the per-sample count on the rest.
+    within the band, ``outside & ~(above | below)``, is added, since the
+    count needs every cell around every ray.  Returns (chosen bitmask (B,)
+    int64, bit i set where the cell lies on the positive side of row i,
+    bad (B,)); asserts the per-sample count on the rest.
 
     The tessellation is symmetric under x -> -x, so its cells come in
     antipodal pairs, and the masks around -ray are the complements in m
@@ -544,12 +548,10 @@ def _enumerate_and_pick(
     count is 2D, and draw p is L[p] for p < D and full ^ L[2D-1-p] otherwise:
     the cell that the sorted list of all masks gives.  The masks are built
     and sorted for a block of about _BLOCK subset rays at a time, and one
-    draw from ``rng`` picks for every draw not flagged.  +ray of a subset is
-    a vertex of the chosen cell iff the cell's sides off the subset are
-    those of +ray, and -ray iff they are the opposite ones.
+    draw from ``rng`` picks for every draw not flagged.
     """
     B, nC = above.shape[:2]
-    outside, offsets = _mask_offsets(m, k)
+    outside, offsets = _outside(m, k)[:, 0].view(np.int64), _mask_offsets(m, k)
     full = (1 << m) - 1
     above, below = above[..., 0].view(np.int64), below[..., 0].view(np.int64)
     # sides of the rows outside each subset; a draw with any of them within the band is bad
@@ -579,9 +581,7 @@ def _enumerate_and_pick(
         upper = pick >= half.shape[1]
         lower = half[np.arange(half.shape[0]), np.where(upper, n_cells - 1 - pick, pick)].astype(np.int64)
         chosen[~bad] = np.where(upper, full ^ lower, lower)
-    sides = chosen[:, None] & outside
-    sel = (sides == base).astype(np.int8) - (sides == outside - base)
-    return chosen, sel, bad
+    return chosen, bad
 
 
 def sample_typical_cells(
@@ -595,19 +595,17 @@ def sample_typical_cells(
 
     ``raw_sampler(rng, nb)`` may supply non-isotropic normals (nb, m, dim)
     together with a mask (nb,) of the draws to redraw.  A cell is keyed by
-    the int64 mask of its sides, so m is at most 63.  Its vertices are read
-    off the enumeration's masks, built from the pass's side masks
-    (``_enumerate_and_pick``); a class that hinges needs a row within the
-    band, which flags the draw already.
+    the int64 mask of its sides, so m is at most 63, and that mask, whose
+    bit i is row i as in ``_pack``, is the side mask it hands over
+    (``_enumerate_and_pick``).
     """
     if m > 63:
         raise ValueError(f"typical cells are keyed by int64 side masks, which hold m <= 63 normals, got m={m}")
     n_cells = int(cells_count(m, dim - 1))
-    weights = 1 << np.arange(m, dtype=np.int64)
 
     def pick(normals, above, below, bad):
-        chosen, sel, bad = _enumerate_and_pick(above, below, m, dim - 1, rng, n_cells, bad)
-        return np.where((chosen[:, None] & weights) > 0, 1.0, -1.0), sel, bad
+        chosen, bad = _enumerate_and_pick(above, below, m, dim - 1, rng, n_cells, bad)
+        return chosen.view(np.uint64)[:, None], bad
 
     return _sample_cells(rng, B, m, dim, pick, raw_sampler)
 
@@ -967,14 +965,15 @@ def _vertex_table(normals: np.ndarray) -> CellBatch:
     """The cones {x : A x >= 0} of rows ``normals`` (B, M, dim) with their vertex table.
 
     One extreme-ray pass, as the samplers make, and the rays of the
-    vertices (``_table``, every sign +1); a cone with a null ray or a
-    hinged class keeps no table row, so that it certifies nothing.
+    vertices (``_table``, with every bit of the side mask set); a cone
+    with a null ray or a hinged class keeps no table row, so that it
+    certifies nothing.
     """
     B, M, dim = normals.shape
     above, below, null = _extreme_rays(normals, _combos(M, dim - 1))
     sel, hinged = _sign_classes(above, below, _outside(M, dim - 1))
     sel[(null | hinged).any(axis=1)] = 0
-    return _table(normals, np.ones((B, M)), sel, 0)
+    return _table(normals, np.full((B, -(-M // 64)), ~np.uint64(0)), sel, 0)
 
 
 def cones_intersect_batch(normals_a: np.ndarray, normals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

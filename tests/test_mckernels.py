@@ -104,6 +104,11 @@ def _words(flags):
     return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
 
+def _unwords(words, M):
+    """Bool flags (..., M) of side masks (..., W) uint64 through np.unpackbits, the inverse of ``_words``."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., :M].astype(bool)
+
+
 def _mask_cases():
     """(dim, M, law) of the side-mask comparison: every M = dim..80 across one 64-bit word."""
     return [(dim, M, law) for dim in range(1, 7) for M in range(dim, 81) for law in ("iso", "pole4", "band")]
@@ -112,7 +117,7 @@ def _mask_cases():
 def test_side_masks_match_the_count_oracle():
     # the sign, hinge flag and band flag read off the side masks equal the
     # count over the margins, at dims 1-6 and M = dim..80 rows, and so do
-    # the classes with random sides flipped, as the weighted pick reads
+    # the classes with random sides flipped, as the samplers read
     # them; the typical base, the sides of the rows outside a subset,
     # equals the margins' signs where no outside row is in the band.  The
     # mask reader reads the rows outside each subset only, the count every
@@ -148,7 +153,7 @@ def test_side_masks_match_the_count_oracle():
         sign, hinged = mckernels._sign_classes(above, below, words)
         want_sign, want_hinged = _count_sign_classes(margins, M - dim + 1)
         assert np.array_equal(sign, want_sign) and np.array_equal(hinged, want_hinged), (dim, M, law)
-        # the weighted flip: the classes of each cone with the rows off its sides negated
+        # the flip: the classes of each cone with the rows off its sides negated
         signs = np.where(rng.random((8, M)) < 0.5, -1.0, 1.0)
         flipped = mckernels._sign_classes(above, below, words, _words(signs > 0))
         want = _count_sign_classes(margins * signs[:, None, :], M - dim + 1)
@@ -175,7 +180,7 @@ def _full_sort_pick(margins, k, rng, n_cells, bad):
     and the same band flag as ``_enumerate_and_pick``.
     """
     B, nC, m = margins.shape
-    outside, offsets = mckernels._mask_offsets(m, k)
+    outside, offsets = mckernels._outside(m, k)[:, 0].view(np.int64), mckernels._mask_offsets(m, k)
     weights = 1 << np.arange(m, dtype=np.int64)
     base = ((margins > 0) @ weights) & outside
     banded = ((np.abs(margins) <= mckernels._TOL) @ weights) & outside
@@ -208,7 +213,7 @@ def test_enumeration_matches_incremental(m, k):
         normals /= np.linalg.norm(normals, axis=2, keepdims=True)
         local = batch_rng(trial, 0, 0)
         _, above, below, _, S = _pass(normals, combos)
-        chosen, _, bad = _enumerate_and_pick(above, below, m, k, local, n_cells, np.zeros(1, dtype=bool))
+        chosen, bad = _enumerate_and_pick(above, below, m, k, local, n_cells, np.zeros(1, dtype=bool))
         assert not bad.any()
         lp_masks = lp_oracle.build_arrangement(normals[0], k)
         # recompute the batch mask set, one subset and resolution at a time
@@ -247,9 +252,10 @@ def _pick_cases():
 def test_pick_matches_full_sort(m, dim, law):
     # the pick over one mask per antipodal pair, read off the side masks,
     # takes the same cell as the full sort over the margins from the same
-    # draw, flags the same draws, and reads the vertices that the counted
-    # sign classes of the margins flipped to the cell's sides give; m = 32
-    # sorts uint32 masks, m = 33 and 40 int64 ones, and m = 63 uses the top bit
+    # draw and flags the same draws; the classes read off the side masks on
+    # the chosen mask, as the sampler reads them, are the counted sign
+    # classes of the margins flipped to the cell's sides; m = 32 sorts
+    # uint32 masks, m = 33 and 40 int64 ones, and m = 63 uses the top bit
     k, B = dim - 1, 256
     local = batch_rng(27, m * 8 + dim, len(law))
     if law == "iso":
@@ -260,14 +266,15 @@ def test_pick_matches_full_sort(m, dim, law):
         normals, bad = mckernels._kappa_sampler(KappaFamily("pole_concentrated", 4.0), n, d, k)(local, B)
     _, above, below, _, margins = _pass(normals, _combos(m, k))
     n_cells = int(cells_count(m, k))
-    chosen, sel, flagged = _enumerate_and_pick(above, below, m, k, batch_rng(1, 2, 3), n_cells, bad)
+    chosen, flagged = _enumerate_and_pick(above, below, m, k, batch_rng(1, 2, 3), n_cells, bad)
     want, want_flagged = _full_sort_pick(margins, k, batch_rng(1, 2, 3), n_cells, bad)
     assert np.array_equal(flagged, want_flagged) and flagged[bad].all()
     assert np.array_equal(chosen, want)
     signs = np.where((chosen[:, None] >> np.arange(m)) & 1, 1.0, -1.0)
     classes, hinged = _count_sign_classes(margins * signs[:, None, :], m - k)
+    sel, sel_hinged = mckernels._sign_classes(above, below, mckernels._outside(m, k), chosen.view(np.uint64)[:, None])
     good = ~flagged
-    assert not hinged[good].any() and np.array_equal(sel[good], classes[good])
+    assert not hinged[good].any() and not sel_hinged[good].any() and np.array_equal(sel[good], classes[good])
     assert (np.abs(sel[good]).sum(axis=1) >= dim).all()  # a pointed cell has at least k + 1 vertices
 
 
@@ -279,7 +286,7 @@ def _rejection_cells(margins, k, rng, draws):
     the subset, so its sides off the subset are the ray's or their opposites.
     """
     m = margins.shape[-1]
-    outside = mckernels._mask_offsets(m, k)[0]
+    outside = mckernels._outside(m, k)[:, 0].view(np.int64)
     base = ((margins[0] > 0) @ (1 << np.arange(m, dtype=np.int64))) & outside
     signs = rng.integers(0, 1 << m, size=draws)
     sides = signs[:, None] & outside
@@ -303,7 +310,7 @@ def test_pick_is_uniform_over_the_cells_rejection_reaches(dim):
     for lo in range(0, reps, mckernels.BATCH):
         nb = min(mckernels.BATCH, reps - lo)
         above_nb, below_nb = np.repeat(above, nb, axis=0), np.repeat(below, nb, axis=0)
-        picked, _, bad = _enumerate_and_pick(above_nb, below_nb, m, k, rng, n_cells, np.zeros(nb, dtype=bool))
+        picked, bad = _enumerate_and_pick(above_nb, below_nb, m, k, rng, n_cells, np.zeros(nb, dtype=bool))
         assert not bad.any()
         chosen.append(picked)
     keys, counts = np.unique(np.concatenate(chosen), return_counts=True)
@@ -368,14 +375,14 @@ def test_table_rays_equal_the_reference_rays_bit_for_bit(monkeypatch, sampler, m
     # the table computes the ray of each vertex alone; it must equal the
     # reference ray of the drawn (raw) normals at (cell, subset) times the
     # class sign, bit for bit, and the table's normals the raw ones times
-    # the cell's sides.  "redraw" flags a quarter of the draws, so the
-    # batch is put together from several rounds
+    # the signs that the cell's side mask unpacks to.  "redraw" flags a
+    # quarter of the draws, so the batch is put together from several rounds
     calls = []
     table = mckernels._table
 
-    def spy(normals, signs, sel, degenerate):
-        calls.append((normals, signs, sel))
-        return table(normals, signs, sel, degenerate)
+    def spy(normals, sides, sel, degenerate):
+        calls.append((normals, sides, sel))
+        return table(normals, sides, sel, degenerate)
 
     monkeypatch.setattr(mckernels, "_table", spy)
     rng, k = batch_rng(29, m * 8 + dim, len(law)), dim - 1
@@ -389,7 +396,9 @@ def test_table_rays_equal_the_reference_rays_bit_for_bit(monkeypatch, sampler, m
             n, d = (m, k) if law == "k=d" else (m + 1, dim)
             raw = mckernels._kappa_sampler(KappaFamily("pole_concentrated", 4.0), n, d, k)
         cells = sample_typical_cells(rng, 256, m, dim, raw_sampler=raw)
-    ((normals, signs, sel),) = calls
+    ((normals, sides, sel),) = calls
+    assert sides.dtype == np.uint64 and sides.shape == (256, -(-m // 64))
+    signs = np.where(_unwords(sides, m), 1.0, -1.0)
     assert law != "redraw" or cells.degenerate > 0
     want = _reference_rays(normals, _combos(m, k))[cells.cell, cells.subset] * sel[cells.cell, cells.subset, None]
     assert cells.rays.dtype == np.float64 and cells.rays.flags.c_contiguous
@@ -402,7 +411,8 @@ def test_table_rays_equal_the_reference_rays_bit_for_bit(monkeypatch, sampler, m
 def test_a_table_without_vertices_has_empty_rays(dim):
     m = dim + 2
     normals = mckernels._sample_unit(batch_rng(29, dim, 9), (4, m, dim))
-    cells = mckernels._table(normals, np.ones((4, m)), np.zeros((4, math.comb(m, dim - 1)), dtype=np.int8), 0)
+    sides = _words(np.ones((4, m), dtype=bool))
+    cells = mckernels._table(normals, sides, np.zeros((4, math.comb(m, dim - 1)), dtype=np.int8), 0)
     assert cells.rays.shape == (0, dim) and cells.rays.dtype == np.float64
     assert cells.cell.size == cells.subset.size == 0
 
@@ -415,10 +425,47 @@ def test_a_vertex_on_dependent_rows_raises():
     normals[1, 1] = normals[1, 0]
     sel = np.zeros((2, 6), dtype=np.int8)
     sel[:, 0] = 1  # subset (0, 1)
+    sides = _words(np.ones((2, 4), dtype=bool))
     with pytest.raises(SampleAssertionError, match="dependent"):
-        mckernels._table(normals, np.ones((2, 4)), sel, 0)
+        mckernels._table(normals, sides, sel, 0)
     sel[1, 0] = 0
-    assert mckernels._table(normals, np.ones((2, 4)), sel, 0).cell.tolist() == [0]
+    assert mckernels._table(normals, sides, sel, 0).cell.tolist() == [0]
+
+
+@pytest.mark.parametrize("sampler", ["typical", "weighted"])
+def test_a_draw_with_a_null_ray_is_redrawn_through_its_hinged_class(monkeypatch, sampler):
+    # every draw of the first round has rows 0 and 1 equal, so the ray of
+    # subset (0, 1) is null; the samplers test no null flag, yet its unit
+    # rows put all its margins within the band, so its class hinges on the
+    # cell's side mask, and each such draw is redrawn before ``_table``,
+    # which raises on a vertex with dependent rows, sees it
+    B, m, dim = 16, 5, 3
+    first, hinged = [], []
+    sample_unit, sign_classes = mckernels._sample_unit, mckernels._sign_classes
+
+    def equal_rows(rng, shape):
+        normals = sample_unit(rng, shape)
+        if len(shape) == 3 and not first:
+            normals[:, 1] = normals[:, 0]
+            first.append(shape[0])
+        return normals
+
+    def spy(above, below, outside, sides=None):
+        out = sign_classes(above, below, outside, sides)
+        hinged.append(out[1][:, 0])  # subset (0, 1)
+        return out
+
+    monkeypatch.setattr(mckernels, "_sign_classes", spy)
+    rng = batch_rng(30, dim, len(sampler))
+    if sampler == "typical":
+        raw = lambda rng, nb: (equal_rows(rng, (nb, m, dim)), np.zeros(nb, dtype=bool))
+        cells = sample_typical_cells(rng, B, m, dim, raw_sampler=raw)
+    else:
+        monkeypatch.setattr(mckernels, "_sample_unit", equal_rows)
+        cells = sample_weighted_cells(rng, B, m, dim)
+    assert first == [B] and hinged[0].all() and cells.degenerate == B
+    assert np.unique(cells.cell).tolist() == list(range(B))
+    assert (np.abs(np.einsum("bd,bd->b", cells.normals[:, 0], cells.normals[:, 1])) < 1 - 1e-6).all()
 
 
 # -- vertex machinery ---------------------------------------------------------
