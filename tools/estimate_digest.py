@@ -55,7 +55,12 @@ estimates, the shapes (m, dim) = (4, 3) and (5, 4), where most candidate
 rays are vertices, and (9, 6), past the dims of the workloads, the typical
 cells at pole:4 (k = d and k < d) and at m = 40,
 past 32-bit side masks, and the weighted cells at m = 70, past one 64-bit
-word, included.  Each ``exact`` line holds
+word, included.  The ``solid`` lines follow, one per (m, dim) of
+SOLID_SHAPES: the sha256 of ``repr`` of the dtype, shape and bytes of
+``solid_fractions`` over the normals of one batch of BATCH typical cells,
+both from one fixed ``batch_rng``, at the estimators' ``subspace_reps``
+points per cell, which shows the sign tests of the solid fraction
+directly.  Each ``exact`` line holds
 the operation's label and the sha256 of ``repr`` of its output (tables, figure CSV text,
 identity-suite results, limit-sweep gaps; the CSV text of one table or
 figure at non-default arguments; one coefficient family's CSV
@@ -112,6 +117,8 @@ CELL_SHAPES = [
 ] + [
     ("typical", 6, 4, "pole4-k=d"), ("typical", 6, 3, "pole4-k<d"), ("typical", 40, 2, "iso"), ("weighted", 70, 2, "iso")
 ]
+# (m, dim) of the solid lines: the dim-4 v_4 of ivol_vector, and the U_{dim-1} of ivol_values at dim 5
+SOLID_SHAPES = [(4, 4), (8, 4), (12, 4), (6, 5)]
 COEFFS_MAX_M = 60
 # a table range past every printed one: computed verdicts, and appE's n x m grid beyond the print
 TABLE_N_RANGE = (4, 12)
@@ -183,6 +190,20 @@ def _cells(sampler, m, dim, law):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in (cells.normals, cells.cell, cells.subset, cells.rays)] + [
         cells.degenerate
     ]
+
+
+def _solid(m, dim):
+    """(dtype, shape, bytes) of ``solid_fractions`` over one batch of BATCH typical cells.
+
+    Cells and points draw from ``batch_rng(D4_SEED, stream_id("solid", m, dim), 0)``.
+    """
+    from sphtess import mckernels as mk
+    from sphtess.simulate import ExperimentConfig
+
+    rng = mk.batch_rng(D4_SEED, mk.stream_id("solid", m, dim), 0)
+    cells = mk.sample_typical_cells(rng, mk.BATCH, m, dim)
+    frac = mk.solid_fractions(cells.normals, rng, ExperimentConfig().subspace_reps)
+    return (frac.dtype.str, frac.shape, frac.tobytes())
 
 
 def _coeff_tables():
@@ -351,6 +372,9 @@ def main(argv=None) -> int:
     for shape in CELL_SHAPES:
         label = "{}-m{}-dim{}-{}".format(*shape)
         print("\t".join(["cells", str(D4_SEED), label] + _fields(lambda: _cells(*shape), _sha256)), flush=True)
+    for shape in SOLID_SHAPES:
+        label = "m{}-dim{}".format(*shape)
+        print("\t".join(["solid", str(D4_SEED), label] + _fields(lambda: _solid(*shape), _sha256)), flush=True)
     return 0
 
 
