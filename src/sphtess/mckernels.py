@@ -72,6 +72,12 @@ feasible point nearest to g among the apex and the projections of g onto
 the spans of the candidate faces (every active set of fewer than dim
 constraints), each a small Gram solve vectorized over the batch.
 
+Short axes (a vector's dim <= 6 components, a side mask's W <= 2 words)
+are summed or ANDed out one component at a time (``geom.norm``,
+``_all_words``), bit-identical to numpy's generic reductions, which cost
+several times the arithmetic on axes this short, or left to a matmul
+whose sign tests reduce over the leading axis (``solid_fractions``).
+
 Every kernel is equivalence-tested against an independent LP route that
 lives with the tests (``tests/lp_oracle.py``) or against the sampled
 functionals, and the per-sample structural assertions (cell count = C(m,k),
@@ -98,7 +104,7 @@ import numpy as np
 
 from .combinat import cells_count
 from .exactnum import sphere_surface
-from .geom import DegenerateInput, KappaFamily, sample_vmf_mixture
+from .geom import DegenerateInput, KappaFamily, norm, sample_vmf_mixture
 
 BATCH = 1024
 _TOL = 1e-9
@@ -232,7 +238,7 @@ def _unit_rays(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     vertex's ray is the one whose margins the pass read, bit for bit.
     """
     lines = _nullspace_rays(rows)
-    norms = np.sqrt(sum(r * r for r in lines))
+    norms = norm(lines, axis=0)
     dependent = norms < 1e-12
     lines /= np.where(dependent, 1.0, norms)
     return lines, dependent
@@ -342,10 +348,22 @@ def _sign_classes(
     up, down = above & outside, below & outside
     beyond = up | down
     on = beyond if sides is None else beyond & sides[..., None, :]
-    plus, minus = (on == up).all(axis=-1), (on == down).all(axis=-1)
-    clear = (beyond == outside).all(axis=-1)
+    plus, minus = _all_words(on == up), _all_words(on == down)
+    clear = _all_words(beyond == outside)
     sign = (plus & clear).astype(np.int8) - (minus & clear)
     return sign, ~clear & (plus | minus)
+
+
+def _all_words(eq: np.ndarray) -> np.ndarray:
+    """All of the W words of each mask agree: (..., W) -> (...), one & per word past the first.
+
+    W is 1 or 2 in the kernels, where numpy's generic reduction over the
+    last axis costs many times the ANDs; at W = 1 this is a view.
+    """
+    out = eq[..., 0]
+    for w in range(1, eq.shape[-1]):
+        out = out & eq[..., w]
+    return out
 
 
 _CHUNK = 1 << 20  # margins per block of subsets
@@ -377,7 +395,8 @@ def _meets(R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _sample_unit(rng: np.random.Generator, shape) -> np.ndarray:
     g = rng.standard_normal(shape)
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    g /= norm(g, keepdims=True)
+    return g
 
 
 @dataclass
@@ -664,11 +683,15 @@ def fvec_values(cells: CellBatch, l: int) -> np.ndarray:
 def solid_fractions(normals: np.ndarray, rng: np.random.Generator, pts: int) -> np.ndarray:
     """Fraction of ``pts`` uniform points inside each cone {x : A x >= 0} of rows ``normals`` (B, m, dim).
 
-    It reads the normals only, so the cones need not be pointed.
+    It reads the normals only, so the cones need not be pointed.  The dots
+    come from one matmul, (B, m, pts), so that the test of every row runs
+    over the leading axis.  They may differ in the last bit from dots
+    summed in another order, which flips a sign test only for a point
+    within about 1e-16 of a facet.
     """
     B, _, dim = normals.shape
     x = _sample_unit(rng, (B, pts, dim))
-    return (np.einsum("bpd,bmd->bpm", x, normals) > 0).all(axis=2).mean(axis=1)
+    return (normals @ x.transpose(0, 2, 1) > 0).all(axis=1).mean(axis=1)
 
 
 def polar_fractions(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndarray:
@@ -686,7 +709,7 @@ IVOL_MAX_DIM = 4
 def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angle between unit vectors along the last axis, 2 atan2(|a-b|, |a+b|):
     accurate near 0 and pi, where arccos(a.b) loses half the digits."""
-    return 2 * np.arctan2(np.linalg.norm(a - b, axis=-1), np.linalg.norm(a + b, axis=-1))
+    return 2 * np.arctan2(norm(a - b), norm(a + b))
 
 
 def _cone_angle(points: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -707,8 +730,9 @@ def _cone_angle(points: np.ndarray, index: np.ndarray) -> np.ndarray:
     if r > 3 or n != 4:
         raise ValueError(f"cone angles need r <= 3 generators, three in R^4; got r = {r}, n = {n}")
     V = points.take(index, axis=0)  # (F, 3, 4)
-    volume = np.sqrt(sum(c * c for c in _nullspace_rays(np.moveaxis(V, 0, -1))))
-    dots = np.einsum("vid,vid->v", V, np.roll(V, 1, axis=1))  # ab + bc + ca
+    volume = norm(_nullspace_rays(np.moveaxis(V, 0, -1)), axis=0)
+    # ab + bc + ca: take keeps C order, and einsum's order of summation follows the layout
+    dots = np.einsum("vid,vid->v", V, V.take([2, 0, 1], axis=1))
     return np.arctan2(volume, 1.0 + dots) / (2 * np.pi)
 
 
@@ -730,7 +754,7 @@ def ivol_vector(cells: CellBatch, rng: np.random.Generator, pts: int) -> np.ndar
     B, m, dim = cells.normals.shape
     if dim > IVOL_MAX_DIM:
         raise ValueError(f"closed-form intrinsic volumes need dim <= {IVOL_MAX_DIM}")
-    unit = cells.normals / np.linalg.norm(cells.normals, axis=2, keepdims=True)
+    unit = cells.normals / norm(cells.normals, keepdims=True)
     out = np.zeros((B, dim + 1))
     for j in (1, 2):
         r = dim - j  # a j-face lies on r facets
@@ -1026,7 +1050,7 @@ def _kappa_sampler(kappa: KappaFamily, n: int, d: int, k: int):
         basis = q[:, :, d - k :]  # (nb, d+1, k+1)
         rest = sample_vmf_mixture(rng, d, kappa.beta, nb * N).reshape(nb, N, d + 1)
         proj = np.einsum("bnd,bdj->bnj", rest, basis)
-        norms = np.linalg.norm(proj, axis=2, keepdims=True)
+        norms = norm(proj, keepdims=True)
         bad = (diag < 1e-10).any(axis=1) | (norms < 1e-9).any(axis=(1, 2))
         return proj / np.where(norms < 1e-9, 1.0, norms), bad
 

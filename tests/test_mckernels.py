@@ -17,7 +17,7 @@ from scipy.stats import chi2
 
 from sphtess import mckernels
 from sphtess.combinat import cells_count
-from sphtess.geom import KappaFamily, sample_vmf_mixture
+from sphtess.geom import KappaFamily, norm, sample_vmf_mixture
 from sphtess.mckernels import (
     CellBatch,
     SampleAssertionError,
@@ -1018,6 +1018,42 @@ def test_solid_fraction_octant():
     B = 512
     frac = solid_fractions(np.broadcast_to(np.eye(3), (B, 3, 3)), batch_rng(0, 5, 0), 64)
     assert abs(frac.mean() - 0.125) < 4 * 0.33 / math.sqrt(B * 64)
+
+
+@pytest.mark.parametrize("dim, m", [(dim, m) for dim in (3, 4, 5) for m in (4, 6, 8, 12) if m >= dim])
+def test_solid_fractions_equal_the_einsum_reference(dim, m):
+    # the matmul's sign tests, reduced over the rows, give the fractions of
+    # the einsum over the trailing rows axis exactly, on the same points:
+    # one batch at the estimators' 16 points and a few cones at 20000
+    for B, pts in ((256, 16), (3, 20000)):
+        normals = sample_typical_cells(batch_rng(31, dim * 100 + m, pts), B, m, dim).normals
+        x = mckernels._sample_unit(batch_rng(32, dim * 100 + m, pts), (B, pts, dim))
+        reference = (np.einsum("bpd,bmd->bpm", x, normals) > 0).all(axis=2).mean(axis=1)
+        frac = solid_fractions(normals, batch_rng(32, dim * 100 + m, pts), pts)
+        np.testing.assert_array_equal(frac, reference)
+        assert frac.any()
+
+
+# -- short-axis norms ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_norm_equals_numpy_bit_for_bit(n):
+    # the component sum equals np.linalg.norm on contiguous input, on the
+    # strided views the kernels pass (a transposed or sliced last axis) and
+    # along the leading axis of components-first arrays (``_unit_rays``);
+    # numpy sums a contiguous axis of 8 or more components pairwise, so
+    # there the two differ by rounding only
+    base = batch_rng(33, n, 0).standard_normal((n, 96, 5))
+    views = [base.transpose(1, 2, 0), base.transpose(1, 2, 0)[::3, 1:], np.ascontiguousarray(base.transpose(1, 2, 0))]
+    for x in views:
+        expect = np.linalg.norm(x, axis=-1, keepdims=True)
+        if n < 8 or not x.flags.c_contiguous:
+            np.testing.assert_array_equal(norm(x, keepdims=True), expect)
+            np.testing.assert_array_equal(norm(x), expect[..., 0])
+        else:
+            np.testing.assert_allclose(norm(x, keepdims=True), expect, rtol=4e-16)
+    np.testing.assert_array_equal(norm(base, axis=0), np.linalg.norm(base, axis=0))
 
 
 def test_weighted_cells_match_slow_sampler_distribution():
