@@ -72,8 +72,8 @@ feasible point nearest to g among the apex and the projections of g onto
 the spans of the candidate faces (every active set of fewer than dim
 constraints), each a small Gram solve vectorized over the batch.
 
-Short axes (a vector's dim <= 6 components, a side mask's W <= 2 words)
-are summed or ANDed out one component at a time (``geom.norm``,
+Short axes (a vector's few components, a side mask's W words) are
+summed or ANDed out one component at a time (``geom.norm``,
 ``_all_words``), bit-identical to numpy's generic reductions, which cost
 several times the arithmetic on axes this short, or left to a matmul
 whose sign tests reduce over the leading axis (``solid_fractions``).
@@ -355,7 +355,7 @@ def _sign_classes(
 
 
 def _all_words(eq: np.ndarray) -> np.ndarray:
-    """All of the W words of each mask agree: (..., W) -> (...), one & per word past the first.
+    """The AND of each mask's W word flags: (..., W) bool -> (...), one & per word past the first.
 
     W is 1 or 2 in the kernels, where numpy's generic reduction over the
     last axis costs many times the ANDs; at W = 1 this is a view.
