@@ -25,7 +25,13 @@ Fig. 8's diagonal reach only some, and none with n != m at d >= 4);
 every k; ``isect_prob_fixed`` of both flavors' [E v_0..E v_d] at m = n, of
 the full sphere (0, ..., 0, 1) and of a point (1/2, 0, ..., 0); and
 ``euclid_v`` of both flavors at d = 1..11, every k and l, and gamma in
-{gamma_star, 1, 3/7}.  Then it runs the d = 4 comparisons of
+{gamma_star, 1, 3/7}.  The ``eval`` lines give ``sp_eval(v, D)`` rounded to
+D significant digits, D in EVAL_DIGITS, for the values of ``_eval_values``:
+the weighted E f_l at d = k = 30, n = 200, l in {0, 15, 29}, and B{200, c},
+c in {2, 31, 100}, whose terms cancel 130-280 digits, and E f_29 less a
+33-digit rational near it, whose cancellation reaches ``sp_eval``'s second
+pass; they show the read-out contract directly,
+not only through 15-digit CSV text.  Then it runs the d = 4 comparisons of
 ``test_compare_isect_d4`` and ``test_compare_d4`` (cells in R^5, reps 4096,
 seed 3), which reach the kernels at dim 5 that the workloads do not, isect
 at d = 5, n = m = 6, both flavors (reps 2048, seed 3), which reaches the
@@ -131,6 +137,9 @@ EUCLID_MAX_D = 11
 EUCLID_GAMMAS = ("gamma_star", 1, "3/7")
 # divisors of the arith line: a negative one with an odd s-exponent, a negative power of pi, a negative rational
 ARITH_MONOMIALS = ("-3/2*sqrtpi^3", "pi^-1", "-1/7")
+# significant digits of the eval lines
+EVAL_DIGITS = (25, 40)
+EVAL_F29_NEAR = "171.884276456106648875796912899657"  # E f_29 at d = k = 30, n = 200, to 33 digits
 
 
 def _estimate(out):
@@ -313,6 +322,32 @@ def _arith():
     return out
 
 
+def _eval_values():
+    """(label, value) of the eval lines: see the module docstring."""
+    from fractions import Fraction
+
+    from sphtess.combinat import coeff_B
+    from sphtess.moments import ef_weighted
+
+    out = [(f"ef-weighted-n200-d30-k30-l{l}", ef_weighted(200, 30, 30, l)) for l in (0, 15, 29)]
+    out += [(f"B-200-{c}", coeff_B(200, c)) for c in (2, 31, 100)]
+    out.append(("ef-weighted-n200-d30-k30-l29-minus-near", out[2][1] - Fraction(EVAL_F29_NEAR)))
+    return out
+
+
+def _eval_line(v, digits):
+    """``sp_eval(v, digits)`` rounded half-even to ``digits`` significant digits."""
+    from decimal import ROUND_HALF_EVEN, localcontext
+
+    from sphtess.exactnum import sp_eval
+
+    x = sp_eval(v, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = ROUND_HALF_EVEN
+        return str(+x)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--root", required=True, help="root of the source tree to digest")
@@ -350,6 +385,10 @@ def main(argv=None) -> int:
         for d in range(1, (EUCLID_MAX_D if name == "euclid-v" else WEIGHTED_MAX_D) + 1):
             label = f"derived-{name}-d{d}"
             print("\t".join(["exact", label] + _fields(lambda: _derived_formats(name, d), _sha256)), flush=True)
+    for label, v in _eval_values():
+        for digits in EVAL_DIGITS:
+            fields = _fields(lambda: _eval_line(v, digits), lambda text: [text])
+            print("\t".join(["eval", label, str(digits)] + fields), flush=True)
     for name, cells, beta, reps in (
         ("d4", D4_CELLS, 0.0, 4096), ("d5", D5_CELLS, 0.0, D5_REPS), ("wide", WIDE_CELLS, 0.0, 4096),
         ("kappa", KAPPA_CELLS, 4.0, 4096),
