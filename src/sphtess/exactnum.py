@@ -11,12 +11,19 @@ denominator and the nonzero integer numerators over it, in lowest terms.
 :func:`sp_dot`, the sum of products a*b over a sequence of pairs, is the one
 kernel that combines stored forms: it accumulates integer numerators over a
 running lcm of the denominators and divides out the content gcd once, at the
-end.  Sums, differences, negations, products and quotients are each one
-``sp_dot`` (over pairs with ``ONE`` or ``MINUS_ONE``, or with the inverse of
-a monomial divisor), and so are the mapping constructor and :func:`sp_parse`,
-over one monomial per term.  Only ``terms`` builds Fraction coefficients;
-:func:`sp_format` reduces each stored numerator against the denominator with
-one gcd, and :func:`sp_eval` reads the stored form.
+end.  Sums, differences, negations, products, ``scale`` and quotients are each
+one ``sp_dot`` (over pairs with ``ONE`` or ``MINUS_ONE``, with a rational, or
+with the inverse of a monomial divisor), and so are the mapping constructor and
+:func:`sp_parse`, over one monomial per term.  Only ``terms`` builds Fraction
+coefficients; :func:`sp_format` reduces each stored numerator against the
+denominator with one gcd, and :func:`sp_eval` reads the stored form.
+
+- Pair order: ``sp_dot`` sums its nonzero pairs by ascending denominator bit
+  length, so each lift of the running lcm is a small factor.
+- Monomial products: a single pair with a factor c/q s**e is reduced by two
+  gcds, gcd(den, c) * gcd(q, numerators), the exact content for canonical operands.
+- Truncated read-out: :func:`sp_eval` converts each numerator shifted right by
+  one K per chain, ten digits below the working precision, and scales by 2**K once.
 
 Values are printed and read in a small text grammar (see the comment above
 :func:`sp_format`).  :func:`sp_parse` reads it with one compiled pattern per
@@ -86,6 +93,11 @@ class SqrtPiPoly:
         if g != 1:
             den //= g
             nums = {e: n // g for e, n in nums.items()}
+        return cls._reduced(den, nums)
+
+    @classmethod
+    def _reduced(cls, den: int, nums: Dict[int, int]) -> "SqrtPiPoly":
+        """The stored form (den, nums), which must already be canonical."""
         out = object.__new__(cls)
         out._den = den
         out._nums = nums
@@ -144,8 +156,7 @@ class SqrtPiPoly:
     __rmul__ = __mul__
 
     def scale(self, x: RationalLike) -> "SqrtPiPoly":
-        num, den = _ratio(x)
-        return SqrtPiPoly._canonical(self._den * den, {e: n * num for e, n in self._nums.items()})
+        return sp_dot(((self, SqrtPiPoly.rational(x)),))
 
     def __truediv__(self, other: "SqrtPiPoly | RationalLike") -> "SqrtPiPoly":
         """Division by a rational or by a monomial (the only invertibles)."""
@@ -163,6 +174,8 @@ class SqrtPiPoly:
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
+            if self.is_zero():
+                raise ZeroDivisionError("negative power of zero SqrtPiPoly")
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial")
             ((e, c),) = self._nums.items()
@@ -209,15 +222,34 @@ def _coerce(x: "SqrtPiPoly | RationalLike") -> SqrtPiPoly:
 def sp_dot(pairs: Iterable[Tuple[SqrtPiPoly, SqrtPiPoly]]) -> SqrtPiPoly:
     """The sum of a*b over ``pairs``, fraction-free.
 
-    Integer numerators accumulate over a running lcm ``den`` of the pairs'
-    denominator products; the sum is reduced once, at the end.
+    The nonzero pairs are summed in order of ascending denominator bit length
+    (a stable sort), so that each lift of the running lcm ``den`` of the
+    pairs' denominator products is a small factor.  Integer numerators
+    accumulate over ``den``; the sum is reduced once, at the end.  A single
+    pair with a monomial factor c/q s**e is reduced by its content, which for
+    canonical operands is gcd(den_a, c) * gcd(q, numerators of a).
     """
+    pairs = sorted(
+        ((a, b) for a, b in pairs if a._nums and b._nums),
+        key=lambda ab: ab[0]._den.bit_length() + ab[1]._den.bit_length(),
+    )
+    if len(pairs) == 1:
+        ((a, b),) = pairs
+        if len(a._nums) == 1:
+            a, b = b, a
+        if len(b._nums) == 1:
+            ((eb, c),) = b._nums.items()
+            q = b._den
+            g1 = math.gcd(a._den, c)
+            g2 = math.gcd(q, *a._nums.values())
+            c //= g1
+            return SqrtPiPoly._reduced(
+                (a._den // g1) * (q // g2), {e + eb: n // g2 * c for e, n in a._nums.items()}
+            )
     den = 1
     acc: Dict[int, int] = {}
     for a, b in pairs:
         ta, tb = a._nums, b._nums
-        if not (ta and tb):
-            continue
         p = a._den * b._den
         up = p // math.gcd(den, p)
         if up != 1:
@@ -275,6 +307,22 @@ def _atan_inv(x: int, prec: int) -> Decimal:
     return total
 
 
+_LOG2_10 = math.log2(10)
+_LOG2_S = math.log2(math.pi) / 2  # log2(sqrt(pi))
+
+
+def _shift(top: int, prec: int, den_bits: int, hi: int, count: int) -> int:
+    """A shift K >= 0, within a few bits of the largest, with count * 2**K * s**hi / den below 10**(top - prec - 10).
+
+    Truncating each of ``count`` numerators of a parity chain, whose largest s-exponent is
+    ``hi``, to its high bits (n >> K) moves the chain's value by less than that bound, ten
+    digits below the working precision's rounding of a sum whose terms reach 10**top.
+    """
+    # den >= 2**(den_bits - 1) and count < 2**count.bit_length(); 2 bits cover the float logs
+    bits = (top - prec - 10) * _LOG2_10 + den_bits - 1 - hi * _LOG2_S - count.bit_length() - 2
+    return max(0, math.floor(bits))
+
+
 def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
     """``a`` to ``digits`` correct significant digits and an absolute error below 10**(1 - digits).
 
@@ -282,6 +330,8 @@ def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
     even one times pi**(min/2) unless it is rational), then one division by the denominator.
     The working precision is padded by the largest term magnitude, read roughly from the bit
     lengths, and by the shortfall when the sum cancels more digits than that pad covers.
+    Each chain converts its numerators shifted right by one K of :func:`_shift` and scales by
+    2**K once, so no step converts digits that the working precision would round away.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -300,9 +350,12 @@ def sp_eval(a: SqrtPiPoly, digits: int) -> Decimal:
             for odd in sorted({e % 2 for e in a._nums}):
                 es = [e for e in a._nums if e % 2 == odd]
                 lo, hi = min(es), max(es)
-                acc = Decimal(a._nums[hi])  # not Decimal(0), whose exponent would pad exact results
+                k = _shift(top, prec, den_bits, hi, len(es))
+                acc = Decimal(a._nums[hi] >> k)  # not Decimal(0), whose exponent would pad exact results
                 for e in range(hi - 2, lo - 1, -2):
-                    acc = acc * pi + a._nums.get(e, 0)
+                    acc = acc * pi + (a._nums.get(e, 0) >> k)
+                if k:
+                    acc *= Decimal(2) ** k
                 if lo:
                     acc *= pi.sqrt() ** lo if odd else pi ** (lo // 2)
                 total += acc

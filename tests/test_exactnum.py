@@ -1,13 +1,15 @@
 """Ring laws, numeric evaluation, special constants, and the text grammar."""
 
+import hashlib
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sphtess import exactnum, figures
 from sphtess.combinat import coeff_B
 from sphtess.exactnum import (
     ONE,
@@ -91,6 +93,11 @@ def _fraction_terms(terms):
 @settings(max_examples=200, deadline=None)
 @given(factors, factors, units, rationals, st.integers(min_value=0, max_value=4), st.integers(min_value=-4, max_value=-1))
 @example(ZERO, ZERO, SqrtPiPoly({3: Fraction(-2, 3)}), Fraction(0), 0, -3)
+# a * b, scale and / with content from both gcds: (2s + 4)/3 against 3/2, 6/7 s^-1 and 2/3 s^2
+@example(SqrtPiPoly({1: Fraction(2, 3), 0: Fraction(4, 3)}), SqrtPiPoly.rational(Fraction(3, 2)),
+         SqrtPiPoly({2: Fraction(2, 3)}), Fraction(3, 2), 1, -1)
+@example(SqrtPiPoly({-1: Fraction(6, 7)}), SqrtPiPoly({1: Fraction(2, 3), 0: Fraction(4, 3)}),
+         SqrtPiPoly({0: Fraction(6, 7)}), Fraction(-7, 6), 2, -2)
 def test_operators_match_fraction_reference(a, b, unit, x, n, neg):
     """Each operator against Fraction-by-Fraction arithmetic on ``terms``; each result is canonical."""
     ta, tb = a.terms, b.terms
@@ -104,6 +111,8 @@ def test_operators_match_fraction_reference(a, b, unit, x, n, neg):
         power = nxt
     cases = [
         (a + b, {e: ta.get(e, 0) + tb.get(e, 0) for e in ta.keys() | tb.keys()}),
+        (a * b, {e: sum(c1 * c2 for e1, c1 in ta.items() for e2, c2 in tb.items() if e1 + e2 == e)
+                 for e in {e1 + e2 for e1 in ta for e2 in tb}}),
         (a - b, {e: ta.get(e, 0) - tb.get(e, 0) for e in ta.keys() | tb.keys()}),
         (-a, {e: -c for e, c in ta.items()}),
         (a.scale(x), {e: c * x for e, c in ta.items()}),
@@ -120,8 +129,6 @@ def test_operators_match_fraction_reference(a, b, unit, x, n, neg):
 @settings(max_examples=60, deadline=None)
 @given(polys, polys)
 def test_eval_is_ring_homomorphism(a, b):
-    from decimal import localcontext
-
     digits = 25
     tol = Decimal(10) ** (3 - digits)
     with localcontext() as ctx:
@@ -168,8 +175,6 @@ def test_eval_survives_heavy_cancellation():
 
 
 def test_eval_precision_contract():
-    from decimal import localcontext
-
     cases = [
         SqrtPiPoly.pi_power(3, Fraction(7, 3)) - SqrtPiPoly.pi_power(-2, Fraction(2, 9)),
         SqrtPiPoly({9: 8644}),  # large magnitude: absolute bound must still hold
@@ -186,6 +191,65 @@ def test_eval_precision_contract():
                 err = abs(sp_eval(val, digits) - hi)
                 assert err < Decimal(10) ** (1 - digits)
                 assert err <= abs(hi) * Decimal(10) ** (1 - digits)
+
+
+def _eval_reference(a, digits):
+    """``a`` by sp_eval's Horner pass and cancellation loop, converting every numerator in full."""
+    den_bits = a._den.bit_length()
+    top = math.ceil(max((abs(n).bit_length() - den_bits) * math.log10(2) + 0.24857 * e for e, n in a._nums.items()))
+    prec, need = 0, digits + 20 + max(0, top)
+    while need > prec:
+        prec = need
+        with localcontext() as ctx:
+            ctx.prec = prec
+            pi = pi_decimal(prec)
+            total = 0
+            for odd in sorted({e % 2 for e in a._nums}):
+                es = [e for e in a._nums if e % 2 == odd]
+                lo, hi = min(es), max(es)
+                acc = Decimal(a._nums[hi])
+                for e in range(hi - 2, lo - 1, -2):
+                    acc = acc * pi + a._nums.get(e, 0)
+                if lo:
+                    acc *= pi.sqrt() ** lo if odd else pi ** (lo // 2)
+                total += acc
+            total /= a._den
+        need = top - total.adjusted() + digits + 10
+    return total
+
+
+def _large_values():
+    """Weighted E f_l at d = k = 30, n = 200, B{200, c}, and E f_29 less a 33-digit rational near it."""
+    from sphtess.moments import ef_weighted
+
+    vals = [ef_weighted(200, 30, 30, l) for l in (0, 15, 29)] + [coeff_B(200, c) for c in (2, 31, 100)]
+    return vals + [vals[2] - Fraction("171.884276456106648875796912899657")]  # about 2.5e-31
+
+
+def test_eval_of_large_values_matches_the_full_conversion_reference(monkeypatch):
+    """Values of 1,200-13,000-bit numerators whose terms cancel 130-310 digits: the truncated read-out."""
+    shifts = []
+    shift = exactnum._shift
+
+    def recorded_shift(*args):
+        shifts.append(shift(*args))
+        return shifts[-1]
+
+    monkeypatch.setattr(exactnum, "_shift", recorded_shift)
+    with localcontext() as ctx:
+        ctx.prec = 200
+        for val in _large_values():
+            for digits in (15, 25, 40):
+                ref = _eval_reference(val, digits + 60)
+                err = abs(sp_eval(val, digits) - ref)
+                assert err < Decimal(10) ** (1 - digits)
+                assert err <= abs(ref) * Decimal(10) ** (1 - digits)
+    assert max(shifts) > 0  # the cases reach the truncated conversion
+
+
+def test_figure_3_at_d30_is_pinned():
+    csv = figures.figure_csv("fvec_fig3", d=30, ns=[100, 200]).encode()
+    assert hashlib.sha256(csv).hexdigest() == "f46456d3d89ea10946e61420504ac553ddeda36873e05cb88935d015bcb3f2bd"
 
 
 def test_bernoulli_values_and_recurrence():
@@ -288,3 +352,5 @@ def test_division_rules():
         SqrtPiPoly({0: 1}) / SqrtPiPoly({0: 1, 2: 1})
     with pytest.raises(ZeroDivisionError):
         SqrtPiPoly({0: 1}) / ZERO
+    with pytest.raises(ZeroDivisionError):
+        ZERO**-1
