@@ -328,7 +328,7 @@ def _cmd_coeffs(args) -> int:
         for l in range(0, m + 1):
             b = coeff_B(m, l)
             lines.append(f'B,{m},{l},"{sp_format(b)}",{format_float15(b)}')
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines + [""]), args.out)
     return 0
 
 

@@ -53,4 +53,4 @@ def figure_csv(
                 row = dict(figure=which, flavor=label, d=d, k=k, n=n, l=l, exact=f'"{sp_format(val)}"', float64=f)
                 row["normalized_1e7"] = repr(float(f) / 1e7)
                 lines.append(",".join(str(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [""])  # the trailing newline without a second copy of the text

@@ -23,11 +23,12 @@ form, vectorized over replication batches:
   which side of each row a ray lies: the pass (``_extreme_rays``) returns
   packed side masks, one bit per row above (below) the band, and every
   sign class is read off them with bit operations (``_sign_classes``).
-  Both samplers make one pass over each drawn arrangement and differ only
-  in the pick: the typical cell is picked from the enumeration masks built
-  from the side masks, one per antipodal pair of cells (the masks around
-  -ray are the complements of those around +ray), the weighted cell is
-  that of a uniform witness point.  Each pick hands over the cell as a
+  Both samplers draw their normals from the same law, isotropic or a
+  non-isotropic kappa's (``_kappa_sampler``), make one pass over each
+  drawn arrangement and differ only in the pick: the typical cell is
+  picked from the enumeration masks built from the side masks, one per
+  antipodal pair of cells (the masks around -ray are the complements of
+  those around +ray), the weighted cell is that of a uniform witness point.  Each pick hands over the cell as a
   side mask, and its vertices are the sign classes read off the pass's
   masks on those sides (``_sample_cells``).  Every "does this cone meet ..."
   question that the vertices leave open is one predicate on top of it
@@ -515,19 +516,24 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
     return _table(normals, sides, sel, redraws)
 
 
-def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int) -> CellBatch:
+def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int, raw_sampler=None) -> CellBatch:
     """Weighted typical cells: the cell of a uniform witness point.
 
     The cell's sides are the witness's side of each normal, packed as the
     pass packs its masks (``_pack``); a draw with the witness within the
-    band of a normal is redrawn.
+    band of a normal is redrawn.  ``raw_sampler`` may supply non-isotropic
+    normals, as for ``sample_typical_cells``; the witness stays uniform in
+    the reduced coordinates under every law.  That is right at k < d too:
+    every great k-sphere cut out by d - k hyperplanes has the same k-volume
+    omega_{k+1}, so the weighted face lies at a uniform point of the great
+    k-sphere of d - k cutters drawn from the law (``_kappa_sampler``).
     """
 
     def pick(normals, above, below, bad):
         dots = np.einsum("bmd,bd->bm", normals, _sample_unit(rng, (len(normals), dim)))
         return _pack(dots > 0), bad | (np.abs(dots) <= _TOL).any(axis=1)
 
-    return _sample_cells(rng, B, m, dim, pick)
+    return _sample_cells(rng, B, m, dim, pick, raw_sampler)
 
 
 @lru_cache(maxsize=None)
@@ -1031,7 +1037,7 @@ def _replicate(reps: int, seed: int, stream: int, draw) -> MCEstimate:
 
 
 def _kappa_sampler(kappa: KappaFamily, n: int, d: int, k: int):
-    """Raw normals factory for non-isotropic typical sampling (None if iso).
+    """Raw normals factory for non-isotropic sampling of either flavor (None if iso).
 
     Draws with nearly dependent cutters, or with a hypersphere that nearly
     contains the subsphere, are flagged for redrawing.
@@ -1082,7 +1088,7 @@ def run_estimate(query, config) -> MCEstimate:
     stream = stream_id(*astuple(query), config.kappa.name, config.kappa.beta)
     m, dim = n - d + k, k + 1
     raw = _kappa_sampler(config.kappa, n, d, k)
-    if raw is not None and (flavor == "weighted" or quantity == "isect"):
+    if raw is not None and quantity == "isect":
         raise ValueError(f"the {flavor} {quantity} sampler takes isotropic kappa only")
     if quantity == "isect":
         return run_isect(flavor, n, query.m, d, config, stream)
@@ -1093,12 +1099,10 @@ def run_estimate(query, config) -> MCEstimate:
     else:
         row = _ivol_row(quantity, l, dim)
         values = lambda cells, rng: ivol_values(cells, rng, S, row)
+    sample = sample_typical_cells if flavor == "typical" else sample_weighted_cells
 
     def draw(rng, nb):
-        if flavor == "typical":
-            cells = sample_typical_cells(rng, nb, m, dim, raw_sampler=raw)
-        else:
-            cells = sample_weighted_cells(rng, nb, m, dim)
+        cells = sample(rng, nb, m, dim, raw_sampler=raw)
         return values(cells, rng), None, cells.degenerate
 
     return _replicate(config.reps, config.seed, stream, draw)
@@ -1121,17 +1125,19 @@ def run_isect(flavor: str, n: int, m: int, d: int, config, stream: int) -> MCEst
 
 
 def run_consistency(n: int, d: int, k: int, config) -> MCEstimate:
-    """The size-bias ratio E[f_0(Z) H^k(Z)] / E[H^k(Z)] over isotropic typical k-faces Z.
+    """The size-bias ratio E[f_0(Z) H^k(Z)] / E[H^k(Z)] over typical k-faces Z under the config's kappa.
 
     The joint draw of consistency check (a), from its own stream, which
-    ``simulate.consistency_checks`` judges.  It keeps the name of both
-    checks because the benchmark's tracer spans it.
+    ``simulate.consistency_checks`` judges; the stream hashes (n, d, k)
+    only, not the kappa.  It keeps the name of both checks because the
+    benchmark's tracer spans it.
     """
     stream = stream_id("sizebias", n, d, k)
     row = _ivol_row("hk", None, k + 1)
+    raw = _kappa_sampler(config.kappa, n, d, k)
 
     def draw(rng, nb):
-        cells = sample_typical_cells(rng, nb, n - d + k, k + 1)
+        cells = sample_typical_cells(rng, nb, n - d + k, k + 1, raw_sampler=raw)
         h = ivol_values(cells, rng, config.subspace_reps, row)
         return fvec_values(cells, 0) * h, h, cells.degenerate
 

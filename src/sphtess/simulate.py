@@ -8,6 +8,11 @@ constants without drawing, and judges each z by one rule (``_verdict``).
 :func:`estimate` takes every quantity of :data:`sphtess.moments.QUANTITIES`,
 isect included; :func:`estimate_isect` only builds the isect query for it.
 :func:`consistency_checks` runs the size-bias and kappa-invariance checks.
+The directional law belongs to the draw: both flavors are estimated under
+the config's kappa (isect under the isotropic law only), and the one rule
+on which exact values hold under which law lives in :func:`compare`: the
+typical ones under every law, the weighted closed forms under the
+isotropic law only.
 The skeleton identity H^k(skel_k) = binom(n, d-k) omega_{k+1} needs no
 draw: it is the hk row of the exact sums over the cells of whole
 arrangements in ``tests/test_mckernels.py``.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from . import mckernels
 from .exactnum import SqrtPiPoly, sp_format
@@ -84,8 +89,8 @@ class ExperimentConfig:
 @dataclass
 class ComparisonReport:
     query: ExpectationQuery
-    exact: SqrtPiPoly
-    exact_float: float
+    exact: Optional[SqrtPiPoly]  # None where no exact value holds (check (a) under a non-isotropic law)
+    exact_float: Optional[float]
     estimate: MCEstimate
     z_score: float
     verdict: str  # pass | fail (known-discrepancy comes only from table rows)
@@ -105,7 +110,7 @@ class ComparisonReport:
             "k": self.query.k,
             "l": self.query.l,
             "m": self.query.m,
-            "exact": sp_format(self.exact),
+            "exact": None if self.exact is None else sp_format(self.exact),
             "exact_float": self.exact_float,
             "estimate": self.estimate.mean,
             "stderr": self.estimate.stderr,
@@ -148,6 +153,15 @@ def estimate_isect(
 
 
 def compare(query: ExpectationQuery, config: ExperimentConfig) -> ComparisonReport:
+    """The estimate of ``query`` judged against its exact value.
+
+    Typical exact values hold under every directional law, the weighted
+    closed forms only under the isotropic one, so a weighted query under a
+    non-isotropic kappa is rejected before anything is drawn.
+    """
+    config.validate()
+    if query.flavor == "weighted" and not config.kappa.is_isotropic:
+        raise ValueError(f"no exact weighted value under {config.kappa}: the weighted closed forms are isotropic")
     return ComparisonReport.build(query, evaluate_query(query), estimate(query, config))
 
 
@@ -163,7 +177,10 @@ def consistency_checks(
     one report per part asked for, in the order a, b:
 
     (a) size-bias: the H^k-weighted mean of f_0 over typical faces (a joint
-        draw, isotropic only) matches the estimated weighted-face mean of f_0;
+        draw) matches the estimated weighted-face mean of f_0, both under the
+        config's kappa: E_w[g] = E_t[g H^k] / E_t[H^k] holds under every law.
+        The report's exact value is the weighted E f_0 under the isotropic
+        law and None under any other, where no exact value is known;
     (b) kappa invariance: ``compare`` of E f_0 of the typical face, whose
         exact value holds for every kappa, at the config's pole beta, or at
         beta = 4 when the config's normals are uniform (isotropic or pole:0).
@@ -176,15 +193,13 @@ def consistency_checks(
         raise ValueError(f"unknown consistency check parts {unknown}; expected some of ['a', 'b']")
     reports = []
     if "a" in parts:
-        if not config.kappa.is_isotropic:  # raised before any part draws
-            raise ValueError(f"the size-bias check (a) takes isotropic kappa only, got {config.kappa}")
         query = ExpectationQuery("f", "weighted", n, d, k, 0)
         ratio = mckernels.run_consistency(n, d, k, config)
         west = estimate(query, config)
         combined_se = math.sqrt(ratio.stderr**2 + west.stderr**2)
         z = (ratio.mean - west.mean) / combined_se if combined_se else 0.0
-        exact = evaluate_query(query)
-        reports.append(ComparisonReport(query, exact, float(exact), ratio, z, _verdict(z)))
+        exact = evaluate_query(query) if config.kappa.is_isotropic else None
+        reports.append(ComparisonReport(query, exact, None if exact is None else float(exact), ratio, z, _verdict(z)))
     if "b" in parts:
         beta = 4.0 if config.kappa.is_isotropic else config.kappa.beta
         pole = replace(config, kappa=KappaFamily("pole_concentrated", beta))

@@ -130,4 +130,4 @@ def rows_to_csv(rows: List[TableRow]) -> str:
         out.append(
             f'{r.table},{r.quantity},{r.flavor},{r.d},{r.n},{m},{l},"{r.exact}","{r.float64}","{printed}",{r.verdict}'
         )
-    return "\n".join(out) + "\n"
+    return "\n".join(out + [""])

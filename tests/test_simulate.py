@@ -23,6 +23,7 @@ from sphtess.moments import (
     v_weighted,
 )
 from sphtess.simulate import (
+    REDRAW_RATE_LIMIT,
     ExperimentConfig,
     compare,
     consistency_checks,
@@ -315,17 +316,19 @@ def test_estimate_isect():
 def test_estimate_rejects_bad_config():
     with pytest.raises(ValueError):
         ExperimentConfig(reps=50).validate()
-    with pytest.raises(ValueError):
-        estimate(
+    # the weighted closed forms are isotropic, so compare has no exact value to judge this estimate by
+    with pytest.raises(ValueError, match="weighted closed forms are isotropic"):
+        compare(
             ExpectationQuery("v", "weighted", 4, 2, 2, 1),
             ExperimentConfig(reps=200, kappa=KappaFamily("pole_concentrated", 2.0)),
         )
 
 
-def test_weighted_sampler_rejects_nonisotropic_queries():
+def test_weighted_sampler_takes_any_law_and_isect_only_the_isotropic():
     cfg = ExperimentConfig(reps=200, kappa=KappaFamily("pole_concentrated", 2.0))
-    with pytest.raises(ValueError, match="isotropic kappa only"):
-        estimate(ExpectationQuery("f", "weighted", 4, 2, 2, 0), cfg)
+    # the cells of 4 great circles in S^2 are triangles and quadrilaterals
+    est = estimate(ExpectationQuery("f", "weighted", 4, 2, 2, 0), cfg)
+    assert est.reps == 200 and 3 <= est.mean <= 4
     with pytest.raises(ValueError, match="isotropic kappa only"):
         estimate(ExpectationQuery("isect", "typical", 4, 2, 2, m=4), cfg)
 
@@ -347,15 +350,44 @@ def test_consistency_checks_reject_unknown_parts():
         consistency_checks(4, 2, 2, ExperimentConfig(reps=200), parts=("c",))
 
 
-def test_sizebias_check_rejects_a_pole_kappa_before_drawing(monkeypatch):
-    # the size-bias ratio is drawn from isotropic cells only
+def test_compare_rejects_a_weighted_query_under_a_pole_law_before_drawing(monkeypatch):
+    # no weighted exact value is known under a non-isotropic law
     def no_draws(*args):
         raise AssertionError("drew before rejecting")
 
     monkeypatch.setattr(mckernels, "batch_rng", no_draws)
     cfg = ExperimentConfig(reps=200, kappa=KappaFamily("pole_concentrated", 4.0))
-    with pytest.raises(ValueError, match="size-bias check"):
-        consistency_checks(4, 2, 2, cfg, parts=("a",))
+    with pytest.raises(ValueError, match="weighted closed forms are isotropic"):
+        compare(ExpectationQuery("f", "weighted", 4, 2, 2, 0), cfg)
+
+
+@pytest.mark.parametrize("beta", [4.0, 100.0], ids=["pole4", "pole100"])
+@pytest.mark.parametrize("n,d,k", [(4, 2, 2), (6, 3, 3), (5, 3, 2), (7, 4, 3)])
+def test_sizebias_check_under_pole_laws(n, d, k, beta):
+    # E_w[f_0] = E_t[f_0 H^k] / E_t[H^k] holds under every law, so check (a)
+    # judges the weighted sampler where no exact value exists: at pole:100
+    # and k = d, weighted cells drawn from isotropic normals miss by many
+    # standard errors.  Seed and threshold were fixed before the first run.
+    cfg = ExperimentConfig(reps=20000, seed=20241020, kappa=KappaFamily("pole_concentrated", beta))
+    (rep,) = consistency_checks(n, d, k, cfg, parts=("a",))
+    assert abs(rep.z_score) <= 4, rep.to_dict()
+    assert rep.exact is None and rep.exact_float is None
+    assert rep.to_dict()["exact"] is None and rep.to_dict()["exact_float"] is None
+    assert rep.estimate.degenerate_redraws <= cfg.reps * REDRAW_RATE_LIMIT
+
+
+def test_weighted_sampler_draws_its_normals_from_the_raw_sampler():
+    # the weighted cells' normals are the raw sampler's, up to the cells' signs
+    drawn = []
+
+    def raw(rng, nb):
+        normals = mckernels._sample_unit(rng, (nb, 5, 3)) * [1.0, 1.0, 3.0]
+        drawn.append(normals / np.linalg.norm(normals, axis=-1, keepdims=True))
+        return drawn[-1], np.zeros(nb, dtype=bool)
+
+    cells = mckernels.sample_weighted_cells(mckernels.batch_rng(4, 5, 6), 64, 5, 3, raw_sampler=raw)
+    (normals,) = drawn
+    assert np.array_equal(np.abs(cells.normals), np.abs(normals))
 
 
 def test_kappa_check_at_pole_zero_runs_a_pole_law():

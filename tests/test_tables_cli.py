@@ -314,6 +314,18 @@ def test_cli_unread_options_are_error_lines(capsys, command, quantity, option, v
     assert out == "" and err.startswith("error: ") and option.lstrip("-") in err
 
 
+def test_cli_weighted_query_under_a_pole_law_simulates_but_does_not_compare(capsys):
+    # the weighted sampler takes every law; the weighted closed forms hold under the isotropic one only
+    args = ["--quantity", "f", "--flavor", "weighted", "--n", "4", "--d", "2", "--k", "2", "--l", "0",
+            "--kappa", "pole:4", "--reps", "200"]
+    assert cli.main(["simulate", *args]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["reps"] == 200 and err == ""
+    assert cli.main(["compare", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "weighted closed forms are isotropic" in err
+
+
 def test_cli_csv_is_a_compare_option():
     args = ("--quantity", "U", "--n", "3", "--d", "2", "--k", "2", "--l", "1", "--reps", "200", "--csv")
     res = run_cli("simulate", *args)

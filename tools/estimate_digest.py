@@ -47,19 +47,20 @@ two consistency checks, each part of ``consistency_checks`` on its own,
 at (n, d, k) = (4, 2, 2) and (5, 3, 3), isotropic and at pole:4 (same reps
 and seed), each law followed by the typical H^k of that cell (a
 ``skeleton`` line, ``compare`` at the same reps and seed): no workload
-runs part (b), nor part (a) beyond ``acceptance-mc``'s one size-bias
-cell, nor H^k at pole:4.  Each Monte Carlo line holds the
+runs part (b), nor part (a) beyond ``acceptance-mc``'s one isotropic
+size-bias cell, nor H^k at pole:4.  Each Monte Carlo line holds the
 workload (``d4``, ``d5``, ``wide``, ``kappa``, ``remainder``, ``consistency`` or ``skeleton`` for those), the seed, the
 operation's label, ``repr`` of the mean and of the stderr, the reps and the
 redraws, tab-separated; a ``consistency`` line adds ``repr`` of the
-report's z, its verdict and its exact value.  The ``cells`` lines come
+report's z, its verdict and its exact value (``None`` for part (a) at
+pole:4, where no exact value is known).  The ``cells`` lines come
 last, one per (sampler, m, dim, law) of CELL_SHAPES: the sha256 of ``repr``
 of one batch of BATCH cells from a fixed ``batch_rng``, its ``CellBatch``
 arrays (normals, cell, subset, rays: dtype, shape and bytes) and redraw
 count, which shows sampler identity directly and not only through the
 estimates, the shapes (m, dim) = (4, 3) and (5, 4), where most candidate
-rays are vertices, and (9, 6), past the dims of the workloads, the typical
-cells at pole:4 (k = d and k < d) and at m = 40,
+rays are vertices, and (9, 6), past the dims of the workloads, the cells of
+both samplers at pole:4 (k = d and k < d), the typical cells at m = 40,
 past 32-bit side masks, and the weighted cells at m = 70, past one 64-bit
 word, included.  The ``solid`` lines follow, one per (m, dim) of
 SOLID_SHAPES: the sha256 of ``repr`` of the dtype, shape and bytes of
@@ -115,13 +116,14 @@ KAPPA_CELLS = [("f", "typical", 5, 3, 2, 0, None), ("U", "typical", 6, 3, 2, 1, 
 CONSISTENCY_CELLS = [(4, 2, 2), (5, 3, 3)]
 CONSISTENCY_BETA = 4.0
 # (sampler, m, dim, law) of the cells lines: law "iso", or "pole4-k=d" / "pole4-k<d" for the
-# typical cells of (n, d, k) = (m, dim - 1, dim - 1) / (m + 1, dim, dim - 1) at pole:4
+# cells of (n, d, k) = (m, dim - 1, dim - 1) / (m + 1, dim, dim - 1) at pole:4
 CELL_SHAPES = [
     (sampler, m, dim, "iso")
     for m, dim in ((5, 2), (4, 3), (6, 3), (5, 4), (8, 4), (12, 4), (10, 5), (9, 6))
     for sampler in ("typical", "weighted")
 ] + [
-    ("typical", 6, 4, "pole4-k=d"), ("typical", 6, 3, "pole4-k<d"), ("typical", 40, 2, "iso"), ("weighted", 70, 2, "iso")
+    ("typical", 6, 4, "pole4-k=d"), ("typical", 6, 3, "pole4-k<d"), ("typical", 40, 2, "iso"), ("weighted", 70, 2, "iso"),
+    ("weighted", 6, 4, "pole4-k=d"), ("weighted", 6, 3, "pole4-k<d"),
 ]
 # (m, dim) of the solid lines: the dim-4 v_4 of ivol_vector, and the U_{dim-1} of ivol_values at dim 5
 SOLID_SHAPES = [(4, 4), (8, 4), (12, 4), (6, 5)]
@@ -169,7 +171,6 @@ def _compare(cell, beta=0.0, reps=4096):
 
 
 def _consistency(cell, part, beta):
-    from sphtess.exactnum import sp_format
     from sphtess.geom import KappaFamily
     from sphtess.simulate import ExperimentConfig, consistency_checks
 
@@ -177,7 +178,7 @@ def _consistency(cell, part, beta):
     (rep,) = consistency_checks(*cell, ExperimentConfig(reps=4096, seed=D4_SEED, kappa=kappa), parts=(part,))
     est = rep.estimate
     return {"mean": est.mean, "stderr": est.stderr, "reps": est.reps, "redraws": est.degenerate_redraws,
-            "report": [repr(rep.z_score), rep.verdict, sp_format(rep.exact)]}
+            "report": [repr(rep.z_score), rep.verdict, str(rep.to_dict()["exact"])]}
 
 
 def _cells(sampler, m, dim, law):
@@ -189,13 +190,11 @@ def _cells(sampler, m, dim, law):
     from sphtess.geom import KappaFamily
 
     rng = mk.batch_rng(D4_SEED, mk.stream_id("cells", sampler, m, dim, law), 0)
-    if sampler == "weighted":
-        cells = mk.sample_weighted_cells(rng, mk.BATCH, m, dim)
-    else:
-        k = dim - 1
-        n, d = (m, k) if law != "pole4-k<d" else (m + 1, dim)
-        raw = None if law == "iso" else mk._kappa_sampler(KappaFamily("pole_concentrated", 4.0), n, d, k)
-        cells = mk.sample_typical_cells(rng, mk.BATCH, m, dim, raw_sampler=raw)
+    k = dim - 1
+    n, d = (m, k) if law != "pole4-k<d" else (m + 1, dim)
+    raw = None if law == "iso" else mk._kappa_sampler(KappaFamily("pole_concentrated", 4.0), n, d, k)
+    sample = mk.sample_typical_cells if sampler == "typical" else mk.sample_weighted_cells
+    cells = sample(rng, mk.BATCH, m, dim, raw_sampler=raw)
     return [(a.dtype.str, a.shape, a.tobytes()) for a in (cells.normals, cells.cell, cells.subset, cells.rays)] + [
         cells.degenerate
     ]
