@@ -178,10 +178,7 @@ class SqrtPiPoly:
                 raise ZeroDivisionError("negative power of zero SqrtPiPoly")
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial")
-            ((e, c),) = self._nums.items()
-            # (c / den)**n = (den / c)**-n
-            f = self._den if c > 0 else -self._den
-            return SqrtPiPoly._canonical(abs(c) ** -n, {e * n: f**-n})
+            return (ONE / self) ** -n
         result = ONE
         base = self
         while n:

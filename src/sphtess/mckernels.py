@@ -21,8 +21,10 @@ form, vectorized over replication batches:
   side, and a pointed cone with generic rows is nontrivial iff it has an
   extreme ray (Cover & Efron 1967).  So every predicate depends only on
   which side of each row a ray lies: the pass (``_extreme_rays``) returns
-  packed side masks, one bit per row above (below) the band, and every
-  sign class is read off them with bit operations (``_sign_classes``).
+  packed side masks, one bit per row outside the ray's subset above
+  (below) the band, and one flag per ray, clear where no such row lies
+  within the band; every sign class is read off them with bit operations
+  (``_sign_classes``).
   Both samplers draw their normals from the same law, isotropic or a
   non-isotropic kappa's (``_kappa_sampler``), make one pass over each
   drawn arrangement and differ only in the pick: the typical cell is
@@ -253,13 +255,22 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
     """Side masks of the candidate extreme rays of the cones {y in R^j : R y >= 0}, batched.
 
     R: (..., M, j) rows; subsets: (P, j-1) row indices, each spanning a line
-    whose unit direction is the subset's ray (``_unit_rays``).  Returns per
-    subset
+    whose unit direction is the subset's ray (``_unit_rays``).  A ray is
+    read against the rows outside its subset only: its own rows' margins
+    vanish up to rounding.  Returns per subset
 
     * ``above``, ``below`` (..., P, W): side masks of the margins ray . row
-      (``_pack``): bit i % 64 of word i // 64 is set where the margin of
-      row i lies above _TOL (below -_TOL), W = ceil(M/64);
-    * ``null`` (..., P): the subset's rows are dependent.
+      of the rows outside the subset (``_pack``): bit i % 64 of word i // 64
+      is set where row i is outside and its margin lies above _TOL (below
+      -_TOL), W = ceil(M/64);
+    * ``clear`` (..., P): no row outside the subset lies within the band.
+
+    A subset with dependent rows keeps its ray unnormalized, shorter than
+    1e-12 (``_unit_rays``), so every outside margin of rows of norm below
+    about 1e3 lies within the band: its ray is not clear and its class
+    hinges on any sides (``_sign_classes``).  Unit normals, stacked unit
+    normals and unit normals times a Gaussian frame all have such rows, so
+    the readers need no flag of their own for it.
 
     Every predicate on top of the pass asks only which side of each row a
     ray lies on, so neither the rays nor the float margins leave it: the
@@ -270,9 +281,10 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
     """
     M, j = R.shape[-2:]
     P, width = len(subsets), _mask_width(M)
+    outside = _pack((subsets[:, :, None] != np.arange(M)).all(axis=1))  # (P, W)
     cones = R.reshape(-1, M, j)
     N = len(cones)
-    null = np.empty((N, P), dtype=bool)
+    clear = np.empty((N, P), dtype=bool)
     masks = np.empty((2, N, P, -(-M // 64)), dtype=np.uint64)
     step = max(1, _BLOCK // max(1, P))
     rays = np.empty((min(step, N), P, j))
@@ -283,16 +295,17 @@ def _extreme_rays(R: np.ndarray, subsets: np.ndarray):
         block = cones[lo : lo + step]
         n, hi = len(block), lo + len(block)
         comps = np.ascontiguousarray(np.moveaxis(block, (1, 2), (0, 1)))  # (M, j, n)
-        lines, dependent = _unit_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, n)
+        lines, _ = _unit_rays(np.moveaxis(comps[subsets.T], 2, 1))  # (j, P, n)
         rays[:n] = np.moveaxis(lines, (0, 2), (2, 0))
-        null[lo:hi] = dependent.T
         np.matmul(rays[:n], block.transpose(0, 2, 1), out=margins[:n, :, :M])
         np.greater(margins[:n], _TOL, out=flags[0, :n])
         np.less(margins[:n], -_TOL, out=flags[1, :n])
-        masks[:, lo:hi] = _pack(flags[:, :n])
+        side = masks[:, lo:hi]
+        np.bitwise_and(_pack(flags[:, :n]), outside, out=side)
+        clear[lo:hi] = _all_words((side[0] | side[1]) == outside)
     lead = R.shape[:-2]
     above, below = masks.reshape((2,) + lead + masks.shape[2:])
-    return above, below, null.reshape(lead + (P,))
+    return above, below, clear.reshape(lead + (P,))
 
 
 _SPREAD = np.uint64(0x0102040810204080)  # gathers the low bits of 8 bytes into the top byte
@@ -323,34 +336,23 @@ def _pack(flags: np.ndarray) -> np.ndarray:
     return groups.view(f"<u{min(width, 64) // 8}").astype(np.uint64)
 
 
-@lru_cache(maxsize=None)
-def _outside(M: int, r: int) -> np.ndarray:
-    """Side masks of the rows outside each r-subset of range(M), in _combos order: read-only (C(M,r), W)."""
-    out = _pack((_combos(M, r)[:, :, None] != np.arange(M)).all(axis=1))
-    out.flags.writeable = False
-    return out
-
-
 def _sign_classes(
-    above: np.ndarray, below: np.ndarray, outside: np.ndarray, sides=None
+    above: np.ndarray, below: np.ndarray, clear: np.ndarray, sides=None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sign class and hinge flag of each candidate ray from its side masks (..., P, W).
+    """Sign class and hinge flag of each candidate ray from the pass's side masks (..., P, W) and ``clear`` (..., P).
 
-    ``outside`` (P, W) masks the rows outside each subset; only those are
-    read.  ``sides`` (..., W), one mask per cone, is the cone's side of each
-    row: bit i set for R_i y >= 0, else R_i y <= 0 (all set when None).
-    +ray lies on the cone's side of every row beyond the band, ``up |
-    down``, iff those set in ``sides`` are exactly ``up``, and -ray iff
-    they are exactly ``down``.  Returns ``sign`` (..., P) int8: +1 (-1)
-    where +ray (-ray) does and no outside row lies within the band, so
-    that it is an extreme ray of the cone, else 0; and ``hinged`` (..., P):
-    a class that holds but for rows within the band.
+    ``sides`` (..., W), one mask per cone, is the cone's side of each row:
+    bit i set for R_i y >= 0, else R_i y <= 0 (all set when None).  +ray
+    lies on the cone's side of every outside row beyond the band, ``above |
+    below``, iff those set in ``sides`` are exactly ``above``, and -ray iff
+    they are exactly ``below``.  Returns ``sign`` (..., P) int8: +1 (-1)
+    where +ray (-ray) does and the ray is clear, so that it is an extreme
+    ray of the cone, else 0; and ``hinged`` (..., P): a class that holds
+    but for rows within the band.
     """
-    up, down = above & outside, below & outside
-    beyond = up | down
+    beyond = above | below
     on = beyond if sides is None else beyond & sides[..., None, :]
-    plus, minus = _all_words(on == up), _all_words(on == down)
-    clear = _all_words(beyond == outside)
+    plus, minus = _all_words(on == above), _all_words(on == below)
     sign = (plus & clear).astype(np.int8) - (minus & clear)
     return sign, ~clear & (plus | minus)
 
@@ -375,22 +377,22 @@ def _meets(R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     R: (..., M, j) rows.  Returns (nontrivial (...), grazing (...)): a cone
     is nontrivial iff some (j-1)-subset of its rows spans an extreme ray,
-    and grazing iff some subset's rows are dependent or its sign class
-    hinges on rows within the band, both read off the side masks
-    (``_sign_classes``).  The subsets go to ``_extreme_rays`` in blocks of
-    about _CHUNK margins; the pass returns their side masks and null flags
-    only, and no ray is computed beyond it.
+    and grazing iff some subset's sign class hinges on rows within the
+    band, read off the side masks (``_sign_classes``); that covers a
+    subset of dependent rows, whose class always hinges (``_extreme_rays``).
+    The subsets go to ``_extreme_rays`` in blocks of about _CHUNK margins;
+    the pass returns their side masks and clear flags only, and no ray is
+    computed beyond it.
     """
     M, j = R.shape[-2:]
-    subsets, outside = _combos(M, j - 1), _outside(M, j - 1)
+    subsets = _combos(M, j - 1)
     nontrivial = np.zeros(R.shape[:-2], dtype=bool)
     grazing = np.zeros(R.shape[:-2], dtype=bool)
     step = max(1, _CHUNK // R[..., 0].size)
     for lo in range(0, len(subsets), step):
-        above, below, null = _extreme_rays(R, subsets[lo : lo + step])
-        sign, hinged = _sign_classes(above, below, outside[lo : lo + step])
+        sign, hinged = _sign_classes(*_extreme_rays(R, subsets[lo : lo + step]))
         nontrivial |= (sign != 0).any(axis=-1)
-        grazing |= (null | hinged).any(axis=-1)
+        grazing |= hinged.any(axis=-1)
     return nontrivial, grazing
 
 
@@ -490,14 +492,14 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
 
     Each draw takes m unit normals, isotropic or ``raw_sampler(rng, nb)``'s
     (normals, mask of draws to redraw), and one extreme-ray pass.
-    ``pick(normals, above, below, bad)`` takes the pass's side masks and
-    returns the chosen cell's side mask (nb, W) and the draws to redraw.
-    The cell's vertices are the sign classes on those sides
-    (``_sign_classes``), and a draw whose classes hinge is redrawn too; so
-    is one with a null ray, since with unit rows its margins all lie within
-    1e-12 < _TOL and its class hinges on any sides.  A draw keeps its
-    (normals, sides, classes); ``_table`` computes the rays of the chosen
-    cells' vertices once all B are drawn.
+    ``pick(normals, above, clear, bad)`` takes the pass's side masks above
+    the band and its clear flags and returns the chosen cell's side mask
+    (nb, W) and the draws to redraw.  The cell's vertices are the sign
+    classes on those sides (``_sign_classes``), and a draw whose classes
+    hinge is redrawn too, one with a null ray among them, whose class
+    hinges on any sides (``_extreme_rays``).  A draw keeps its (normals,
+    sides, classes); ``_table`` computes the rays of the chosen cells'
+    vertices once all B are drawn.
     """
     if m < dim:
         raise ValueError("batched kernels require m >= k+1 (pointed cells)")
@@ -507,9 +509,9 @@ def _sample_cells(rng: np.random.Generator, B: int, m: int, dim: int, pick, raw_
             normals, bad = _sample_unit(rng, (nb, m, dim)), np.zeros(nb, dtype=bool)
         else:
             normals, bad = raw_sampler(rng, nb)
-        above, below, _ = _extreme_rays(normals, _combos(m, dim - 1))
-        sides, bad = pick(normals, above, below, bad)
-        sel, hinged = _sign_classes(above, below, _outside(m, dim - 1), sides)
+        above, below, clear = _extreme_rays(normals, _combos(m, dim - 1))
+        sides, bad = pick(normals, above, clear, bad)
+        sel, hinged = _sign_classes(above, below, clear, sides)
         return (normals, sides, sel), bad | hinged.any(axis=1), 0
 
     (normals, sides, sel), redraws = _redraw(B, draw)
@@ -529,7 +531,7 @@ def sample_weighted_cells(rng: np.random.Generator, B: int, m: int, dim: int, ra
     k-sphere of d - k cutters drawn from the law (``_kappa_sampler``).
     """
 
-    def pick(normals, above, below, bad):
+    def pick(normals, above, clear, bad):
         dots = np.einsum("bmd,bd->bm", normals, _sample_unit(rng, (len(normals), dim)))
         return _pack(dots > 0), bad | (np.abs(dots) <= _TOL).any(axis=1)
 
@@ -551,18 +553,18 @@ def _mask_offsets(m: int, k: int) -> np.ndarray:
 
 
 def _enumerate_and_pick(
-    above: np.ndarray, below: np.ndarray, m: int, k: int, rng: np.random.Generator, n_cells: int, bad: np.ndarray
+    above: np.ndarray, clear: np.ndarray, m: int, k: int, rng: np.random.Generator, n_cells: int, bad: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Enumerate all cells through vertex incidences and pick one uniformly.
 
-    ``above``, ``below`` (B, C(m,k), 1): the side masks of the k-subsets'
-    rays against the m <= 63 normals (``_extreme_rays``).  The sides of the
-    rows outside a subset are ``base = above & outside``; ``bad`` flags
-    draws known to be degenerate, to which any draw with an outside row
-    within the band, ``outside & ~(above | below)``, is added, since the
-    count needs every cell around every ray.  Returns (chosen bitmask (B,)
-    int64, bit i set where the cell lies on the positive side of row i,
-    bad (B,)); asserts the per-sample count on the rest.
+    ``above`` (B, C(m,k), 1), ``clear`` (B, C(m,k)): the side masks above
+    the band of the k-subsets' rays against the m <= 63 normals, and their
+    clear flags (``_extreme_rays``).  The sides of the rows outside a
+    subset are ``base = above``; ``bad`` flags draws known to be
+    degenerate, to which any draw with a ray that is not clear is added,
+    since the count needs every cell around every ray.  Returns (chosen
+    bitmask (B,) int64, bit i set where the cell lies on the positive side
+    of row i, bad (B,)); asserts the per-sample count on the rest.
 
     The tessellation is symmetric under x -> -x, so its cells come in
     antipodal pairs, and the masks around -ray are the complements in m
@@ -576,12 +578,9 @@ def _enumerate_and_pick(
     draw from ``rng`` picks for every draw not flagged.
     """
     B, nC = above.shape[:2]
-    outside, offsets = _outside(m, k)[:, 0].view(np.int64), _mask_offsets(m, k)
-    full = (1 << m) - 1
-    above, below = above[..., 0].view(np.int64), below[..., 0].view(np.int64)
-    # sides of the rows outside each subset; a draw with any of them within the band is bad
-    base = above & outside
-    bad = bad | (outside & ~(above | below)).any(axis=1)
+    offsets, full = _mask_offsets(m, k), (1 << m) - 1
+    base = above[..., 0].view(np.int64)
+    bad = bad | ~clear.all(axis=1)
     dtype = np.uint32 if m <= 32 else np.int64  # m bits: up to 32, the passes and the sort move half the bytes
     offsets = offsets.astype(dtype)
     halves = []
@@ -628,8 +627,8 @@ def sample_typical_cells(
         raise ValueError(f"typical cells are keyed by int64 side masks, which hold m <= 63 normals, got m={m}")
     n_cells = int(cells_count(m, dim - 1))
 
-    def pick(normals, above, below, bad):
-        chosen, bad = _enumerate_and_pick(above, below, m, dim - 1, rng, n_cells, bad)
+    def pick(normals, above, clear, bad):
+        chosen, bad = _enumerate_and_pick(above, clear, m, dim - 1, rng, n_cells, bad)
         return chosen.view(np.uint64)[:, None], bad
 
     return _sample_cells(rng, B, m, dim, pick, raw_sampler)
@@ -996,13 +995,12 @@ def _vertex_table(normals: np.ndarray) -> CellBatch:
 
     One extreme-ray pass, as the samplers make, and the rays of the
     vertices (``_table``, with every bit of the side mask set); a cone
-    with a null ray or a hinged class keeps no table row, so that it
-    certifies nothing.
+    with a hinged class, a null ray's among them (``_extreme_rays``),
+    keeps no table row, so that it certifies nothing.
     """
     B, M, dim = normals.shape
-    above, below, null = _extreme_rays(normals, _combos(M, dim - 1))
-    sel, hinged = _sign_classes(above, below, _outside(M, dim - 1))
-    sel[(null | hinged).any(axis=1)] = 0
+    sel, hinged = _sign_classes(*_extreme_rays(normals, _combos(M, dim - 1)))
+    sel[hinged.any(axis=1)] = 0
     return _table(normals, np.full((B, -(-M // 64)), ~np.uint64(0)), sel, 0)
 
 

@@ -90,10 +90,10 @@ def _reference_rays(normals, subsets):
 
 
 def _pass(normals, subsets):
-    """``_extreme_rays`` with the reference rays and their margins: (rays, above, below, null, margins)."""
-    above, below, null = _extreme_rays(normals, subsets)
+    """``_extreme_rays`` with the reference rays and their margins: (rays, above, below, clear, margins)."""
+    above, below, clear = _extreme_rays(normals, subsets)
     rays = _reference_rays(normals, subsets)
-    return rays, above, below, null, rays @ np.swapaxes(normals, -1, -2)
+    return rays, above, below, clear, rays @ np.swapaxes(normals, -1, -2)
 
 
 def _words(flags):
@@ -104,6 +104,11 @@ def _words(flags):
     return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
 
+def _outside_words(m, k):
+    """Side masks of the rows outside each k-subset of range(m), in _combos order, as int64 (C(m,k),), m <= 63."""
+    return _words((_combos(m, k)[:, :, None] != np.arange(m)).all(axis=1))[:, 0].view(np.int64)
+
+
 def _unwords(words, M):
     """Bool flags (..., M) of side masks (..., W) uint64 through np.unpackbits, the inverse of ``_words``."""
     return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., :M].astype(bool)
@@ -111,22 +116,27 @@ def _unwords(words, M):
 
 def _mask_cases():
     """(dim, M, law) of the side-mask comparison: every M = dim..80 across one 64-bit word."""
-    return [(dim, M, law) for dim in range(1, 7) for M in range(dim, 81) for law in ("iso", "pole4", "band")]
+    return [(dim, M, law) for dim in range(1, 7) for M in range(dim, 81) for law in ("iso", "pole4", "band", "scaled")]
 
 
 def test_side_masks_match_the_count_oracle():
-    # the sign, hinge flag and band flag read off the side masks equal the
-    # count over the margins, at dims 1-6 and M = dim..80 rows, and so do
-    # the classes with random sides flipped, as the samplers read
-    # them; the typical base, the sides of the rows outside a subset,
-    # equals the margins' signs where no outside row is in the band.  The
-    # mask reader reads the rows outside each subset only, the count every
-    # row, which no case here tells apart.  Rows are isotropic, pole:4
-    # (dims >= 2) or isotropic with a quarter placed inside or next to the
-    # band of one subset's ray: a random combination of the subset's rows
-    # plus up to 2e-9 of noise.  Each case takes 8 cones and up to 24
-    # random (dim-1)-subsets, sorted, so that dim 6 at M = 80 stays small
-    seen = np.zeros(2, dtype=int)  # hinged rays, rays with an outside row in the band
+    # the pass's side masks and clear flags are the margins' sides and band
+    # of the rows outside each subset, and the sign and hinge flag read off
+    # them equal the count over the margins, at dims 1-6 and M = dim..80
+    # rows, and so do the classes with random sides flipped, as the
+    # samplers read them; the typical base, the side mask above the band,
+    # equals the margins' signs outside the subset where the ray is clear.
+    # The mask reader reads the rows outside each subset only, the count
+    # every row, which only the scaled rows tell apart.  Rows are
+    # isotropic, pole:4 (dims >= 2), isotropic with a quarter placed inside
+    # or next to the band of one subset's ray (a random combination of the
+    # subset's rows plus up to 2e-9 of noise), or isotropic times 2^30, so
+    # that at dims >= 3 a subset's own margins, rounding noise times the
+    # row norm, mostly leave the band: the masks must not hold them, and
+    # the count reads the outside rows only.  Each case takes 8 cones and
+    # up to 24 random (dim-1)-subsets, sorted, so that dim 6 at M = 80
+    # stays small
+    seen = np.zeros(3, dtype=int)  # hinged rays, rays with an outside row in the band, own margins beyond it
     for dim, M, law in _mask_cases():
         if law == "pole4" and dim == 1:
             continue
@@ -134,7 +144,7 @@ def test_side_masks_match_the_count_oracle():
         if law == "pole4":
             normals = sample_vmf_mixture(rng, dim - 1, 4.0, 8 * M).reshape(8, M, dim)
         else:
-            normals = mckernels._sample_unit(rng, (8, M, dim))
+            normals = mckernels._sample_unit(rng, (8, M, dim)) * (2.0**30 if law == "scaled" else 1.0)
         P = min(24, math.comb(M, dim - 1))
         subsets = np.sort(np.array([rng.choice(M, dim - 1, replace=False) for _ in range(P)], dtype=np.intp), axis=1)
         if law == "band":
@@ -145,28 +155,24 @@ def test_side_masks_match_the_count_oracle():
             normals[:, rows] = rng.standard_normal((8, len(rows), dim - 1)) @ normals[:, own] + noise
         outside = np.ones((P, M), dtype=bool)
         outside[np.arange(P)[:, None], subsets] = False
-        rays, above, below, null, margins = _pass(normals, subsets)
-        words = _words(outside)
-        assert above.shape == below.shape == (8, P, -(-M // 64))
-        assert np.array_equal(above, _words(margins > mckernels._TOL))
-        assert np.array_equal(below, _words(margins < -mckernels._TOL))
-        sign, hinged = mckernels._sign_classes(above, below, words)
+        rays, above, below, clear, margins = _pass(normals, subsets)
+        own_margins = np.take_along_axis(margins, np.broadcast_to(subsets, (8,) + subsets.shape), axis=-1)
+        assert above.shape == below.shape == (8, P, -(-M // 64)) and clear.shape == (8, P)
+        assert np.array_equal(above, _words((margins > mckernels._TOL) & outside))
+        assert np.array_equal(below, _words((margins < -mckernels._TOL) & outside))
+        assert np.array_equal(clear, ~((np.abs(margins) <= mckernels._TOL) & outside).any(axis=-1))
+        sign, hinged = mckernels._sign_classes(above, below, clear)
+        if law == "scaled":
+            margins = np.where(outside, margins, 0.0)
         want_sign, want_hinged = _count_sign_classes(margins, M - dim + 1)
         assert np.array_equal(sign, want_sign) and np.array_equal(hinged, want_hinged), (dim, M, law)
         # the flip: the classes of each cone with the rows off its sides negated
         signs = np.where(rng.random((8, M)) < 0.5, -1.0, 1.0)
-        flipped = mckernels._sign_classes(above, below, words, _words(signs > 0))
+        flipped = mckernels._sign_classes(above, below, clear, _words(signs > 0))
         want = _count_sign_classes(margins * signs[:, None, :], M - dim + 1)
         assert all(np.array_equal(a, b) for a, b in zip(flipped, want)), (dim, M, law)
-        banded = words & ~(above | below)
-        assert np.array_equal(banded, _words((np.abs(margins) <= mckernels._TOL) & outside))
-        base = above & words
-        clear = ~banded.any(axis=-1)
-        assert np.array_equal(base[clear], _words((margins > 0) & outside)[clear])
-        if math.comb(M, dim - 1) <= 4096:
-            rows_outside = (_combos(M, dim - 1)[:, :, None] != np.arange(M)).all(axis=1)
-            assert np.array_equal(mckernels._outside(M, dim - 1), _words(rows_outside))
-        seen += hinged.sum(), banded.any(axis=-1).sum()
+        assert np.array_equal(above[clear], _words((margins > 0) & outside)[clear])
+        seen += hinged.sum(), (~clear).sum(), (np.abs(own_margins) > mckernels._TOL).sum()
     assert seen.all()
 
 
@@ -180,7 +186,7 @@ def _full_sort_pick(margins, k, rng, n_cells, bad):
     and the same band flag as ``_enumerate_and_pick``.
     """
     B, nC, m = margins.shape
-    outside, offsets = mckernels._outside(m, k)[:, 0].view(np.int64), mckernels._mask_offsets(m, k)
+    outside, offsets = _outside_words(m, k), mckernels._mask_offsets(m, k)
     weights = 1 << np.arange(m, dtype=np.int64)
     base = ((margins > 0) @ weights) & outside
     banded = ((np.abs(margins) <= mckernels._TOL) @ weights) & outside
@@ -212,8 +218,8 @@ def test_enumeration_matches_incremental(m, k):
         normals = rng.standard_normal((1, m, dim))
         normals /= np.linalg.norm(normals, axis=2, keepdims=True)
         local = batch_rng(trial, 0, 0)
-        _, above, below, _, S = _pass(normals, combos)
-        chosen, bad = _enumerate_and_pick(above, below, m, k, local, n_cells, np.zeros(1, dtype=bool))
+        _, above, _, clear, S = _pass(normals, combos)
+        chosen, bad = _enumerate_and_pick(above, clear, m, k, local, n_cells, np.zeros(1, dtype=bool))
         assert not bad.any()
         lp_masks = lp_oracle.build_arrangement(normals[0], k)
         # recompute the batch mask set, one subset and resolution at a time
@@ -235,10 +241,10 @@ def test_enumeration_assertion_trips_on_wrong_count():
     # C(4, 2) = 14 cells: an odd count, and an even one on either side
     normals = np.random.default_rng(102).standard_normal((1, 4, 3))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
-    above, below, _ = _extreme_rays(normals, _combos(4, 2))
+    above, _, clear = _extreme_rays(normals, _combos(4, 2))
     for n_cells in (99, 12, 16):
         with pytest.raises(SampleAssertionError):
-            _enumerate_and_pick(above, below, 4, 2, batch_rng(0, 0, 0), n_cells, np.zeros(1, dtype=bool))
+            _enumerate_and_pick(above, clear, 4, 2, batch_rng(0, 0, 0), n_cells, np.zeros(1, dtype=bool))
 
 
 def _pick_cases():
@@ -264,15 +270,15 @@ def test_pick_matches_full_sort(m, dim, law):
     else:
         n, d = (m, k) if law == "k=d" else (m + 1, dim)
         normals, bad = mckernels._kappa_sampler(KappaFamily("pole_concentrated", 4.0), n, d, k)(local, B)
-    _, above, below, _, margins = _pass(normals, _combos(m, k))
+    _, above, below, clear, margins = _pass(normals, _combos(m, k))
     n_cells = int(cells_count(m, k))
-    chosen, flagged = _enumerate_and_pick(above, below, m, k, batch_rng(1, 2, 3), n_cells, bad)
+    chosen, flagged = _enumerate_and_pick(above, clear, m, k, batch_rng(1, 2, 3), n_cells, bad)
     want, want_flagged = _full_sort_pick(margins, k, batch_rng(1, 2, 3), n_cells, bad)
     assert np.array_equal(flagged, want_flagged) and flagged[bad].all()
     assert np.array_equal(chosen, want)
     signs = np.where((chosen[:, None] >> np.arange(m)) & 1, 1.0, -1.0)
     classes, hinged = _count_sign_classes(margins * signs[:, None, :], m - k)
-    sel, sel_hinged = mckernels._sign_classes(above, below, mckernels._outside(m, k), chosen.view(np.uint64)[:, None])
+    sel, sel_hinged = mckernels._sign_classes(above, below, clear, chosen.view(np.uint64)[:, None])
     good = ~flagged
     assert not hinged[good].any() and not sel_hinged[good].any() and np.array_equal(sel[good], classes[good])
     assert (np.abs(sel[good]).sum(axis=1) >= dim).all()  # a pointed cell has at least k + 1 vertices
@@ -286,7 +292,7 @@ def _rejection_cells(margins, k, rng, draws):
     the subset, so its sides off the subset are the ray's or their opposites.
     """
     m = margins.shape[-1]
-    outside = mckernels._outside(m, k)[:, 0].view(np.int64)
+    outside = _outside_words(m, k)
     base = ((margins[0] > 0) @ (1 << np.arange(m, dtype=np.int64))) & outside
     signs = rng.integers(0, 1 << m, size=draws)
     sides = signs[:, None] & outside
@@ -302,15 +308,15 @@ def test_pick_is_uniform_over_the_cells_rejection_reaches(dim):
     m, k = dim + 2, dim - 1
     n_cells = int(cells_count(m, k))
     normals = mckernels._sample_unit(batch_rng(2027, dim, 0), (1, m, dim))
-    _, above, below, _, margins = _pass(normals, _combos(m, k))
+    _, above, _, clear, margins = _pass(normals, _combos(m, k))
     cells = lp_oracle.build_arrangement(normals[0], k)
     assert set(_rejection_cells(margins, k, batch_rng(2027, dim, 1), 64 << m).tolist()) == cells
     rng, reps = batch_rng(2027, dim, 2), 150 * n_cells
     chosen = []
     for lo in range(0, reps, mckernels.BATCH):
         nb = min(mckernels.BATCH, reps - lo)
-        above_nb, below_nb = np.repeat(above, nb, axis=0), np.repeat(below, nb, axis=0)
-        picked, bad = _enumerate_and_pick(above_nb, below_nb, m, k, rng, n_cells, np.zeros(nb, dtype=bool))
+        above_nb, clear_nb = np.repeat(above, nb, axis=0), np.repeat(clear, nb, axis=0)
+        picked, bad = _enumerate_and_pick(above_nb, clear_nb, m, k, rng, n_cells, np.zeros(nb, dtype=bool))
         assert not bad.any()
         chosen.append(picked)
     keys, counts = np.unique(np.concatenate(chosen), return_counts=True)
@@ -450,8 +456,8 @@ def test_a_draw_with_a_null_ray_is_redrawn_through_its_hinged_class(monkeypatch,
             first.append(shape[0])
         return normals
 
-    def spy(above, below, outside, sides=None):
-        out = sign_classes(above, below, outside, sides)
+    def spy(above, below, clear, sides=None):
+        out = sign_classes(above, below, clear, sides)
         hinged.append(out[1][:, 0])  # subset (0, 1)
         return out
 
@@ -466,6 +472,47 @@ def test_a_draw_with_a_null_ray_is_redrawn_through_its_hinged_class(monkeypatch,
     assert first == [B] and hinged[0].all() and cells.degenerate == B
     assert np.unique(cells.cell).tolist() == list(range(B))
     assert (np.abs(np.einsum("bd,bd->b", cells.normals[:, 0], cells.normals[:, 1])) < 1 - 1e-6).all()
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("form", ["stacked", "frame"])
+def test_a_dependent_subset_reaches_meets_and_the_vertex_table_through_its_hinge(form, dim):
+    # every third cone gets two equal rows, so the ray of a subset holding
+    # both is null; the readers test no null flag, yet its rows, of norm
+    # well below 1e3, put all its outside margins within the band, so its
+    # class hinges: ``_meets`` flags the cone as grazing and ``_vertex_table``
+    # keeps no row for it, and the other cones read as before.  The rows are
+    # stacked unit normals of two cones, as isect stacks them, or unit
+    # normals times a Gaussian frame scaled by 10, as ``_hit_fraction`` forms
+    # them, in R^dim
+    rng, B = batch_rng(34, dim, len(form)), 48
+    if form == "stacked":
+        n = dim + 1
+        R = mckernels._sample_unit(rng, (B, 1, 2 * n, dim))
+        first, second = 0, n  # row 0 of each cone
+    else:
+        frames = 10 * rng.standard_normal((B, 3, dim + 1, dim))
+        R = mckernels._sample_unit(rng, (B, 1, dim + 3, dim + 1)) @ frames
+        first, second = 0, 1
+    M = R.shape[-2]
+    dependent = np.zeros(R.shape[:2], dtype=bool)
+    dependent[::3] = True
+    equal = R.copy()
+    equal[dependent, second] = equal[dependent, first]
+    subset = np.array([[first, second, *range(second + 1, second + dim - 2)]])
+    assert (norm(_reference_rays(equal[dependent], subset), axis=-1) < 1e-12).all()
+    assert np.linalg.norm(equal, axis=-1).max() < 1e3
+    hit, near = mckernels._meets(R)
+    hit_equal, near_equal = mckernels._meets(equal)
+    assert near_equal[dependent].all()
+    assert np.array_equal(hit_equal[~dependent], hit[~dependent])
+    assert np.array_equal(near_equal[~dependent], near[~dependent])
+    cells = _vertex_table(equal.reshape(-1, M, dim))
+    fresh = _vertex_table(R.reshape(-1, M, dim))
+    assert not np.isin(cells.cell, np.flatnonzero(dependent)).any()
+    keep = ~np.isin(fresh.cell, np.flatnonzero(dependent))
+    assert keep.any()
+    assert all(np.array_equal(getattr(cells, f), getattr(fresh, f)[keep]) for f in ("cell", "subset", "rays"))
 
 
 # -- vertex machinery ---------------------------------------------------------
